@@ -19,6 +19,7 @@ from .graph import (
     Graph,
     GraphError,
     OMEGA,
+    covering_pairs,
     cycle_vertex_closure,
     cycles,
     exclusive_cycles,
@@ -515,26 +516,13 @@ def enumerate(graph_file, ring_spec, as_json, out, as_dot, graded_only):
         {p.label(): f"({v})" for p, v in zip(f.ctx.star, f.vals)} for f in fns
     ]
     if as_dot:
-        names = [json.dumps(r, sort_keys=True) for r in rows]
-        edges = []
-        for i, a in enumerate(fns):
-            for j, b in enumerate(fns):
-                if i == j:
-                    continue
-                ring_le = all(
-                    ring.gen_contains(y, x) for x, y in zip(a.vals, b.vals)
-                )
-                if not ring_le:
-                    continue
-                if any(
-                    k not in (i, j)
-                    and all(ring.gen_contains(y, x) for x, y in zip(a.vals, fns[k].vals))
-                    and all(ring.gen_contains(y, x) for x, y in zip(fns[k].vals, b.vals))
-                    for k in range(len(fns))
-                ):
-                    continue
-                edges.append((names[i].replace('"', "'"), names[j].replace('"', "'")))
-        _emit(_dot([n.replace('"', "'") for n in names], edges), False, out)
+        names = [json.dumps(r, sort_keys=True).replace('"', "'") for r in rows]
+
+        def leq(i, j):
+            return all(ring.gen_contains(y, x) for x, y in zip(fns[i].vals, fns[j].vals))
+
+        edges = [(names[i], names[j]) for i, j in covering_pairs(len(fns), leq)]
+        _emit(_dot(names, edges), False, out)
         return
     if as_json:
         _emit({"count": len(fns), "ideals": rows}, True, out)

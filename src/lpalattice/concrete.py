@@ -23,8 +23,7 @@ from .ideals import (
     graded_lattice,
     to_generators,
 )
-from .laurent import LaurentIdeal, LaurentPoly
-from .rings import RingIdeal, RingSpec, ZZ
+from .rings import RingSpec
 
 MAX_ENUMERATION_WORK = 2_000_000
 
@@ -359,31 +358,3 @@ def toeplitz_graph() -> Graph:
         ["u", "v"],
         [Bundle("e", "u", "u"), Bundle("f", "u", "v")],
     )
-
-
-def toeplitz_integer_reference(f_table: dict, g_ideal: LaurentIdeal) -> bool:
-    """Decide membership in the known parametrization of the two-vertex
-    loop-plus-sink example over the integers.
-
-    A valid pair is given by integers a | b with f({v}) = (a), f(whole) = (b),
-    and a cycle ideal of the shape b*Z[x,x^-1] + a*I where the residual I
-    contracts into (b/a).
-    """
-    if g_ideal.ring != ZZ:
-        raise OracleError("the reference parametrization is over Z")
-    vals = {}
-    for key, ideal in f_table.items():
-        label = key if isinstance(key, str) else key.label()
-        vals[label] = ideal.gen if isinstance(ideal, RingIdeal) else int(ideal)
-    a = vals.get("{v}", 0)
-    b = vals.get("{u,v}", 0)
-    if a == 0:
-        return b == 0 and g_ideal.is_zero
-    if b % a != 0:
-        return False
-    if not g_ideal.coefficient_ideal() <= RingIdeal(ZZ, a):
-        return False
-    if LaurentPoly.constant(ZZ, b) not in g_ideal:
-        return False
-    residual = g_ideal.divide_exact(a)
-    return residual.contract() <= RingIdeal(ZZ, b // a)

@@ -34,7 +34,7 @@ class _Omega:
 
 OMEGA = _Omega()
 
-MAX_LATTICE_VERTICES = 16  # subset enumeration of hereditary saturated sets
+MAX_PAIRS = 1 << 16  # admissible pairs a lattice may have, bottom included
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,15 @@ class Graph:
                 raise GraphError(f"bad multiplicity {b.multiplicity!r} in bundle {b.name!r}")
         self.bundles = bundles
         self._out = {v: [] for v in self.vertices}
-        self._in = {v: [] for v in self.vertices}
+        self._sources = {v: set() for v in self.vertices}
         for b in bundles:
             self._out[b.source].append(b)
-            self._in[b.target].append(b)
+            self._sources[b.target].add(b.source)
+        self._targets = {v: frozenset(b.target for b in out) for v, out in self._out.items()}
+        self._regular = {
+            v for v, out in self._out.items() if out and not any(b.is_infinite for b in out)
+        }
+        self._cycles = None  # label -> CycleClass, filled on first use
         self._key = (self.vertices, self.bundles)
         self._hash = hash(self._key)
 
@@ -88,9 +93,6 @@ class Graph:
     def out_bundles(self, v: str):
         return self._out[v]
 
-    def in_bundles(self, v: str):
-        return self._in[v]
-
     def check_vertices(self, vs):
         unknown = set(vs) - self.vertices
         if unknown:
@@ -103,13 +105,13 @@ class Graph:
         return not self._out[v]
 
     def is_regular(self, v: str) -> bool:
-        return bool(self._out[v]) and not self.is_infinite_emitter(v)
+        return v in self._regular
 
     def out_targets(self, v: str) -> frozenset:
-        return frozenset(b.target for b in self._out[v])
+        return self._targets[v]
 
-    def successors(self, v: str) -> frozenset:
-        return self.out_targets(v)
+    def sources(self, v: str) -> set:
+        return self._sources[v]
 
     def escape_count(self, v: str, H) -> object:
         """Number of edges from v whose target avoids H (OMEGA if infinite)."""
@@ -121,29 +123,12 @@ class Graph:
                 total += b.multiplicity
         return total
 
-    def reachable(self, v: str) -> frozenset:
-        seen = {v}
-        stack = [v]
-        while stack:
-            for w in self.out_targets(stack.pop()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return frozenset(seen)
-
 
 # -- hereditary and saturated machinery ------------------------------------
 
 
 def is_hereditary(g: Graph, H) -> bool:
     return all(b.target in H for v in H for b in g.out_bundles(v))
-
-
-def is_saturated(g: Graph, H) -> bool:
-    for v in g.vertices - set(H):
-        if g.is_regular(v) and g.out_targets(v) <= set(H):
-            return False
-    return True
 
 
 def hereditary_closure(g: Graph, seed) -> frozenset:
@@ -160,16 +145,26 @@ def hereditary_closure(g: Graph, seed) -> frozenset:
 
 
 def _lambda_closure(g: Graph, base, absorb) -> frozenset:
-    # one sweep adds every vertex, regular or in absorb, all of whose
-    # targets already lie inside; repeat to a fixpoint
+    # add every vertex, regular or in absorb, all of whose targets lie
+    # inside, to a fixpoint; a vertex is looked at only once one of its
+    # targets is inside, and counts its targets outside base still missing,
+    # so the work is linear in the edges around the result
+    base = frozenset(base)
     cur = set(base)
-    changed = True
-    while changed:
-        changed = False
-        for v in g.vertices - cur:
-            if (g.is_regular(v) or v in absorb) and g.out_targets(v) <= cur:
+    missing = {}
+    queue = list(base)
+    while queue:
+        w = queue.pop()
+        for v in g.sources(w):
+            if v in cur or not (g.is_regular(v) or v in absorb):
+                continue
+            if v not in missing:
+                missing[v] = len(g.out_targets(v) - base)
+            if w not in base:
+                missing[v] -= 1
+            if missing[v] == 0:
                 cur.add(v)
-                changed = True
+                queue.append(v)
     return frozenset(cur)
 
 
@@ -251,32 +246,117 @@ class AdmissiblePair:
 BOTTOM = AdmissiblePair(frozenset(), frozenset())
 
 
+def _generators(g: Graph) -> dict:
+    """Pairs whose suprema give every admissible pair, each mapped to its
+    seed (h, s): the pair is the supremum of (hs-closure h, s), and it lies
+    below an admissible pair (H, S) exactly when H holds h and H | S holds s.
+
+    The seeds are ({v}, {}) for each vertex v and, for each infinite emitter
+    w that breaks some set, (w's infinite targets, {w}), whose pair is the
+    least with w as a breaking vertex: every set that w breaks holds the
+    closure of those targets, so w breaks some set exactly when it breaks
+    that closure.  Every join-irreducible is among these pairs.
+    """
+    out = {}
+    for v in sorted(g.vertices):
+        pair = AdmissiblePair(hereditary_saturated_closure(g, {v}), frozenset())
+        out.setdefault(pair, (frozenset({v}), frozenset()))
+        if g.is_infinite_emitter(v):
+            t = frozenset(b.target for b in g.out_bundles(v) if b.is_infinite)
+            h = hereditary_saturated_closure(g, t)
+            if v in breaking_vertices(g, h):
+                out[AdmissiblePair(h, frozenset({v}))] = (t, frozenset({v}))
+    return out
+
+
+def _seed_below(seed, p: AdmissiblePair) -> bool:
+    return seed[0] <= p.H and all(w in p.H or w in p.S for w in seed[1])
+
+
+def _seed_sup(g: Graph, seeds) -> AdmissiblePair:
+    """The supremum of the pairs of the given seeds, in time linear in g."""
+    h = frozenset().union(*(h for h, _ in seeds))
+    s = frozenset().union(*(s for _, s in seeds))
+    sat = _lambda_closure(g, hereditary_closure(g, h), s)
+    return AdmissiblePair(sat, s - sat)
+
+
+def _down_set_walk(below) -> list:
+    """The nonempty down-sets of a poset on range(n), given the strict
+    down-set of each member as a bit mask, where every member comes after
+    those below it: (parent, j, mask), the down-set mask being its parent's
+    (an earlier entry counted from 1, 0 for the empty set) plus j.
+
+    Each down-set is reached once, from itself minus its last member.
+    Refuses, before anything per pair is built, once the count of down-sets
+    with the empty one passes MAX_PAIRS.
+    """
+    walk = []
+    stack = [(0, 0, 0)]  # (entry, its mask, first member that may be added)
+    while stack:
+        entry, mask, first = stack.pop()
+        for j in range(first, len(below)):
+            if below[j] & mask == below[j]:
+                if len(walk) + 1 == MAX_PAIRS:
+                    raise GraphError(
+                        f"the admissible-pair lattice has more than {MAX_PAIRS} pairs"
+                    )
+                walk.append((entry, j, mask | 1 << j))
+                stack.append((len(walk), mask | 1 << j, j + 1))
+    return walk
+
+
+def covering_pairs(n: int, leq) -> list:
+    """Index pairs (i, j), in row-major order, such that j covers i in the
+    partial order leq(i, j) on range(n)."""
+    above = [0] * n  # strict up-sets as bit masks
+    below = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if i != j and leq(i, j):
+                above[i] |= 1 << j
+                below[j] |= 1 << i
+    return [
+        (i, j) for i in range(n) for j in range(n)
+        if above[i] >> j & 1 and not above[i] & below[j]
+    ]
+
+
 class PairLattice:
-    """The finite lattice of admissible pairs of a graph."""
+    """The finite lattice of admissible pairs of a graph.
+
+    The lattice is distributive, so by Birkhoff's representation theorem its
+    pairs are exactly the suprema of the down-sets of its join-irreducibles
+    J, each pair once; J is read off the graph and the pairs are built from
+    it, so no pass over vertex subsets or over pairs of pairs is needed.
+    """
 
     def __init__(self, graph: Graph):
-        if len(graph.vertices) > MAX_LATTICE_VERTICES:
-            raise GraphError(
-                f"admissible-pair enumeration is limited to {MAX_LATTICE_VERTICES} vertices"
-            )
         self.graph = graph
-        hs_sets = {hereditary_saturated_closure(graph, k) for n in range(len(graph.vertices) + 1)
-                   for k in itertools.combinations(sorted(graph.vertices), n)}
-        pairs = []
-        for H in hs_sets:
-            bv = sorted(breaking_vertices(graph, H))
-            for n in range(len(bv) + 1):
-                for s in itertools.combinations(bv, n):
-                    pairs.append(AdmissiblePair(H, frozenset(s)))
-        self.pairs = tuple(sorted(pairs, key=AdmissiblePair.key))
+        seeds = _generators(graph)
+        # key order is a linear extension on these pairs: comparable ones with
+        # equal H differ by one breaking vertex
+        ji = sorted(
+            (c for c in seeds if c != _seed_sup(
+                graph, [s for q, s in seeds.items() if q is not c and _seed_below(s, c)])),
+            key=AdmissiblePair.key,
+        )
+        self.join_irreducibles = tuple(ji)
+        below = [
+            sum(1 << a for a in range(b) if _seed_below(seeds[ji[a]], ji[b]))
+            for b in range(len(ji))
+        ]
+        found = [(BOTTOM, 0)]  # (pair, the join-irreducibles below it as a bit mask)
+        for parent, j, mask in _down_set_walk(below):
+            found.append((self.join(found[parent][0], ji[j]), mask))
+        found.sort(key=lambda pm: pm[0].key())
+        self.pairs = tuple(p for p, _ in found)
         self._index = {p: i for i, p in enumerate(self.pairs)}
         self.bottom = BOTTOM
         self.top = AdmissiblePair(graph.vertices, frozenset())
-        self.star = tuple(p for p in self.pairs if p != BOTTOM)
+        self.star = self.pairs[1:]
         self._star_index = {p: i for i, p in enumerate(self.star)}
-        self._join_table = None
-        self._leq_table = None
-        self._ji = None
+        self._ji_masks = [m for _, m in found[1:]]
 
     def __len__(self):
         return len(self.pairs)
@@ -312,55 +392,27 @@ class PairLattice:
         sat = _lambda_closure(self.graph, h, s)
         return AdmissiblePair(sat, s - sat)
 
-    # index-level tables for the hot loops in the classification lattice
     def star_index(self, pair: AdmissiblePair) -> int:
         return self._star_index[pair]
 
-    def join_table(self):
-        if self._join_table is None:
-            n = len(self.star)
-            table = [[0] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i + 1):
-                    k = self._star_index[self.join(self.star[i], self.star[j])]
-                    table[i][j] = table[j][i] = k
-            self._join_table = table
-        return self._join_table
-
-    def leq_table(self):
-        if self._leq_table is None:
-            self._leq_table = [
-                [self.leq(a, b) for b in self.star] for a in self.star
-            ]
-        return self._leq_table
-
     def star_join_irreducibles(self):
-        """Star indices of the join-irreducible pairs.
+        """Star indices of the join-irreducible pairs, in star order.
 
-        The lattice is distributive, so every pair is the supremum of the
-        join-irreducibles below it, which is what makes saturated functions
-        recoverable from their values there.
+        Every pair is the supremum of the join-irreducibles below it, which
+        is what makes saturated functions recoverable from their values there.
         """
-        if self._ji is None:
-            ji = []
-            for i, p in enumerate(self.star):
-                below = [q for q in self.pairs if q != p and self.leq(q, p)]
-                if self.sup(below) != p:
-                    ji.append(i)
-            self._ji = ji
-        return self._ji
+        return [self._star_index[q] for q in self.join_irreducibles]
+
+    def star_join_irreducibles_below(self):
+        """For each star pair, the star indices of the join-irreducibles below it."""
+        ji = self.star_join_irreducibles()
+        return [[q for a, q in enumerate(ji) if mask >> a & 1] for mask in self._ji_masks]
 
     def hasse_edges(self):
         """Covering relations, for drawing the lattice."""
-        edges = []
-        for a in self.pairs:
-            for b in self.pairs:
-                if a == b or not self.leq(a, b):
-                    continue
-                if any(c not in (a, b) and self.leq(a, c) and self.leq(c, b) for c in self.pairs):
-                    continue
-                edges.append((a, b))
-        return edges
+        ps = self.pairs
+        covers = covering_pairs(len(ps), lambda i, j: self.leq(ps[i], ps[j]))
+        return [(ps[i], ps[j]) for i, j in covers]
 
 
 @lru_cache(maxsize=None)
@@ -430,24 +482,31 @@ def _vertex_cycles(g: Graph):
     return results
 
 
+def _cycle_index(g: Graph) -> dict:
+    """Label -> cycle, in the order of cycles(g); computed once per graph."""
+    if g._cycles is None:
+        found = set()
+        for vcycle in _vertex_cycles(g):
+            n = len(vcycle)
+            choices = []
+            for i in range(n):
+                v, w = vcycle[i], vcycle[(i + 1) % n]
+                step = []
+                for b in g.out_bundles(v):
+                    if b.target != w:
+                        continue
+                    slots = [0] if b.is_infinite else range(b.multiplicity)
+                    step.extend((v, b.name, s) for s in slots)
+                choices.append(step)
+            found.update(CycleClass.canonical(combo) for combo in itertools.product(*choices))
+        ordered = sorted(found, key=lambda c: (len(c.steps), c.steps))
+        g._cycles = {c.label(): c for c in ordered}
+    return g._cycles
+
+
 def cycles(g: Graph) -> list[CycleClass]:
     """All cycles (closed simple paths up to rotation), canonically rotated."""
-    out = []
-    for vcycle in _vertex_cycles(g):
-        n = len(vcycle)
-        choices = []
-        for i in range(n):
-            v, w = vcycle[i], vcycle[(i + 1) % n]
-            step = []
-            for b in g.out_bundles(v):
-                if b.target != w:
-                    continue
-                slots = [0] if b.is_infinite else range(b.multiplicity)
-                step.extend((v, b.name, s) for s in slots)
-            choices.append(step)
-        for combo in itertools.product(*choices):
-            out.append(CycleClass.canonical(combo))
-    return sorted(set(out), key=lambda c: (len(c.steps), c.steps))
+    return list(_cycle_index(g).values())
 
 
 def _exit_targets(g: Graph, c: CycleClass) -> frozenset:
@@ -471,7 +530,7 @@ def exclusive_cycles(g: Graph) -> list[CycleClass]:
     out = []
     for c in cycles(g):
         cverts = c.vertices()
-        if all(g.reachable(t).isdisjoint(cverts) for t in _exit_targets(g, c)):
+        if hereditary_closure(g, _exit_targets(g, c)).isdisjoint(cverts):
             out.append(c)
     return out
 
@@ -482,16 +541,20 @@ def cycle_vertex_closure(g: Graph, c: CycleClass) -> frozenset:
 
 def exit_closure(g: Graph, c: CycleClass) -> frozenset:
     """Hereditary saturated closure of the ranges of the exits of c."""
-    if c not in set(cycles(g)):
-        raise GraphError(f"{c.label()} is not a cycle of this graph")
+    check_cycle(g, c)
     return hereditary_saturated_closure(g, _exit_targets(g, c))
 
 
 def find_cycle(g: Graph, label: str) -> CycleClass:
-    for c in cycles(g):
-        if c.label() == label:
-            return c
-    raise GraphError(f"no cycle labelled {label!r}")
+    c = _cycle_index(g).get(label)
+    if c is None:
+        raise GraphError(f"no cycle labelled {label!r}")
+    return c
+
+
+def check_cycle(g: Graph, c: CycleClass):
+    if _cycle_index(g).get(c.label()) != c:
+        raise GraphError(f"{c.label()} is not a cycle of this graph")
 
 
 # -- global conditions -------------------------------------------------------
@@ -501,7 +564,7 @@ def downward_directed(g: Graph, S) -> bool:
     """Whether every two members of S flow to a common member of S."""
     g.check_vertices(S)
     S = set(S)
-    reach = {v: g.reachable(v) for v in S}
+    reach = {v: hereditary_closure(g, {v}) for v in S}
     return all(S & reach[v] & reach[w] for v in S for w in S)
 
 

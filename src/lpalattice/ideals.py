@@ -20,11 +20,12 @@ from .graph import (
     Graph,
     GraphError,
     breaking_vertices,
+    check_cycle,
     cycle_vertex_closure,
-    cycles,
     downward_directed,
     exclusive_cycles,
     exit_closure,
+    find_cycle,
     has_condition_k,
     hereditary_saturated_closure,
     is_row_finite,
@@ -58,14 +59,8 @@ class Context:
                 )
             else:
                 self.cycle_exit_idx.append(None)
-        leq = self.lattice.leq_table()
-        ji = self.lattice.star_join_irreducibles()
-        n = len(self.lattice.star)
-        # for each join-irreducible q: every star pair above it; for each
-        # pair i: every join-irreducible below it
-        self.ji_ups = {q: [a for a in range(n) if leq[q][a]] for q in ji}
-        self.ji_below = [[q for q in ji if leq[q][i]] for i in range(n)]
-        self._sat_memo = {}
+        self.ji = self.lattice.star_join_irreducibles()
+        self.ji_below = self.lattice.star_join_irreducibles_below()
 
     @property
     def star(self):
@@ -77,6 +72,19 @@ def context(graph: Graph, ring: RingSpec) -> Context:
     return Context(graph, ring)
 
 
+def _intersect_below(ctx: Context, on_ji) -> tuple[int, ...]:
+    """The table whose value at each pair is the intersection of the values
+    on_ji[q] (indexed by star index) at the join-irreducibles q below it."""
+    ring = ctx.ring
+    out = []
+    for below in ctx.ji_below:
+        acc = on_ji[below[0]]
+        for q in below[1:]:
+            acc = ring.gen_intersect(acc, on_ji[q])
+        out.append(acc)
+    return tuple(out)
+
+
 def _saturate_vals(ctx: Context, vals: list[int]) -> tuple[int, ...]:
     """Smallest saturated table dominating the given raw values.
 
@@ -85,74 +93,28 @@ def _saturate_vals(ctx: Context, vals: list[int]) -> tuple[int, ...]:
     the closure is: push values down onto the join-irreducibles, then read
     every pair off as an intersection.
     """
-    key = tuple(vals)
-    hit = ctx._sat_memo.get(key)
-    if hit is not None:
-        return hit
     ring = ctx.ring
-    down = {}
-    for q, ups in ctx.ji_ups.items():
-        acc = 0
-        for a in ups:
-            acc = ring.gen_sum(acc, vals[a])
-        down[q] = acc
-    out = []
-    for i in range(len(vals)):
-        acc = None
-        for q in ctx.ji_below[i]:
-            acc = down[q] if acc is None else ring.gen_intersect(acc, down[q])
-        out.append(acc if acc is not None else vals[i])
-    result = tuple(out)
-    ctx._sat_memo[key] = result
-    return result
-
-
-def _saturate_vals_sweep(ctx: Context, vals: list[int]) -> tuple[int, ...]:
-    """Reference implementation: iterate order-reversal and the pairwise
-    supremum law to a fixpoint (terminates by the ascending chain
-    condition)."""
-    ring = ctx.ring
-    join = ctx.lattice.join_table()
-    leq = ctx.lattice.leq_table()
-    n = len(vals)
-    vals = list(vals)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            vi = vals[i]
-            for j in range(n):
-                if leq[j][i]:
-                    s = ring.gen_sum(vals[j], vi)
-                    if s != vals[j]:
-                        vals[j] = s
-                        changed = True
-        for i in range(n):
-            vi = vals[i]
-            for j in range(i + 1):
-                k = join[i][j]
-                m = ring.gen_intersect(vi, vals[j])
-                s = ring.gen_sum(vals[k], m)
-                if s != vals[k]:
-                    vals[k] = s
-                    changed = True
-    return tuple(vals)
+    down = dict.fromkeys(ctx.ji, 0)
+    for i, v in enumerate(vals):
+        if v:
+            for q in ctx.ji_below[i]:
+                down[q] = ring.gen_sum(down[q], v)
+    return _intersect_below(ctx, down)
 
 
 def _law_violations(ctx: Context, vals) -> list[str]:
-    ring = ctx.ring
-    join = ctx.lattice.join_table()
+    """Where vals fails to turn suprema into intersections.
+
+    A table obeys the law exactly when its value at every pair is the
+    intersection of its values at the join-irreducibles below that pair.
+    """
+    want = _intersect_below(ctx, vals)
     star = ctx.star
-    out = []
-    for i in range(len(star)):
-        for j in range(i + 1):
-            k = join[i][j]
-            if vals[k] != ring.gen_intersect(vals[i], vals[j]):
-                out.append(
-                    f"value ({vals[k]}) at {star[k].label()} is not the intersection of "
-                    f"({vals[i]}) at {star[i].label()} and ({vals[j]}) at {star[j].label()}"
-                )
-    return out
+    return [
+        f"value ({vals[i]}) at {star[i].label()} is not the intersection ({want[i]}) "
+        f"of the values at the join-irreducible pairs below it"
+        for i in range(len(star)) if vals[i] != want[i]
+    ]
 
 
 class SaturatedFunction:
@@ -290,8 +252,7 @@ class ClassifiedIdeal:
         """
         if c in self.ctx.cycles:
             return self.g[self.ctx.cycles.index(c)]
-        if c not in cycles(self.ctx.graph):
-            raise GraphError(f"{c.label()} is not a cycle of this graph")
+        check_cycle(self.ctx.graph, c)
         top = AdmissiblePair(
             cycle_vertex_closure(self.ctx.graph, c), frozenset()
         )
@@ -322,19 +283,23 @@ class ClassifiedIdeal:
 
     def join(self, other: "ClassifiedIdeal") -> "ClassifiedIdeal":
         self._check(other)
-        ctx, ring = self.ctx, self.ctx.ring
         g = tuple(ga + gb for ga, gb in zip(self.g, other.g))
-        raw = [ring.gen_sum(a, b) for a, b in zip(self.f.vals, other.f.vals)]
-        for i, gi in enumerate(g):
-            k = ctx.cycle_closure_idx[i]
-            raw[k] = ring.gen_sum(raw[k], gi.contract().gen)
-        return ClassifiedIdeal._trusted(SaturatedFunction._trusted(ctx, _saturate_vals(ctx, raw)), g)
+        return self._saturated(other, self.ctx.ring.gen_sum, g)
 
     def product(self, other: "ClassifiedIdeal") -> "ClassifiedIdeal":
         self._check(other)
-        ctx, ring = self.ctx, self.ctx.ring
         g = tuple(ga * gb for ga, gb in zip(self.g, other.g))
-        raw = [ring.gen_product(a, b) for a, b in zip(self.f.vals, other.f.vals)]
+        return self._saturated(other, self.ctx.ring.gen_product, g)
+
+    def _saturated(self, other, op, g) -> "ClassifiedIdeal":
+        """The smallest pair holding op of the two functions and the
+        contractions of g.  Both functions reverse the order and op is
+        monotone, so op's values away from the join-irreducibles lie in its
+        values at them and can be left out."""
+        ctx, ring = self.ctx, self.ctx.ring
+        raw = [0] * len(ctx.star)
+        for q in ctx.ji:
+            raw[q] = op(self.f.vals[q], other.f.vals[q])
         for i, gi in enumerate(g):
             k = ctx.cycle_closure_idx[i]
             raw[k] = ring.gen_sum(raw[k], gi.contract().gen)
@@ -407,7 +372,7 @@ def validate_tables(ctx: Context, f_table, g_table) -> "ClassifiedIdeal | list[s
     problems = _law_violations(ctx, vals)
     g = [None] * len(ctx.cycles)
     for key, ideal in g_table.items():
-        c = key if isinstance(key, CycleClass) else _cycle_by_label(ctx, key)
+        c = key if isinstance(key, CycleClass) else find_cycle(ctx.graph, key)
         if c not in ctx.cycles:
             problems.append(f"cycle {c.label()} is not exclusive; its value is forced")
             continue
@@ -420,14 +385,7 @@ def validate_tables(ctx: Context, f_table, g_table) -> "ClassifiedIdeal | list[s
     problems = _cycle_violations(ctx, vals, tuple(g))
     if problems:
         return problems
-    return ClassifiedIdeal(SaturatedFunction(ctx, vals), tuple(g))
-
-
-def _cycle_by_label(ctx: Context, label: str) -> CycleClass:
-    for c in cycles(ctx.graph):
-        if c.label() == label:
-            return c
-    raise ClassificationError(f"no cycle labelled {label!r}")
+    return ClassifiedIdeal._trusted(SaturatedFunction._trusted(ctx, vals), g)
 
 
 # -- generators --------------------------------------------------------------
@@ -546,33 +504,28 @@ def to_generators(pair: ClassifiedIdeal) -> list:
 
 
 def graded_lattice(graph: Graph, ring: RingSpec) -> list[SaturatedFunction]:
-    """Every saturated function, for a finite coefficient ring."""
+    """Every saturated function, for a finite coefficient ring.
+
+    Saturated functions correspond one to one to the order-reversing maps
+    from the join-irreducibles to the ideals of R, each extended by
+    intersection; those maps are listed with the join-irreducibles taken in
+    star order, which puts every one after those below it.
+    """
     ctx = context(graph, ring)
     gens = ring.enumerate_gens()
-    star = ctx.star
-    leq = ctx.lattice.leq_table()
-    n = len(star)
+    ji = ctx.ji
+    below = [[p for p in ctx.ji_below[q] if p != q] for q in ji]
     out = []
-    vals = [0] * n
+    vals = {}
 
-    def assign(i):
-        if i == n:
-            if not _law_violations(ctx, vals):
-                out.append(SaturatedFunction._trusted(ctx, tuple(vals)))
+    def assign(k):
+        if k == len(ji):
+            out.append(SaturatedFunction._trusted(ctx, _intersect_below(ctx, vals)))
             return
         for v in gens:
-            ok = True
-            for j in range(i):
-                if leq[j][i] and not ring.gen_contains(vals[j], v):
-                    ok = False
-                    break
-                if leq[i][j] and not ring.gen_contains(v, vals[j]):
-                    ok = False
-                    break
-            if ok:
-                vals[i] = v
-                assign(i + 1)
-        vals[i] = 0
+            if all(ring.gen_contains(vals[p], v) for p in below[k]):
+                vals[ji[k]] = v
+                assign(k + 1)
 
     assign(0)
     return sorted(out, key=lambda f: f.vals)

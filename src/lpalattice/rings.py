@@ -14,18 +14,32 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# below this bound a strong probable prime to all of _MR_BASES is prime
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime_int(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Exact primality by deterministic Miller-Rabin; refuses n at or above
+    the bound where the fixed bases are proven to suffice."""
+    if n >= _MR_EXACT_BELOW:
+        raise RingError(f"primality of {n} is only decided exactly below {_MR_EXACT_BELOW}")
+    if n < 2 or any(n % p == 0 for p in _MR_BASES):
+        return n in _MR_BASES
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(r):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        f += 2
     return True
 
 

@@ -1,16 +1,20 @@
 """Shared fixtures: a catalog of small graphs and brute-force oracles.
 
 The oracles here recompute expected values along routes independent of the
-library's own algorithms: subset enumeration for closures, the literal
-union-over-subsets formula for saturation (element sets over finite rings),
-and integer row reduction for Laurent ideal membership.
+library's own algorithms: subset enumeration for closures and admissible
+pairs, the order and joins of pairs from their definitions, the pairwise
+supremum law and its fixpoint sweep, the literal union-over-subsets formula
+for saturation (element sets over finite rings), and integer row reduction
+for Laurent ideal membership.
 """
 
+import functools
 import itertools
 import random
 
 from lpalattice import (
     OMEGA,
+    AdmissiblePair,
     Bundle,
     Graph,
     IntegersMod,
@@ -19,7 +23,10 @@ from lpalattice import (
     PrimeField,
     RingIdeal,
     ZZ,
+    breaking_vertices,
+    hereditary_saturated_closure,
 )
+from lpalattice.concrete import OracleError
 from lpalattice.ideals import ClassifiedIdeal, SaturatedFunction, _saturate_vals
 
 
@@ -174,6 +181,131 @@ def naive_saturated_closure(g: Graph, base, absorb=frozenset()):
     return best
 
 
+# -- admissible pairs from their definition -------------------------------------
+
+
+def brute_force_pairs(g: Graph):
+    """Every admissible pair, sorted by key, found by testing each vertex
+    subset for heredity and saturation and each set of its breaking
+    vertices, straight from the definitions."""
+    verts = sorted(g.vertices)
+    out = []
+    for bits in range(1 << len(verts)):
+        H = frozenset(v for i, v in enumerate(verts) if bits >> i & 1)
+        if any(b.target not in H for v in H for b in g.out_bundles(v)):
+            continue
+        outside = [(v, g.out_bundles(v)) for v in sorted(g.vertices - H)]
+        if any(
+            bs and not any(b.is_infinite for b in bs) and all(b.target in H for b in bs)
+            for v, bs in outside
+        ):
+            continue
+        breaking = [
+            v for v, bs in outside
+            if any(b.is_infinite for b in bs)
+            and all(b.target in H for b in bs if b.is_infinite)
+            and any(b.target not in H for b in bs)
+        ]
+        for n in range(len(breaking) + 1):
+            for S in itertools.combinations(breaking, n):
+                out.append(AdmissiblePair(H, frozenset(S)))
+    return sorted(out, key=AdmissiblePair.key)
+
+
+def subset_scan_pairs(g: Graph):
+    """Every admissible pair, sorted by key, as the closures of all vertex
+    subsets together with every set of their breaking vertices."""
+    hs_sets = {
+        hereditary_saturated_closure(g, k)
+        for n in range(len(g.vertices) + 1)
+        for k in itertools.combinations(sorted(g.vertices), n)
+    }
+    out = []
+    for H in hs_sets:
+        bv = sorted(breaking_vertices(g, H))
+        for n in range(len(bv) + 1):
+            for s in itertools.combinations(bv, n):
+                out.append(AdmissiblePair(H, frozenset(s)))
+    return sorted(out, key=AdmissiblePair.key)
+
+
+def pair_leq(a, b):
+    """The order on admissible pairs, from its definition."""
+    return a.H <= b.H and a.S <= b.H | b.S
+
+
+def brute_force_join_irreducibles(pairs):
+    """The pairs with exactly one lower cover, in the given order."""
+    out = []
+    for p in pairs:
+        below = [q for q in pairs if q != p and pair_leq(q, p)]
+        covers = [q for q in below if not any(r != q and pair_leq(q, r) for r in below)]
+        if len(covers) == 1:
+            out.append(p)
+    return out
+
+
+@functools.lru_cache(maxsize=128)
+def pair_join_table(star):
+    """join[i][j]: the index of the least upper bound of star[i] and star[j]
+    among the star pairs, found by comparing every upper bound."""
+    n = len(star)
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            ups = [k for k in range(n) if pair_leq(star[i], star[k]) and pair_leq(star[j], star[k])]
+            least = [k for k in ups if all(pair_leq(star[k], star[m]) for m in ups)]
+            assert len(least) == 1, "the pairs do not form a lattice"
+            table[i][j] = table[j][i] = least[0]
+    return table
+
+
+# -- the pairwise supremum law and its fixpoint sweep ----------------------------
+
+
+def pairwise_law_violations(ctx, vals):
+    """Every (i, j) whose join k has vals[k] other than vals[i] meet vals[j]."""
+    ring = ctx.ring
+    join = pair_join_table(ctx.star)
+    return [
+        (i, j)
+        for i in range(len(vals))
+        for j in range(i + 1)
+        if vals[join[i][j]] != ring.gen_intersect(vals[i], vals[j])
+    ]
+
+
+def saturate_sweep(ctx, vals):
+    """Iterate order-reversal and the pairwise supremum law to a fixpoint
+    (it terminates by the ascending chain condition)."""
+    ring = ctx.ring
+    star = ctx.star
+    join = pair_join_table(star)
+    n = len(vals)
+    vals = list(vals)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            vi = vals[i]
+            for j in range(n):
+                if pair_leq(star[j], star[i]):
+                    s = ring.gen_sum(vals[j], vi)
+                    if s != vals[j]:
+                        vals[j] = s
+                        changed = True
+        for i in range(n):
+            vi = vals[i]
+            for j in range(i + 1):
+                k = join[i][j]
+                m = ring.gen_intersect(vi, vals[j])
+                s = ring.gen_sum(vals[k], m)
+                if s != vals[k]:
+                    vals[k] = s
+                    changed = True
+    return tuple(vals)
+
+
 # -- subset-formula saturation oracle (finite rings) ---------------------------
 
 
@@ -188,18 +320,21 @@ def subset_formula_saturation(ctx, raw):
     ring = ctx.ring
     star = ctx.star
     n = len(star)
-    leq = ctx.lattice.leq_table()
+    join = pair_join_table(star)
     f0 = list(raw)
     for i in range(n):
         for j in range(n):
-            if leq[i][j]:
+            if pair_leq(star[i], star[j]):
                 f0[i] = ring.gen_sum(f0[i], raw[j])
     elements = list(ring.elements())
     sets0 = [frozenset(x for x in elements if ring.gen_member(f0[i], x)) for i in range(n)]
     sup_index = {}
     for subset in range(1, 1 << n):
-        members = [star[i] for i in range(n) if subset >> i & 1]
-        sup_index[subset] = ctx.lattice.star_index(ctx.lattice.sup(members))
+        members = [i for i in range(n) if subset >> i & 1]
+        sup = members[0]
+        for i in members[1:]:
+            sup = join[sup][i]
+        sup_index[subset] = sup
     out = []
     for target in range(n):
         union = set()
@@ -217,6 +352,37 @@ def subset_formula_saturation(ctx, raw):
         )
         out.append(gen)
     return tuple(out)
+
+
+# -- the worked two-vertex example over the integers ---------------------------
+
+
+def toeplitz_integer_reference(f_table: dict, g_ideal: LaurentIdeal) -> bool:
+    """Decide membership in the known parametrization of the two-vertex
+    loop-plus-sink example over the integers.
+
+    A valid pair is given by integers a | b with f({v}) = (a), f(whole) = (b),
+    and a cycle ideal of the shape b*Z[x,x^-1] + a*I where the residual I
+    contracts into (b/a).
+    """
+    if g_ideal.ring != ZZ:
+        raise OracleError("the reference parametrization is over Z")
+    vals = {}
+    for key, ideal in f_table.items():
+        label = key if isinstance(key, str) else key.label()
+        vals[label] = ideal.gen if isinstance(ideal, RingIdeal) else int(ideal)
+    a = vals.get("{v}", 0)
+    b = vals.get("{u,v}", 0)
+    if a == 0:
+        return b == 0 and g_ideal.is_zero
+    if b % a != 0:
+        return False
+    if not g_ideal.coefficient_ideal() <= RingIdeal(ZZ, a):
+        return False
+    if LaurentPoly.constant(ZZ, b) not in g_ideal:
+        return False
+    residual = g_ideal.divide_exact(a)
+    return residual.contract() <= RingIdeal(ZZ, b // a)
 
 
 # -- integer row-reduction membership oracle for Laurent ideals ----------------

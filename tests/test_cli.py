@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -150,6 +151,62 @@ class TestCommands:
         result = runner.invoke(main, ["prime", "--graph", gfile, "--ring", "Z", pair, "--json"])
         assert result.exit_code == 0
         assert json.loads(result.output)["passes"] is True
+
+    def test_prime_command_on_a_large_value_is_fast(self, runner, tmp_path):
+        gfile = _write(tmp_path, "g.graph", "vertices v;")
+        pair = _write(tmp_path, "p.json", json.dumps({"f": {"{v}": "(1000000000000000003)"}}))
+        started = time.perf_counter()
+        result = runner.invoke(main, ["prime", "--graph", gfile, "--ring", "Z", pair, "--json"])
+        assert time.perf_counter() - started < 1.0
+        assert result.exit_code == 0
+        data = json.loads(result.output)
+        assert data["passes"] is True and data["value_failures"] == []
+
+    def test_prime_command_refuses_values_beyond_exact_primality(self, runner, tmp_path):
+        gfile = _write(tmp_path, "g.graph", "vertices v;")
+        pair = _write(tmp_path, "p.json", json.dumps({"f": {"{v}": f"({10**25 + 13})"}}))
+        result = runner.invoke(main, ["prime", "--graph", gfile, "--ring", "Z", pair])
+        assert result.exit_code == 1
+        assert result.output.startswith("error:domain: ") and result.output.count("\n") == 1
+
+    def test_cycles_on_a_large_loop_bundle_is_fast(self, runner, tmp_path):
+        gfile = _write(tmp_path, "g.graph", "vertices v; bundle e: v->v * 2000;")
+        started = time.perf_counter()
+        result = runner.invoke(main, ["cycles", "--graph", gfile])
+        assert time.perf_counter() - started < 2.0
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        assert len(lines) == 2000 and lines[1999].startswith("e.1999  exclusive=no")
+
+    def test_pair_budget_refusal_is_one_domain_line(self, runner, tmp_path):
+        verts = ",".join(f"v{i}" for i in range(17))
+        gfile = _write(tmp_path, "g.graph", f"vertices {verts};")
+        result = runner.invoke(main, ["pairs", "--graph", gfile])
+        assert result.exit_code == 1
+        assert result.output == "error:domain: the admissible-pair lattice has more than 65536 pairs\n"
+
+    def test_enumerate_dot_draws_the_covers(self, runner, tmp_path):
+        gfile = _write(tmp_path, "g.graph", "vertices u,v,w; edge a: u->v; edge b: u->w;")
+        result = runner.invoke(main, ["enumerate", "--graph", gfile, "--ring", "Z/4", "--dot"])
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        nodes = [line[3:-2] for line in lines if line.startswith('  "') and "->" not in line]
+        edges = [line for line in lines if "->" in line]
+        gens = {n: json.loads(n.replace("'", '"')) for n in nodes}
+
+        def contains(a, b):
+            # over Z/4 the ideal (x) contains (y) when x divides y; (0) only itself
+            return a != b and all(
+                int(gens[b][k][1:-1]) % int(gens[a][k][1:-1]) == 0 if gens[a][k] != "(0)"
+                else gens[b][k] == "(0)"
+                for k in gens[a]
+            )
+
+        expected = [
+            f'  "{a}" -> "{b}";' for a in nodes for b in nodes
+            if contains(b, a) and not any(contains(b, c) and contains(c, a) for c in nodes)
+        ]
+        assert len(nodes) == 9 and edges == expected
 
     def test_generators_round_trip(self, runner, tmp_path):
         gfile = _write(tmp_path, "g.graph", TOEPLITZ_TEXT)

@@ -1,13 +1,16 @@
 import random
+import time
 
 import pytest
 
 from lpalattice import (
+    ZZ,
     AdmissiblePair,
     Bundle,
     Graph,
     GraphError,
     breaking_vertices,
+    context,
     cycle_vertex_closure,
     cycles,
     downward_directed,
@@ -20,6 +23,7 @@ from lpalattice import (
     pair_lattice,
     saturated_closure,
 )
+from lpalattice.graph import MAX_PAIRS, find_cycle
 
 import helpers
 
@@ -159,6 +163,55 @@ class TestPairLattice:
                         right = lat.join(lat.meet(a, b), lat.meet(a, c))
                         assert left == right
 
+    def test_down_sets_of_join_irreducibles_give_every_pair(self):
+        # the pairs built from J equal both the closures of all vertex
+        # subsets and the pairs found from the definitions; J equals the
+        # pairs with exactly one lower cover
+        rng = random.Random(29)
+        with_omega = 0
+        for _ in range(420):
+            g = helpers.random_graph(rng, max_v=7, max_b=9)
+            with_omega += not is_row_finite(g)
+            lat = pair_lattice(g)
+            expected = helpers.brute_force_pairs(g)
+            assert list(lat.pairs) == expected == helpers.subset_scan_pairs(g), g
+            ji = [lat.star[i] for i in lat.star_join_irreducibles()]
+            assert ji == list(lat.join_irreducibles)
+            assert ji == helpers.brute_force_join_irreducibles(expected), g
+        assert with_omega >= 100
+
+    def test_hasse_edges_are_the_covers_in_row_major_order(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            lat = pair_lattice(helpers.random_graph(rng, max_v=5, max_b=7))
+            ps = lat.pairs
+            expected = [
+                (a, b)
+                for a in ps
+                for b in ps
+                if a != b
+                and helpers.pair_leq(a, b)
+                and not any(
+                    c not in (a, b) and helpers.pair_leq(a, c) and helpers.pair_leq(c, b)
+                    for c in ps
+                )
+            ]
+            assert lat.hasse_edges() == expected
+
+    def test_pair_budget(self):
+        # isolated(16) has exactly MAX_PAIRS pairs; one more vertex doubles it
+        started = time.perf_counter()
+        try:
+            assert len(context(helpers.isolated(16), ZZ).lattice) == MAX_PAIRS
+            assert time.perf_counter() - started < 20.0
+        finally:
+            context.cache_clear()
+            pair_lattice.cache_clear()
+        started = time.perf_counter()
+        with pytest.raises(GraphError):
+            context(helpers.isolated(17), ZZ)
+        assert time.perf_counter() - started < 2.0
+
 
 class TestClosureOperators:
     def test_monotone_idempotent_extensive(self):
@@ -260,6 +313,12 @@ class TestCycles:
             for c in cycles(g):
                 same = exit_closure(g, c) == cycle_vertex_closure(g, c)
                 assert (c in exclusive) == (not same)
+
+    def test_find_cycle_by_label(self):
+        g = helpers.two_cycle_with_exit()
+        assert find_cycle(g, "e.0-f.0") == cycles(g)[0]
+        with pytest.raises(GraphError):
+            find_cycle(g, "f.0-e.0")
 
     def test_cycle_not_in_graph(self):
         g1, g2 = helpers.toeplitz(), helpers.fork()

@@ -26,7 +26,7 @@ from lpalattice import (
     to_generators,
     validate_tables,
 )
-from lpalattice.ideals import _law_violations, _saturate_vals, _saturate_vals_sweep
+from lpalattice.ideals import _law_violations, _saturate_vals
 
 import helpers
 
@@ -80,7 +80,7 @@ class TestSaturateFunction:
             pool = list(ring.enumerate_gens()) if ring.is_finite else [0, 1, 2, 3, 4, 6, 12]
             for _ in range(80):
                 raw = [rng.choice(pool) for _ in ctx.star]
-                assert _saturate_vals(ctx, raw) == _saturate_vals_sweep(ctx, raw)
+                assert _saturate_vals(ctx, raw) == helpers.saturate_sweep(ctx, raw)
 
     def test_matches_subset_formula(self):
         rng = random.Random(67)
@@ -98,14 +98,14 @@ class TestSaturateFunction:
         rng = random.Random(71)
         for graph in (helpers.toeplitz(), helpers.two_cycle_with_exit(), helpers.prime_counterexample()):
             ctx = context(graph, ZZ)
-            leq = ctx.lattice.leq_table()
+            star = ctx.star
             for _ in range(50):
                 raw = [rng.choice([0, 1, 2, 3, 4, 6, 12]) for _ in ctx.star]
                 # make it order-reversing first
                 rev = list(raw)
                 for i in range(len(rev)):
                     for j in range(len(rev)):
-                        if leq[i][j]:
+                        if helpers.pair_leq(star[i], star[j]):
                             rev[i] = ZZ.gen_sum(rev[i], raw[j])
                 sat = _saturate_vals(ctx, rev)
                 for c in cycles(graph):
@@ -115,6 +115,34 @@ class TestSaturateFunction:
                         AdmissiblePair(cycle_vertex_closure(graph, c), fs())
                     )
                     assert sat[k] == rev[k]
+
+
+class TestLawCheck:
+    def test_join_irreducible_check_matches_pairwise_oracle(self):
+        # random raw tables are mostly invalid, their saturations valid
+        rng = random.Random(59)
+        for name, graph, ring in helpers.law_suite_graphs():
+            ctx = context(graph, ring)
+            pool = list(ring.enumerate_gens()) if ring.is_finite else [0, 1, 2, 3, 4, 6, 12]
+            seen = {True: 0, False: 0}
+            for _ in range(60):
+                raw = tuple(ring.gen_normalize(rng.choice(pool)) for _ in ctx.star)
+                for vals in (raw, _saturate_vals(ctx, raw)):
+                    valid = not helpers.pairwise_law_violations(ctx, vals)
+                    assert (not _law_violations(ctx, vals)) == valid, (name, vals)
+                    seen[valid] += 1
+            assert seen[True] > 0, name
+            if len(ctx.star) > 1:
+                assert seen[False] > 0, name
+
+    def test_violation_message(self):
+        ctx = context(helpers.toeplitz(), ZZ)
+        with pytest.raises(ClassificationError) as err:
+            SaturatedFunction(ctx, (4, 2))
+        assert (
+            "value (2) at {u,v} is not the intersection (4) of the values at the "
+            "join-irreducible pairs below it"
+        ) in str(err.value)
 
 
 class TestValidation:
@@ -271,7 +299,7 @@ class TestGradedLattice:
             gens = ring.enumerate_gens()
             expected = 0
             for combo in itertools.product(gens, repeat=len(ctx.star)):
-                if not _law_violations(ctx, combo):
+                if not helpers.pairwise_law_violations(ctx, combo):
                     expected += 1
             assert len(graded_lattice(graph, ring)) == expected
 

@@ -14,6 +14,7 @@ from lpalattice import (
     ideal_enumerate,
     parse_ring,
 )
+from lpalattice.rings import is_prime_int
 
 RINGS = [ZZ, QQ, IntegersMod(4), IntegersMod(12), PrimeField(2), PrimeField(5)]
 
@@ -42,6 +43,34 @@ def test_integer_primality():
     assert not RingIdeal(ZZ, 4).is_prime()
     assert RingIdeal(ZZ, 0).is_prime()
     assert not RingIdeal(ZZ, 1).is_prime()
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_is_prime_int_matches_trial_division():
+    assert all(is_prime_int(n) == _trial_division(n) for n in range(20000))
+
+
+def test_strong_pseudoprimes_are_composite():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the primes up to 23
+    assert not is_prime_int(3215031751)
+    assert not is_prime_int(3825123056546413051)
+    assert is_prime_int(10**18 + 3) and is_prime_int(2**61 - 1)
+
+
+def test_primality_refused_where_not_proven_exact():
+    assert is_prime_int(3317044064679887385961979) is False
+    with pytest.raises(RingError):
+        is_prime_int(3317044064679887385961981)
 
 
 def test_mod_ring_canonical_divisors():
