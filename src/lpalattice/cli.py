@@ -44,7 +44,7 @@ from .ideals import (
     validate_tables,
 )
 from .laurent import LaurentIdeal, parse_poly
-from .rings import RingError, RingIdeal, parse_ring
+from .rings import RingError, RingIdeal, ring_constructor
 
 
 class ParseFailure(ValueError):
@@ -274,9 +274,10 @@ def _output_options(fn):
 
 def _parse_ring_spec(spec):
     try:
-        return parse_ring(spec)
+        build = ring_constructor(spec)
     except RingError as exc:
         raise ParseFailure(str(exc)) from exc
+    return build()  # a refused ring is a domain error
 
 
 def _load_pair(ctx, pair_file) -> ClassifiedIdeal:

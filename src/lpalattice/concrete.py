@@ -3,16 +3,16 @@
 For a finite acyclic graph without infinite bundles and a finite coefficient
 ring, the algebra has a finite basis of symbols alpha*beta^rev where both
 paths end at the same sink; those behave as matrix units, one block per
-sink.  Ideals are enumerated and manipulated directly on coefficient
-vectors, with no reference to the classification lattice, so agreement
-between the two is a genuine cross-check.
+sink.  Ideals are enumerated and manipulated block by block, one ideal of
+the coefficient ring per sink, with no reference to the classification
+lattice, so agreement between the two is a genuine cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Bundle, Graph, cycles, is_row_finite
+from .graph import Graph, cycles, is_row_finite
 from .ideals import (
     Context,
     CyclePoly,
@@ -59,13 +59,19 @@ class FinitePathAlgebra:
             raise OracleError("explicit model requires a finite coefficient ring")
         self.graph = graph
         self.ring = ring
+        self.sinks = sorted(v for v in graph.vertices if graph.is_sink(v))
+        counts = {}
+        for v in graph.vertices:
+            self._count_sink_paths(v, counts)
+        dim = sum(sum(counts[v].get(s, 0) for v in graph.vertices) ** 2 for s in self.sinks)
+        if len(ring.elements()) * dim * dim > MAX_ENUMERATION_WORK:
+            raise OracleError("algebra too large for ideal enumeration")
         self._paths_from = {}
         for v in graph.vertices:
             self._collect_paths(v)
-        self.sinks = sorted(v for v in graph.vertices if graph.is_sink(v))
         self.sink_paths = {
             s: sorted(
-                (p for v in graph.vertices for p in self._paths_from[v] if self._target(p) == s),
+                (p for v in graph.vertices for p, end in self._paths_from[v].items() if end == s),
                 key=lambda p: (len(p), p.source, p.edges),
             )
             for s in self.sinks
@@ -77,23 +83,30 @@ class FinitePathAlgebra:
                     self.basis.append((s, a, b))
         self.dim = len(self.basis)
         self._index = {(a, b): i for i, (s, a, b) in enumerate(self.basis)}
-        if len(list(ring.elements())) * self.dim * self.dim > MAX_ENUMERATION_WORK:
-            raise OracleError("algebra too large for ideal enumeration")
+
+    def _count_sink_paths(self, v, counts):
+        """Number of paths from v to each sink, memoised in counts."""
+        if v not in counts:
+            n = {v: 1} if self.graph.is_sink(v) else {}
+            for b in self.graph.out_bundles(v):
+                for s, k in self._count_sink_paths(b.target, counts).items():
+                    n[s] = n.get(s, 0) + b.multiplicity * k
+            counts[v] = n
+        return counts[v]
 
     def _target(self, p: Path) -> str:
-        if not p.edges:
-            return p.source
-        name, _ = p.edges[-1]
-        return next(b.target for b in self.graph.bundles if b.name == name)
+        return self._paths_from[p.source][p]
 
     def _collect_paths(self, v):
+        """Every path starting at v, mapped to the vertex it ends at."""
         if v in self._paths_from:
             return self._paths_from[v]
-        out = [Path(v, ())]
+        out = {Path(v, ()): v}
         for b in self.graph.out_bundles(v):
             tails = self._collect_paths(b.target)
             for slot in range(b.multiplicity):
-                out.extend(Path(v, ((b.name, slot),) + t.edges) for t in tails)
+                for t, end in tails.items():
+                    out[Path(v, ((b.name, slot),) + t.edges)] = end
         self._paths_from[v] = out
         return out
 
@@ -147,8 +160,7 @@ class FinitePathAlgebra:
         if w != self._target(beta):
             raise OracleError("paths must share their endpoint")
         out = {}
-        for gamma in self._paths_from[w]:
-            s = self._target(gamma)
+        for gamma, s in self._paths_from[w].items():
             if not self.graph.is_sink(s):
                 continue
             a = Path(alpha.source, alpha.edges + gamma.edges)
@@ -169,65 +181,43 @@ class FinitePathAlgebra:
         return self.symbol(Path(b.target, ()), Path(b.source, ((bundle, slot),)))
 
 
-def lpa_multiply(alg: FinitePathAlgebra, x: dict, y: dict) -> dict:
-    return alg.multiply(x, y)
-
-
 @dataclass(frozen=True)
 class ConcreteIdeal:
-    """A two-sided ideal as the set of coefficient vectors it contains.
+    """A two-sided ideal as one ideal of the coefficient ring per sink block.
 
-    Squeezing an element between basis idempotents isolates single
-    coordinates, so an ideal is the set of vectors whose coordinate at each
-    basis index is a multiple of a fixed divisor; the tuple of those
-    divisors (a divisor of |char|, with 0 meaning the full coordinate) is
-    the canonical form.
+    Each sink block of the algebra is a full matrix ring M_n(R), whose
+    two-sided ideals are exactly M_n(I) for the ideals I of R (squeezing an
+    element between matrix units isolates single entries and moves them to
+    any position).  An ideal is therefore the tuple of canonical ring-ideal
+    generators, one per sink in ``algebra.sinks`` order, 0 meaning the zero
+    ideal.
     """
 
     algebra: FinitePathAlgebra
-    divisors: tuple  # one canonical ideal generator of the ring per basis index
+    gens: tuple  # one canonical ideal generator of the ring per sink
 
     def contains_element(self, x: dict) -> bool:
-        ring = self.algebra.ring
-        return all(ring.gen_member(self.divisors[i], c) for i, c in x.items())
+        alg = self.algebra
+        at_sink = dict(zip(alg.sinks, self.gens))
+        return all(alg.ring.gen_member(at_sink[alg.basis[i][0]], c) for i, c in x.items())
 
     def __le__(self, other: "ConcreteIdeal") -> bool:
         ring = self.algebra.ring
-        return all(
-            ring.gen_contains(b, a) for a, b in zip(self.divisors, other.divisors)
-        )
+        return all(ring.gen_contains(b, a) for a, b in zip(self.gens, other.gens))
+
+    def _per_sink(self, other: "ConcreteIdeal", op) -> "ConcreteIdeal":
+        return ConcreteIdeal(self.algebra, tuple(op(a, b) for a, b in zip(self.gens, other.gens)))
 
     def sum(self, other: "ConcreteIdeal") -> "ConcreteIdeal":
-        ring = self.algebra.ring
-        return ConcreteIdeal(
-            self.algebra,
-            tuple(ring.gen_sum(a, b) for a, b in zip(self.divisors, other.divisors)),
-        )
+        return self._per_sink(other, self.algebra.ring.gen_sum)
 
     def intersect(self, other: "ConcreteIdeal") -> "ConcreteIdeal":
-        ring = self.algebra.ring
-        return ConcreteIdeal(
-            self.algebra,
-            tuple(ring.gen_intersect(a, b) for a, b in zip(self.divisors, other.divisors)),
-        )
+        return self._per_sink(other, self.algebra.ring.gen_intersect)
 
     def product(self, other: "ConcreteIdeal") -> "ConcreteIdeal":
-        alg, ring = self.algebra, self.algebra.ring
-        gens = [0] * alg.dim
-        for i, di in enumerate(self.divisors):
-            if di == 0:
-                continue
-            _, a, b = alg.basis[i]
-            for j, dj in enumerate(other.divisors):
-                if dj == 0:
-                    continue
-                _, c, d = alg.basis[j]
-                if b != c:
-                    continue
-                k = alg._index[(a, d)]
-                prod = ring.gen_product(di, dj)
-                gens[k] = ring.gen_sum(gens[k], prod)
-        return ConcreteIdeal(alg, tuple(gens))
+        # M_n(I) M_n(J) = M_n(IJ): each entry of a product of two matrices
+        # is a sum of products of entries
+        return self._per_sink(other, self.algebra.ring.gen_product)
 
 
 def generated_ideal(alg: FinitePathAlgebra, elements) -> ConcreteIdeal:
@@ -235,7 +225,7 @@ def generated_ideal(alg: FinitePathAlgebra, elements) -> ConcreteIdeal:
 
     Multiplying x on both sides by basis idempotents leaves the single
     entries c * unit(a, d) with a, d running over the relevant sink blocks,
-    so the closure per coordinate is the ring ideal its entries generate.
+    so the closure in each block is the ring ideal its entries generate.
     """
     ring = alg.ring
     per_sink = {}
@@ -243,10 +233,7 @@ def generated_ideal(alg: FinitePathAlgebra, elements) -> ConcreteIdeal:
         for i, c in x.items():
             s, _, _ = alg.basis[i]
             per_sink[s] = ring.gen_sum(per_sink.get(s, 0), ring.gen_from_elements([c]))
-    gens = [0] * alg.dim
-    for i, (s, _, _) in enumerate(alg.basis):
-        gens[i] = per_sink.get(s, 0)
-    return ConcreteIdeal(alg, tuple(gens))
+    return ConcreteIdeal(alg, tuple(per_sink.get(s, 0) for s in alg.sinks))
 
 
 def enumerate_concrete_ideals(alg: FinitePathAlgebra) -> list[ConcreteIdeal]:
@@ -258,18 +245,18 @@ def enumerate_concrete_ideals(alg: FinitePathAlgebra) -> list[ConcreteIdeal]:
         for i in range(alg.dim):
             seeds.append(generated_ideal(alg, [alg.unit(i, r)]))
     seeds.append(generated_ideal(alg, []))
-    pool = {s.divisors: s for s in seeds}
+    pool = {s.gens: s for s in seeds}
     frontier = list(pool.values())
     while frontier:
         fresh = []
         for a in frontier:
             for b in list(pool.values()):
                 c = a.sum(b)
-                if c.divisors not in pool:
-                    pool[c.divisors] = c
+                if c.gens not in pool:
+                    pool[c.gens] = c
                     fresh.append(c)
         frontier = fresh
-    return sorted(pool.values(), key=lambda i: i.divisors)
+    return sorted(pool.values(), key=lambda i: i.gens)
 
 
 def _generator_image(alg: FinitePathAlgebra, ctx: Context, pair: ClassifiedIdeal) -> ConcreteIdeal:
@@ -319,13 +306,13 @@ def crosscheck(graph: Graph, ring: RingSpec) -> CrosscheckReport:
     image = {}
     for p in pairs:
         image[p] = _generator_image(alg, ctx, p)
-    forms = {i.divisors for i in image.values()}
+    forms = {i.gens for i in image.values()}
     if len(forms) != len(pairs):
         mismatches.append("generator images are not pairwise distinct")
-    missing = {c.divisors for c in concrete} - forms
+    missing = {c.gens for c in concrete} - forms
     if missing:
         mismatches.append(f"{len(missing)} concrete ideal(s) have no classification")
-    extra = forms - {c.divisors for c in concrete}
+    extra = forms - {c.gens for c in concrete}
     if extra:
         mismatches.append(f"{len(extra)} classified ideal(s) missing from the algebra")
     for p in pairs:
@@ -340,21 +327,10 @@ def crosscheck(graph: Graph, ring: RingSpec) -> CrosscheckReport:
     for i, p in enumerate(pairs):
         for q in pairs[: i + 1]:
             for name, d_op, c_op in ops:
-                want = c_op(image[p], image[q]).divisors
-                got = image[d_op(p, q)].divisors
+                want = c_op(image[p], image[q]).gens
+                got = image[d_op(p, q)].gens
                 if want != got:
                     mismatches.append(
                         f"{name} mismatch at {p!r}, {q!r}: {got} != {want}"
                     )
     return CrosscheckReport(graph, ring, len(pairs), len(concrete), mismatches)
-
-
-# -- the worked two-vertex example over the integers -------------------------
-
-
-def toeplitz_graph() -> Graph:
-    """One loop at u plus an edge from u to the sink v."""
-    return Graph(
-        ["u", "v"],
-        [Bundle("e", "u", "u"), Bundle("f", "u", "v")],
-    )

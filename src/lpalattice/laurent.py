@@ -52,9 +52,6 @@ class LaurentPoly:
     def coefficients(self):
         return [c for _, c in self.terms]
 
-    def min_exp(self) -> int:
-        return self.terms[0][0]
-
     def _binop(self, other, op):
         if self.ring != other.ring:
             raise RingError("mismatched rings")

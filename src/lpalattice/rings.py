@@ -199,9 +199,29 @@ class IntegerRing(RingSpec):
         return g == 0 or is_prime_int(g)
 
 
-class RationalField(RingSpec):
-    name = "Q"
+class Field(RingSpec):
+    """Ideal arithmetic shared by the fields, whose only ideals are (0) and (1)."""
+
     is_field = True
+
+    def gen_sum(self, a, b):
+        return max(a, b)
+
+    def gen_intersect(self, a, b):
+        return min(a, b)
+
+    def gen_product(self, a, b):
+        return min(a, b)
+
+    def gen_contains(self, a, b):
+        return a >= b
+
+    def gen_is_prime(self, g):
+        return g == 0
+
+
+class RationalField(Field):
+    name = "Q"
 
     def __eq__(self, other):
         return type(other) is type(self)
@@ -224,23 +244,8 @@ class RationalField(RingSpec):
     def gen_from_elements(self, elems):
         return 1 if any(Fraction(e) != 0 for e in elems) else 0
 
-    def gen_sum(self, a, b):
-        return max(a, b)
-
-    def gen_intersect(self, a, b):
-        return min(a, b)
-
-    def gen_product(self, a, b):
-        return min(a, b)
-
-    def gen_contains(self, a, b):
-        return a >= b
-
     def gen_member(self, g, x):
         return g == 1 or Fraction(x) == 0
-
-    def gen_is_prime(self, g):
-        return g == 0
 
     def gen_generator_element(self, g):
         return Fraction(g)
@@ -311,11 +316,10 @@ class IntegersMod(RingSpec):
 
 
 @dataclass(frozen=True, repr=False)
-class PrimeField(RingSpec):
+class PrimeField(Field):
     """The prime field F_p."""
 
     p: int
-    is_field = True
     is_finite = True
 
     def __post_init__(self):
@@ -344,23 +348,8 @@ class PrimeField(RingSpec):
     def gen_from_elements(self, elems):
         return 1 if any(self.normalize(e) != 0 for e in elems) else 0
 
-    def gen_sum(self, a, b):
-        return max(a, b)
-
-    def gen_intersect(self, a, b):
-        return min(a, b)
-
-    def gen_product(self, a, b):
-        return min(a, b)
-
-    def gen_contains(self, a, b):
-        return a >= b
-
     def gen_member(self, g, x):
         return g == 1 or self.normalize(x) == 0
-
-    def gen_is_prime(self, g):
-        return g == 0
 
     def enumerate_gens(self):
         return [0, 1]
@@ -371,22 +360,30 @@ QQ = RationalField()
 
 
 def parse_ring(spec: str) -> RingSpec:
-    """Parse a ring spec such as ``Z``, ``Q``, ``Z/12``, or ``F7``."""
+    """Parse a ring spec such as ``Z``, ``Q``, ``Z/12``, or ``F7``.
+
+    A well-formed spec that the ring refuses (``F8``, ``Z/1``) raises the
+    ring's own RingError, which gives the reason.
+    """
+    return ring_constructor(spec)()
+
+
+def ring_constructor(spec: str):
+    """The ring a spec names, as a call not yet made.  Raises RingError only
+    when the grammar cannot read the spec; the call raises when the ring
+    refuses its argument."""
     spec = spec.strip()
     if spec == "Z":
-        return ZZ
+        return lambda: ZZ
     if spec == "Q":
-        return QQ
-    if spec.startswith("Z/"):
-        try:
-            return IntegersMod(int(spec[2:]))
-        except ValueError as exc:
-            raise RingError(f"bad ring spec {spec!r}") from exc
-    if spec.startswith("F"):
-        try:
-            return PrimeField(int(spec[1:]))
-        except ValueError as exc:
-            raise RingError(f"bad ring spec {spec!r}") from exc
+        return lambda: QQ
+    for prefix, cls in (("Z/", IntegersMod), ("F", PrimeField)):
+        if spec.startswith(prefix):
+            try:
+                arg = int(spec[len(prefix):])
+            except ValueError as exc:
+                raise RingError(f"bad ring spec {spec!r}") from exc
+            return lambda: cls(arg)
     raise RingError(f"unknown ring spec {spec!r}")
 
 

@@ -185,6 +185,41 @@ class TestCommands:
         assert result.exit_code == 1
         assert result.output == "error:domain: the admissible-pair lattice has more than 65536 pairs\n"
 
+    def test_oversized_algebra_is_refused_before_it_is_built(self, runner, tmp_path):
+        gfile = _write(
+            tmp_path,
+            "g.graph",
+            "vertices a,b,c,d; bundle x: a->b * 12; bundle y: b->c * 12; bundle z: c->d * 12;",
+        )
+        started = time.perf_counter()
+        result = runner.invoke(main, ["crosscheck", "--graph", gfile, "--ring", "F2"])
+        assert time.perf_counter() - started < 1.0
+        assert result.exit_code == 1
+        assert result.output == "error:domain: algebra too large for ideal enumeration\n"
+
+    @pytest.mark.parametrize(
+        "spec, code, line",
+        [
+            ("F8", 1, "error:domain: 8 is not prime"),
+            ("Z/1", 1, "error:domain: modulus must be >= 2, got 1"),
+            (
+                "F10000000000000000000000013",
+                1,
+                "error:domain: primality of 10000000000000000000000013 is only decided "
+                "exactly below 3317044064679887385961981",
+            ),
+            ("GF5", 2, "error:parse: unknown ring spec 'GF5'"),
+            ("Z/x", 2, "error:parse: bad ring spec 'Z/x'"),
+        ],
+    )
+    def test_ring_spec_errors_keep_their_reason(self, runner, tmp_path, spec, code, line):
+        gfile = _write(tmp_path, "g.graph", "vertices v;")
+        started = time.perf_counter()
+        result = runner.invoke(main, ["crosscheck", "--graph", gfile, "--ring", spec])
+        assert time.perf_counter() - started < 1.0
+        assert result.exit_code == code
+        assert result.output == line + "\n"
+
     def test_enumerate_dot_draws_the_covers(self, runner, tmp_path):
         gfile = _write(tmp_path, "g.graph", "vertices u,v,w; edge a: u->v; edge b: u->w;")
         result = runner.invoke(main, ["enumerate", "--graph", gfile, "--ring", "Z/4", "--dot"])

@@ -4,6 +4,8 @@ import random
 import pytest
 
 from lpalattice import (
+    Bundle,
+    Graph,
     IntegersMod,
     LaurentIdeal,
     PrimeField,
@@ -16,8 +18,6 @@ from lpalattice.concrete import (
     crosscheck,
     enumerate_concrete_ideals,
     generated_ideal,
-    lpa_multiply,
-    toeplitz_graph,
 )
 
 import helpers
@@ -46,27 +46,27 @@ class TestRelations:
         alg = FinitePathAlgebra(helpers.fork(), IntegersMod(6))
         for v in alg.graph.vertices:
             ev = alg.vertex_element(v)
-            assert lpa_multiply(alg, ev, ev) == ev
+            assert alg.multiply(ev, ev) == ev
             for w in alg.graph.vertices:
                 if w != v:
-                    assert lpa_multiply(alg, ev, alg.vertex_element(w)) == {}
+                    assert alg.multiply(ev, alg.vertex_element(w)) == {}
 
     def test_edge_relations(self):
         alg = FinitePathAlgebra(helpers.chain(2), IntegersMod(4))
         e, estar = alg.edge_element("e0"), alg.ghost_element("e0")
         u, v = alg.vertex_element("v0"), alg.vertex_element("v1")
         # (E1), (E2)
-        assert lpa_multiply(alg, u, e) == e == lpa_multiply(alg, e, v)
-        assert lpa_multiply(alg, v, estar) == estar == lpa_multiply(alg, estar, u)
+        assert alg.multiply(u, e) == e == alg.multiply(e, v)
+        assert alg.multiply(v, estar) == estar == alg.multiply(estar, u)
         # (CK1)
-        assert lpa_multiply(alg, estar, e) == v
+        assert alg.multiply(estar, e) == v
         # (CK2) at the regular vertex u
-        assert lpa_multiply(alg, e, estar) == u
+        assert alg.multiply(e, estar) == u
 
     def test_ck1_distinct_edges_annihilate(self):
         alg = FinitePathAlgebra(helpers.fork(), PrimeField(3))
         a, bstar = alg.edge_element("a"), alg.ghost_element("b")
-        assert lpa_multiply(alg, bstar, a) == {}
+        assert alg.multiply(bstar, a) == {}
 
     def test_matrix_units_for_the_chain(self):
         alg = FinitePathAlgebra(helpers.chain(2), IntegersMod(4))
@@ -77,7 +77,7 @@ class TestRelations:
         units = {(0, 0): u, (0, 1): e, (1, 0): estar, (1, 1): v}
         for (i, j), x in units.items():
             for (k, l), y in units.items():
-                prod = lpa_multiply(alg, x, y)
+                prod = alg.multiply(x, y)
                 expected = units[(i, l)] if j == k else {}
                 assert prod == expected
 
@@ -85,8 +85,8 @@ class TestRelations:
         alg = FinitePathAlgebra(helpers.chain(2), PrimeField(2))
         singles = [alg.unit(i) for i in range(alg.dim)]
         for x, y, z in itertools.product(singles, repeat=3):
-            left = lpa_multiply(alg, lpa_multiply(alg, x, y), z)
-            right = lpa_multiply(alg, x, lpa_multiply(alg, y, z))
+            left = alg.multiply(alg.multiply(x, y), z)
+            right = alg.multiply(x, alg.multiply(y, z))
             assert left == right
 
     def test_ck2_expansion_through_symbols(self):
@@ -96,7 +96,7 @@ class TestRelations:
         total = {}
         for bundle in ("a", "b"):
             e, estar = alg.edge_element(bundle), alg.ghost_element(bundle)
-            total = alg.add(total, lpa_multiply(alg, e, estar))
+            total = alg.add(total, alg.multiply(e, estar))
         assert total == u
 
 
@@ -119,7 +119,7 @@ class TestIdealEnumeration:
         ideals = enumerate_concrete_ideals(alg)
         for _ in range(60):
             a, b = rng.choice(ideals), rng.choice(ideals)
-            assert a.product(b).divisors == b.product(a).divisors
+            assert a.product(b).gens == b.product(a).gens
 
     def test_closure_really_is_an_ideal(self):
         rng = random.Random(11)
@@ -134,10 +134,50 @@ class TestIdealEnumeration:
             assert ideal.contains_element(x)
             for i in range(alg.dim):
                 for j in range(alg.dim):
-                    sandwich = lpa_multiply(
-                        alg, alg.unit(i), lpa_multiply(alg, x, alg.unit(j))
-                    )
+                    sandwich = alg.multiply(alg.unit(i), alg.multiply(x, alg.unit(j)))
                     assert ideal.contains_element(sandwich)
+
+
+class TestPerSinkForm:
+    """The per-sink generators against the algebra's own multiplication."""
+
+    CASES = [
+        (helpers.fork(), IntegersMod(6)),
+        (helpers.chain(2), IntegersMod(4)),
+        # sinks v and w, w reached through a bundle of two edges
+        (Graph(["u", "v", "w"], [Bundle("a", "u", "v"), Bundle("b", "u", "w", 2)]), PrimeField(3)),
+    ]
+
+    @staticmethod
+    def _spanning(alg, ideal):
+        # each basis index scaled by the generator element of its sink block
+        at_sink = dict(zip(alg.sinks, ideal.gens))
+        return [
+            alg.unit(i, alg.ring.gen_generator_element(at_sink[s]))
+            for i, (s, _, _) in enumerate(alg.basis)
+        ]
+
+    @pytest.mark.parametrize("graph, ring", CASES)
+    def test_product_matches_multiplication(self, graph, ring):
+        alg = FinitePathAlgebra(graph, ring)
+        ideals = enumerate_concrete_ideals(alg)
+        for a in ideals:
+            for b in ideals:
+                products = [
+                    alg.multiply(x, y)
+                    for x in self._spanning(alg, a)
+                    for y in self._spanning(alg, b)
+                ]
+                assert a.product(b).gens == generated_ideal(alg, products).gens
+
+    @pytest.mark.parametrize("graph, ring", CASES)
+    def test_sum_matches_generated_ideal(self, graph, ring):
+        alg = FinitePathAlgebra(graph, ring)
+        ideals = enumerate_concrete_ideals(alg)
+        for a in ideals:
+            for b in ideals:
+                both = self._spanning(alg, a) + self._spanning(alg, b)
+                assert a.sum(b).gens == generated_ideal(alg, both).gens
 
 
 class TestCrosscheck:
@@ -174,6 +214,3 @@ class TestToeplitzReference:
         # residual <x-2>: multiplying by a=2 lets the contraction slip to (2)
         g = LaurentIdeal.parse(ZZ, "<4, 2x-4>")
         assert not helpers.toeplitz_integer_reference(self._table(2, 4), g)
-
-    def test_graph_helper_matches_catalog(self):
-        assert toeplitz_graph() == helpers.toeplitz()
