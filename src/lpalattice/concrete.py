@@ -26,6 +26,9 @@ from .ideals import (
 from .rings import RingSpec
 
 MAX_ENUMERATION_WORK = 2_000_000
+# crosscheck compares every pair of ideals, so its work is quadratic in their
+# number; 256 admits four sinks over a ring with four ideals, such as Z/6
+MAX_CROSSCHECK_IDEALS = 256
 
 
 class OracleError(ValueError):
@@ -299,6 +302,11 @@ def crosscheck(graph: Graph, ring: RingSpec) -> CrosscheckReport:
     on every pair of ideals.
     """
     alg = FinitePathAlgebra(graph, ring)
+    count = len(ring.enumerate_gens()) ** len(alg.sinks)
+    if count > MAX_CROSSCHECK_IDEALS:
+        raise OracleError(
+            f"crosscheck would compare {count} ideals, more than {MAX_CROSSCHECK_IDEALS}"
+        )
     ctx = context(graph, ring)
     pairs = [ClassifiedIdeal.graded(f) for f in graded_lattice(graph, ring)]
     concrete = enumerate_concrete_ideals(alg)

@@ -1,11 +1,12 @@
 """Strong Groebner bases for polynomial ideals over the integers.
 
-Ideals live in Z[x]; intersections are computed through the rank-two free
-module Z[x]^2 with one auxiliary component that gets eliminated.  A
-*strong* basis is one where every leading term of the ideal is divisible,
-monomial and coefficient both, by the leading term of some basis element;
-over a Euclidean coefficient ring this is obtained by completing under
-S-polynomials and gcd-polynomials.
+Ideals live in Z[x].  Intersections alone are computed through the
+rank-two free module Z[x]^2 with one auxiliary component that gets
+eliminated; the colon (I : x) needs no auxiliary component (see
+`colon_x_dense`).  A *strong* basis is one where every leading term of the
+ideal is divisible, monomial and coefficient both, by the leading term of
+some basis element; over a Euclidean coefficient ring this is obtained by
+completing under S-polynomials and gcd-polynomials.
 
 Monomials are pairs (component, x-degree) compared lexicographically, so
 the auxiliary component dominates and the order restricts to the degree
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from itertools import zip_longest
 
 Mono = tuple[int, int]  # (component, x-degree)
 Poly = dict[Mono, int]  # monomial -> nonzero coefficient
@@ -286,12 +288,26 @@ def member_dense(f: Dense, basis: tuple[Dense, ...]) -> bool:
     return is_member(dense_to_poly(f), [dense_to_poly(b) for b in basis])
 
 
+def dense_mul(a: Dense, b: Dense) -> Dense:
+    """Product of two dense polynomials over Z."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return tuple(out)
+
+
 def intersect_dense(a: tuple[Dense, ...], b: tuple[Dense, ...]) -> tuple[Dense, ...]:
     """Generators of the intersection of two ideals of Z[x].
 
     Works in the module Z[x]^2 spanned by (f, 0) for f in a and (g, g)
     for g in b: the elements with vanishing first component are exactly
-    the pairs (0, h) with h in the intersection.
+    the pairs (0, h) with h in the intersection.  The products (0, f*g)
+    lie in that module, since a*b is inside the intersection, and seeding
+    the elimination with them keeps its intermediate coefficients from
+    swelling; the reduced basis, and so the result, is unchanged.
     """
     gens: list[Poly] = []
     for f in a:
@@ -300,20 +316,39 @@ def intersect_dense(a: tuple[Dense, ...], b: tuple[Dense, ...]) -> tuple[Dense, 
         q = {(1, i): c for i, c in enumerate(g) if c != 0}
         q.update({(0, i): c for i, c in enumerate(g) if c != 0})
         gens.append(q)
+    gens.extend(dense_to_poly(dense_mul(f, g)) for f in a for g in b)
     basis = strong_groebner(gens)
     kept = [p for p in basis if all(m[0] == 0 for m in p)]
     return tuple(sorted(poly_to_dense(p) for p in kept))
 
 
 def colon_x_dense(basis: tuple[Dense, ...]) -> tuple[Dense, ...]:
-    """Generators of (I : x), via intersecting with <x> and dividing by x."""
-    meet = intersect_dense(basis, ((0, 1),))
-    shifted = []
-    for f in meet:
-        if f and f[0] != 0:
-            raise AssertionError("element of I /\\ <x> with nonzero constant term")
-        shifted.append(tuple(f[1:]))
-    return gb_dense([s for s in shifted if s])
+    """Canonical basis of (I : x) for the ideal I spanned by basis.
+
+    Let the generators g_i of I have constant terms a_i.  Writing each
+    multiplier as its constant plus x times the rest shows
+    I /\\ <x> = x*I + {sum c_i g_i : sum c_i a_i = 0, c_i in Z}, so (I : x)
+    is I plus those combinations divided by x.  Over Z the integer
+    syzygies of (a_i) are spanned by e_i for each a_i = 0 and by
+    (a_j/d) e_i - (a_i/d) e_j with d = gcd(a_i, a_j): localised at a prime,
+    every syzygy is a combination of the ones pairing each a_i with an a_j
+    of least valuation.  One basis computation in Z[x] finishes the job.
+    """
+    gens = [g for g in basis if any(g)]
+    quotients = []
+    for i, g in enumerate(gens):
+        if g[0] == 0:
+            quotients.append(g[1:])
+            continue
+        for h in gens[:i]:
+            if h[0] == 0:
+                continue
+            d = math.gcd(g[0], h[0])
+            u, v = h[0] // d, g[0] // d
+            quotients.append(
+                tuple(u * p - v * q for p, q in zip_longest(g[1:], h[1:], fillvalue=0))
+            )
+    return gb_dense(gens + quotients)
 
 
 def saturate_x_dense(gens: list[Dense]) -> tuple[Dense, ...]:

@@ -211,17 +211,17 @@ def _f_normalize(ring, v):
 # -- cached integer-side engine calls ------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def _z_saturate(gens: tuple) -> tuple:
     return groebner.saturate_x_dense(list(gens))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def _z_intersect(a: tuple, b: tuple) -> tuple:
     return groebner.gb_dense(list(groebner.intersect_dense(a, b)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def _z_member(f: tuple, basis: tuple) -> bool:
     return groebner.member_dense(f, basis)
 
@@ -331,7 +331,7 @@ class LaurentIdeal:
                 return LaurentIdeal.zero(ring)
             prod = _f_mul(ring, list(self.basis[0]), list(other.basis[0]))
             return LaurentIdeal(ring, _field_basis(ring, prod))
-        gens = [_dense_mul(a, b) for a in self.basis for b in other.basis]
+        gens = [groebner.dense_mul(a, b) for a in self.basis for b in other.basis]
         return LaurentIdeal(ring, _z_saturate(_lift(ring, gens, lifted=True)))
 
     def intersect(self, other: "LaurentIdeal") -> "LaurentIdeal":
@@ -395,16 +395,6 @@ class LaurentIdeal:
 def _field_basis(ring, dense) -> tuple:
     v = _f_normalize(ring, dense)
     return (v,) if v else ()
-
-
-def _dense_mul(a: tuple, b: tuple) -> tuple:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        for j, d in enumerate(b):
-            out[i + j] += c * d
-    return tuple(out)
 
 
 def _lift_one(ring, dense) -> tuple:

@@ -4,14 +4,15 @@ The oracles here recompute expected values along routes independent of the
 library's own algorithms: subset enumeration for closures and admissible
 pairs, the order and joins of pairs from their definitions, the pairwise
 supremum law and its fixpoint sweep, the literal union-over-subsets formula
-for saturation (element sets over finite rings), and integer row reduction
-for Laurent ideal membership.
+for saturation (element sets over finite rings), the x-colon by elimination
+in Z[x]^2, and integer row reduction for Laurent ideal membership.
 """
 
 import functools
 import itertools
 import random
 
+from lpalattice import groebner
 from lpalattice import (
     OMEGA,
     AdmissiblePair,
@@ -383,6 +384,20 @@ def toeplitz_integer_reference(f_table: dict, g_ideal: LaurentIdeal) -> bool:
         return False
     residual = g_ideal.divide_exact(a)
     return residual.contract() <= RingIdeal(ZZ, b // a)
+
+
+# -- the x-colon by elimination -------------------------------------------------
+
+
+def colon_x_by_elimination(basis):
+    """(I : x) for an ideal I of Z[x]: intersect with <x> in Z[x]^2, divide by x."""
+    meet = groebner.intersect_dense(basis, ((0, 1),))
+    shifted = []
+    for f in meet:
+        if f and f[0] != 0:
+            raise AssertionError("element of I /\\ <x> with nonzero constant term")
+        shifted.append(tuple(f[1:]))
+    return groebner.gb_dense([s for s in shifted if s])
 
 
 # -- integer row-reduction membership oracle for Laurent ideals ----------------

@@ -197,6 +197,15 @@ class TestCommands:
         assert result.exit_code == 1
         assert result.output == "error:domain: algebra too large for ideal enumeration\n"
 
+    def test_crosscheck_with_too_many_ideals_is_refused(self, runner, tmp_path):
+        # five sinks over Z/8: 4^5 = 1024 ideals, whose pairwise checks ran for minutes
+        gfile = _write(tmp_path, "g.graph", "vertices a,b,c,d,e;")
+        started = time.perf_counter()
+        result = runner.invoke(main, ["crosscheck", "--graph", gfile, "--ring", "Z/8"])
+        assert time.perf_counter() - started < 1.0
+        assert result.exit_code == 1
+        assert result.output == "error:domain: crosscheck would compare 1024 ideals, more than 256\n"
+
     @pytest.mark.parametrize(
         "spec, code, line",
         [

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -224,6 +225,41 @@ class TestGroebnerEngine:
         for _ in range(30):
             ideal = _random_ideal(ZZ, rng, max_deg=3, max_coeff=8)
             assert groebner.colon_x_dense(ideal.basis) == ideal.basis
+
+    def test_colon_by_x_matches_elimination(self):
+        rng = random.Random(47)
+        with_modulus = divisible_by_x = 0
+        for _ in range(1000):
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                g = [rng.randint(-12, 12) for _ in range(rng.randint(1, 5))]
+                if rng.random() < 0.3:
+                    g = [0] * rng.randint(1, 2) + g
+                    divisible_by_x += 1
+                while g and g[-1] == 0:
+                    g.pop()
+                if g:
+                    gens.append(tuple(g))
+            if rng.random() < 0.3:
+                gens.append((rng.choice([2, 3, 4, 6, 8, 12, 30]),))
+                with_modulus += 1
+            for basis in (tuple(gens), groebner.gb_dense(gens)):
+                want = helpers.colon_x_by_elimination(basis)
+                assert groebner.colon_x_dense(basis) == want, gens
+            saturated = groebner.gb_dense(gens)
+            while (nxt := helpers.colon_x_by_elimination(saturated)) != saturated:
+                saturated = nxt
+            assert groebner.saturate_x_dense(gens) == saturated, gens
+        assert with_modulus >= 200 and divisible_by_x >= 200
+
+    def test_swell_meet_is_fast(self):
+        # the elimination without product seeds took seconds here, its
+        # intermediate coefficients reaching tens of thousands of bits
+        started = time.perf_counter()
+        a = LaurentIdeal.parse(ZZ, "<19x^7+19x-4>")
+        b = LaurentIdeal.parse(ZZ, "<4x^5+3>")
+        assert a.intersect(b).basis == ((-12, 57, 0, 0, 0, -16, 76, 57, 0, 0, 0, 0, 76),)
+        assert time.perf_counter() - started < 1.0
 
 
 @st.composite
