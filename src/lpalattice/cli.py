@@ -141,7 +141,7 @@ def _parse_ring_ideal(ring, text: str) -> RingIdeal:
     m = re.fullmatch(r"\((-?\d+)\)", text)
     if not m:
         raise ParseFailure(f"bad ring ideal literal {text!r}; expected like (2)")
-    return RingIdeal(ring, ring.gen_normalize(int(m.group(1))))
+    return RingIdeal(ring, int(m.group(1)))
 
 
 def load_ideal_tables(ring, text: str):
@@ -151,6 +151,10 @@ def load_ideal_tables(ring, text: str):
         raise ParseFailure(f"bad pair file: {exc}") from exc
     if not isinstance(doc, dict) or "f" not in doc:
         raise ParseFailure('pair file must be an object with an "f" table')
+    for key in ("f", "g"):
+        table = doc.get(key, {})
+        if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
+            raise ParseFailure(f'pair file "{key}" must map labels to ideal literals')
     try:
         f_table = {k: _parse_ring_ideal(ring, v) for k, v in doc["f"].items()}
         g_table = {
@@ -165,9 +169,34 @@ def dump_ideal(pair: ClassifiedIdeal) -> dict:
     ctx = pair.ctx
     return {
         "ring": str(ctx.ring),
-        "f": {p.label(): str(RingIdeal(ctx.ring, v)) for p, v in zip(ctx.star, pair.f.vals)},
+        "f": {p.label(): f"({v})" for p, v in zip(ctx.star, pair.f.vals)},
         "g": {c.label(): str(g) for c, g in zip(ctx.cycles, pair.g)},
     }
+
+
+# the fields of each generator kind and their JSON types; "r" is read as a
+# ring element, so a number is accepted as well as a string
+_GENERATOR_FIELDS = {
+    "vertex": {"r": (str, int), "v": str},
+    "breaking": {"r": (str, int), "w": str, "H": list},
+    "cycle": {"p": str, "c": str},
+}
+
+
+def _generator_kind(item) -> str:
+    if not isinstance(item, dict):
+        raise ParseFailure(f"generator {item!r} is not an object")
+    kind = item.get("kind")
+    fields = _GENERATOR_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise ParseFailure(f"unknown generator kind {kind!r}")
+    for name, types in fields.items():
+        value = item.get(name)
+        if not isinstance(value, types) or (
+            types is list and not all(isinstance(v, str) for v in value)
+        ):
+            raise ParseFailure(f"{kind} generator has a missing or malformed {name!r}")
+    return kind
 
 
 def load_generators(ctx, text: str):
@@ -179,7 +208,7 @@ def load_generators(ctx, text: str):
         raise ParseFailure("generators file must be a list")
     atoms = []
     for item in doc:
-        kind = item.get("kind")
+        kind = _generator_kind(item)
         if kind == "vertex":
             atoms.append(ScaledVertex(ctx.ring.parse_element(str(item["r"])), item["v"]))
         elif kind == "breaking":
@@ -190,12 +219,10 @@ def load_generators(ctx, text: str):
                     frozenset(item["H"]),
                 )
             )
-        elif kind == "cycle":
+        else:
             atoms.append(
                 CyclePoly(parse_poly(ctx.ring, item["p"]), find_cycle(ctx.graph, item["c"]))
             )
-        else:
-            raise ParseFailure(f"unknown generator kind {kind!r}")
     return atoms
 
 

@@ -151,8 +151,7 @@ class SaturatedFunction:
         return {p: RingIdeal(self.ctx.ring, v) for p, v in zip(self.ctx.star, self.vals)}
 
     def is_basic(self) -> bool:
-        unit = self.ctx.ring.gen_normalize(1)
-        return all(v in (0, unit) for v in self.vals)
+        return all(v in (0, 1) for v in self.vals)
 
     def __eq__(self, other):
         return (
@@ -229,8 +228,7 @@ class ClassifiedIdeal:
 
     @staticmethod
     def top(ctx: Context) -> "ClassifiedIdeal":
-        unit = ctx.ring.gen_normalize(1)
-        f = SaturatedFunction(ctx, (unit,) * len(ctx.star))
+        f = SaturatedFunction(ctx, (1,) * len(ctx.star))
         return ClassifiedIdeal(f, (LaurentIdeal.unit(ctx.ring),) * len(ctx.cycles))
 
     @staticmethod
@@ -364,9 +362,7 @@ def _cycle_violations(ctx: Context, vals, g) -> list[str]:
 def validate_tables(ctx: Context, f_table, g_table) -> "ClassifiedIdeal | list[str]":
     """Build a classification pair, or report every violated constraint."""
     try:
-        vals = tuple(
-            ctx.ring.gen_normalize(v) for v in _table_to_vals(ctx, f_table)
-        )
+        vals = tuple(_table_to_vals(ctx, f_table))
     except (ClassificationError, GraphError, RingError) as exc:
         return [str(exc)]
     problems = _law_violations(ctx, vals)
@@ -577,14 +573,13 @@ def prime_report(pair: ClassifiedIdeal) -> PrimeReport:
         )
     ring = ctx.ring
     report = PrimeReport()
-    unit = ring.gen_normalize(1)
     for p, v in zip(ctx.star, pair.f.vals):
-        if v != unit and not ring.gen_is_prime(v):
+        if v != 1 and not ring.gen_is_prime(v):
             report.value_failures.append((p.label(), v))
     # testing every ideal J of R reduces to finitely many: each J behaves
     # like the intersection of the table values containing it, so the
     # intersections of image values (plus the whole ring) cover all cases
-    probes = set(pair.f.vals) | {unit}
+    probes = set(pair.f.vals) | {1}
     while True:
         more = {ring.gen_intersect(a, b) for a in probes for b in probes} - probes
         if not more:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import groebner
-from .rings import IntegersMod, RingError, RingIdeal, RingSpec, ZZ
+from .rings import RingError, RingIdeal, RingSpec, ZZ
 
 
 @dataclass(frozen=True)
@@ -376,7 +376,7 @@ class LaurentIdeal:
             return RingIdeal(ring, 1 if self.is_unit else 0)
         for d in self.basis:
             if len(d) == 1:
-                return RingIdeal(ring, ring.gen_normalize(d[0]))
+                return RingIdeal(ring, d[0])
         return RingIdeal.zero(ring)
 
     def coefficient_ideal(self) -> RingIdeal:
@@ -411,6 +411,6 @@ def _lift(ring, denses, lifted=False) -> tuple:
         v = tuple(int(c) for c in d) if lifted else _lift_one(ring, d)
         if any(v):
             out.add(v)
-    if isinstance(ring, IntegersMod):
+    if ring.n:
         out.add((ring.n,))
     return tuple(sorted(out))

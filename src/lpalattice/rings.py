@@ -57,10 +57,14 @@ class RingError(ValueError):
 class RingSpec:
     """Base class for the supported coefficient rings.
 
-    Elements are plain ints (Z, Z/n, F_p) or Fractions (Q).  Ideal
-    generators are canonical nonnegative ints: for Z the nonnegative
-    generator, for Z/n a divisor of n (0 meaning the zero ideal), and for
-    fields 0 or 1.
+    Elements are plain ints (Z, Z/n, F_p) or Fractions (Q).  Every ideal is
+    principal and is stored as a canonical nonnegative int generator; the
+    rings define the ideal arithmetic on those generators: ``gen_normalize``,
+    ``gen_from_elements``, ``gen_sum``, ``gen_intersect``, ``gen_product``,
+    ``gen_contains(a, b)`` (whether (a) contains (b)), ``gen_member`` and
+    ``gen_is_prime``.  The arguments of all but ``gen_normalize``,
+    ``gen_from_elements`` and ``gen_member`` are canonical already, and
+    every result is.
     """
 
     name = "?"
@@ -114,38 +118,19 @@ class RingSpec:
     def format_element(self, x) -> str:
         return str(x)
 
-    # -- ideals, represented by canonical generators --------------------
-    def gen_normalize(self, g: int) -> int:
-        raise NotImplementedError
-
-    def gen_from_elements(self, elems) -> int:
-        raise NotImplementedError
-
-    def gen_sum(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def gen_intersect(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def gen_product(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def gen_contains(self, a: int, b: int) -> bool:
-        """Whether the ideal generated by a contains the one generated by b."""
-        raise NotImplementedError
-
-    def gen_member(self, g: int, x) -> bool:
-        raise NotImplementedError
-
-    def gen_is_prime(self, g: int) -> bool:
-        raise NotImplementedError
-
     def gen_generator_element(self, g: int):
         """A ring element generating the ideal with canonical generator g."""
         return self.normalize(g)
 
     def enumerate_gens(self):
         raise RingError(f"ideal lattice of {self} is infinite")
+
+    # the rings without parameters; IntegersMod compares its modulus too
+    def __eq__(self, other):
+        return type(other) is type(self)
+
+    def __hash__(self):
+        return hash(type(self))
 
     def __repr__(self):
         return self.name
@@ -155,79 +140,58 @@ class RingSpec:
 
 
 class IntegerRing(RingSpec):
+    """The ring Z/nZ, which is Z itself for the class default n = 0.
+
+    One divisor arithmetic serves Z, Z/n and F_p: the ideals are the (d)
+    with d dividing n, and the canonical generator is d, except that the
+    zero ideal (n) is stored as 0.  Subclasses set n and keep this ideal
+    arithmetic unchanged.
+    """
+
     name = "Z"
-
-    def __eq__(self, other):
-        return type(other) is type(self)
-
-    def __hash__(self):
-        return hash(type(self))
+    n = 0
 
     def normalize(self, x):
         return int(x)
 
     def is_unit(self, a) -> bool:
-        return a in (1, -1)
+        return math.gcd(self.normalize(a), self.n) == 1
 
     def gen_normalize(self, g):
-        return abs(int(g))
+        d = math.gcd(int(g), self.n)
+        return 0 if d == self.n else d
 
     def gen_from_elements(self, elems):
-        g = 0
-        for e in elems:
-            g = math.gcd(g, int(e))
-        return g
+        return self.gen_normalize(math.gcd(*(self.normalize(e) for e in elems)))
 
     def gen_sum(self, a, b):
         return math.gcd(a, b)
 
     def gen_intersect(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return a * b // math.gcd(a, b)
+        d = math.lcm(a, b)
+        return 0 if d == self.n else d
 
     def gen_product(self, a, b):
-        return a * b
+        d = math.gcd(a * b, self.n)
+        return 0 if d == self.n else d
 
     def gen_contains(self, a, b):
         return _divides(a, b)
 
     def gen_member(self, g, x):
-        return _divides(g, int(x))
+        return _divides(g, self.normalize(x))
 
     def gen_is_prime(self, g):
+        # (d) is prime iff the quotient Z/d is a domain; the zero ideal is d = n
+        g = g or self.n
         return g == 0 or is_prime_int(g)
 
 
-class Field(RingSpec):
-    """Ideal arithmetic shared by the fields, whose only ideals are (0) and (1)."""
+class RationalField(RingSpec):
+    """The rationals, whose only ideals are (0) and (1)."""
 
-    is_field = True
-
-    def gen_sum(self, a, b):
-        return max(a, b)
-
-    def gen_intersect(self, a, b):
-        return min(a, b)
-
-    def gen_product(self, a, b):
-        return min(a, b)
-
-    def gen_contains(self, a, b):
-        return a >= b
-
-    def gen_is_prime(self, g):
-        return g == 0
-
-
-class RationalField(Field):
     name = "Q"
-
-    def __eq__(self, other):
-        return type(other) is type(self)
-
-    def __hash__(self):
-        return hash(type(self))
+    is_field = True
 
     def normalize(self, x):
         return Fraction(x)
@@ -244,15 +208,30 @@ class RationalField(Field):
     def gen_from_elements(self, elems):
         return 1 if any(Fraction(e) != 0 for e in elems) else 0
 
+    def gen_sum(self, a, b):
+        return max(a, b)
+
+    def gen_intersect(self, a, b):
+        return min(a, b)
+
+    def gen_product(self, a, b):
+        return min(a, b)
+
+    def gen_contains(self, a, b):
+        return a >= b
+
     def gen_member(self, g, x):
         return g == 1 or Fraction(x) == 0
+
+    def gen_is_prime(self, g):
+        return g == 0
 
     def gen_generator_element(self, g):
         return Fraction(g)
 
 
 @dataclass(frozen=True, repr=False)
-class IntegersMod(RingSpec):
+class IntegersMod(IntegerRing):
     """The ring Z/n for n >= 2; ideals are the divisor ideals (d) with d | n."""
 
     n: int
@@ -269,87 +248,28 @@ class IntegersMod(RingSpec):
     def normalize(self, x):
         return int(x) % self.n
 
-    def is_unit(self, a) -> bool:
-        return math.gcd(self.normalize(a), self.n) == 1
-
     def inverse(self, a):
         return pow(self.normalize(a), -1, self.n)
 
     def elements(self):
         return range(self.n)
 
-    def _lift(self, g):
-        return self.n if g == 0 else g
-
-    def gen_normalize(self, g):
-        d = math.gcd(int(g), self.n)
-        return 0 if d == self.n else d
-
-    def gen_from_elements(self, elems):
-        g = self.n
-        for e in elems:
-            g = math.gcd(g, self.normalize(e))
-        return self.gen_normalize(g)
-
-    def gen_sum(self, a, b):
-        return self.gen_normalize(math.gcd(self._lift(a), self._lift(b)))
-
-    def gen_intersect(self, a, b):
-        a, b = self._lift(a), self._lift(b)
-        return self.gen_normalize(a * b // math.gcd(a, b))
-
-    def gen_product(self, a, b):
-        return self.gen_normalize(self._lift(a) * self._lift(b))
-
-    def gen_contains(self, a, b):
-        return _divides(self._lift(a), self._lift(b))
-
-    def gen_member(self, g, x):
-        return self.normalize(x) % self._lift(g) == 0
-
-    def gen_is_prime(self, g):
-        # (d) is prime iff the quotient (Z/n)/(d) = Z/d is a domain
-        return is_prime_int(self._lift(g))
-
     def enumerate_gens(self):
         return [self.gen_normalize(d) for d in range(1, self.n + 1) if self.n % d == 0]
 
 
-@dataclass(frozen=True, repr=False)
-class PrimeField(Field):
-    """The prime field F_p."""
+class PrimeField(IntegersMod):
+    """The prime field F_p, that is Z/p with p prime."""
 
-    p: int
-    is_finite = True
+    is_field = True
 
     def __post_init__(self):
-        if not is_prime_int(self.p):
-            raise RingError(f"{self.p} is not prime")
+        if not is_prime_int(self.n):
+            raise RingError(f"{self.n} is not prime")
 
     @property
     def name(self):
-        return f"F{self.p}"
-
-    def normalize(self, x):
-        return int(x) % self.p
-
-    def is_unit(self, a) -> bool:
-        return self.normalize(a) != 0
-
-    def inverse(self, a):
-        return pow(self.normalize(a), -1, self.p)
-
-    def elements(self):
-        return range(self.p)
-
-    def gen_normalize(self, g):
-        return 0 if g % self.p == 0 else 1
-
-    def gen_from_elements(self, elems):
-        return 1 if any(self.normalize(e) != 0 for e in elems) else 0
-
-    def gen_member(self, g, x):
-        return g == 1 or self.normalize(x) == 0
+        return f"F{self.n}"
 
     def enumerate_gens(self):
         return [0, 1]
@@ -407,7 +327,7 @@ class RingIdeal:
 
     @staticmethod
     def unit(ring: RingSpec) -> "RingIdeal":
-        return RingIdeal(ring, ring.gen_normalize(1))
+        return RingIdeal(ring, 1)
 
     def _check(self, other: "RingIdeal"):
         if self.ring != other.ring:
@@ -440,7 +360,7 @@ class RingIdeal:
 
     @property
     def is_unit(self) -> bool:
-        return self.gen == self.ring.gen_normalize(1) and self.gen != 0
+        return self.gen == 1
 
     def is_prime(self) -> bool:
         if self.is_unit:

@@ -322,6 +322,31 @@ class TestExitCodes:
         assert result.exit_code == 0
         assert json.loads(result.output)["count"] == 3
 
+    @pytest.mark.parametrize(
+        "command, doc, line",
+        [
+            ("from-generators", [1], "generator 1 is not an object"),
+            (
+                "from-generators",
+                [{"kind": "vertex", "r": "1"}],
+                "vertex generator has a missing or malformed 'v'",
+            ),
+            ("graded", {"f": ["x"]}, 'pair file "f" must map labels to ideal literals'),
+            ("graded", {"f": {"{v}": 2}}, 'pair file "f" must map labels to ideal literals'),
+            (
+                "graded",
+                {"f": {"{v}": "(2)"}, "g": {"e.0": 5}},
+                'pair file "g" must map labels to ideal literals',
+            ),
+        ],
+    )
+    def test_malformed_file_is_one_parse_line(self, runner, tmp_path, command, doc, line):
+        gfile = _write(tmp_path, "g.graph", TOEPLITZ_TEXT)
+        doc_file = _write(tmp_path, "doc.json", json.dumps(doc))
+        result = runner.invoke(main, [command, "--graph", gfile, "--ring", "Z", doc_file])
+        assert result.exit_code == 2
+        assert result.output == f"error:parse: {line}\n"
+
     def test_invalid_pair_file_is_domain_error(self, runner, tmp_path):
         gfile = _write(tmp_path, "g.graph", TOEPLITZ_TEXT)
         pair = _write(

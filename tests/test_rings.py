@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,10 @@ from lpalattice import (
     ideal_enumerate,
     parse_ring,
 )
+from lpalattice.ideals import context
 from lpalattice.rings import is_prime_int
+
+import helpers
 
 RINGS = [ZZ, QQ, IntegersMod(4), IntegersMod(12), PrimeField(2), PrimeField(5)]
 
@@ -156,3 +160,102 @@ def test_containment_is_membership(data):
         elems = list(range(-12, 13))
     contained = all(x in b for x in elems if x in a)
     assert (a <= b) == contained
+
+
+# -- element-set oracle ---------------------------------------------------------
+# Each ideal is rebuilt as a set of elements and every operation is read off
+# the sets by its definition, without calling the ring's own arithmetic.
+
+
+def _residue_ideal(g, n):
+    return frozenset(g * k % n for k in range(n))
+
+
+def _residue_canon(ideal):
+    # the canonical generator: the least positive element, 0 for the zero ideal
+    return min(ideal - {0}, default=0)
+
+
+def _additive_closure(gens, n):
+    out = {0}
+    while True:
+        more = {(s + g) % n for s in out for g in gens} - out
+        if not more:
+            return frozenset(out)
+        out |= more
+
+
+def _residue_domain_quotient(ideal, n):
+    # a proper ideal whose quotient has no zero divisors
+    outside = [x for x in range(n) if x not in ideal]
+    return bool(outside) and all(x * y % n not in ideal for x in outside for y in outside)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [IntegersMod(n) for n in range(2, 37)] + [PrimeField(p) for p in (2, 3, 5, 7, 11, 13)],
+    ids=str,
+)
+def test_finite_ring_ideals_match_element_sets(ring):
+    n = ring.n
+    ideals = {_residue_canon(_residue_ideal(g, n)): _residue_ideal(g, n) for g in range(n)}
+    assert sorted(ring.enumerate_gens()) == sorted(ideals)
+    for g in range(-n, 2 * n):
+        assert ring.gen_normalize(g) == _residue_canon(_residue_ideal(g, n))
+    for a, sa in ideals.items():
+        assert ring.gen_is_prime(a) == _residue_domain_quotient(sa, n), (ring, a)
+        assert all(ring.gen_member(a, x) == (x % n in sa) for x in range(-n, 2 * n))
+        for b, sb in ideals.items():
+            sums = frozenset((x + y) % n for x in sa for y in sb)
+            products = _additive_closure({x * y % n for x in sa for y in sb}, n)
+            assert ring.gen_sum(a, b) == _residue_canon(sums), (ring, a, b)
+            assert ring.gen_intersect(a, b) == _residue_canon(sa & sb), (ring, a, b)
+            assert ring.gen_product(a, b) == _residue_canon(products), (ring, a, b)
+            assert ring.gen_contains(a, b) == (sb <= sa), (ring, a, b)
+
+
+def _closure_mask(gens, top):
+    # the sums of elements of gens that stay in [0, top], as a bit mask
+    full = (1 << (top + 1)) - 1
+    mask = 1
+    while True:
+        more = mask
+        for p in gens:
+            more |= (mask << p) & full
+        if more == mask:
+            return mask
+        mask = more
+
+
+def test_integer_ideals_match_divisor_and_element_sets():
+    # (d) for d in 0..40: a sum is read off the divisor sets, since the
+    # ideals containing I + J are those containing both; intersections,
+    # products and inclusion are read off the elements in [0, 40 * 40]
+    # (bit masks), which hold every lcm and product of two generators
+    top = 40 * 40
+    positive = {g: range(g, top + 1, g) if g else range(0) for g in range(top + 1)}
+    members = {g: sum(1 << x for x in positive[g]) | 1 for g in positive}
+    by_members = {m: g for g, m in members.items()}
+    divisors = {g: frozenset(d for d in range(1, top + 1) if g % d == 0) for g in range(41)}
+    by_divisors = {s: g for g, s in divisors.items()}
+    for a in range(41):
+        domain = a == 0 or (a > 1 and all(x * y % a for x in range(1, a) for y in range(1, a)))
+        assert ZZ.gen_is_prime(a) == domain, a
+        for b in range(41):
+            products = {
+                x * y for x in positive[a] for y in itertools.takewhile(
+                    lambda y: x * y <= top, positive[b])
+            }
+            assert ZZ.gen_sum(a, b) == by_divisors[divisors[a] & divisors[b]], (a, b)
+            assert ZZ.gen_intersect(a, b) == by_members[members[a] & members[b]], (a, b)
+            assert ZZ.gen_product(a, b) == by_members[_closure_mask(products, top)], (a, b)
+            assert ZZ.gen_contains(a, b) == (members[b] & ~members[a] == 0), (a, b)
+
+
+def test_rings_with_one_modulus_stay_apart():
+    rings = [PrimeField(5), IntegersMod(5), ZZ]
+    assert all(r != s for r in rings for s in rings if r is not s)
+    contexts = [context(helpers.single_vertex(), r) for r in rings]
+    assert len({id(c) for c in contexts}) == 3
+    assert [c.ring for c in contexts] == rings
+    assert context(helpers.single_vertex(), PrimeField(5)) is contexts[0]
