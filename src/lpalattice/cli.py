@@ -13,7 +13,7 @@ import sys
 
 import click
 
-from .concrete import OracleError, crosscheck
+from .concrete import MAX_CROSSCHECK_IDEALS, OracleError, crosscheck
 from .graph import (
     Bundle,
     Graph,
@@ -156,7 +156,9 @@ def load_ideal_tables(ring, text: str):
         if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
             raise ParseFailure(f'pair file "{key}" must map labels to ideal literals')
     try:
-        f_table = {k: _parse_ring_ideal(ring, v) for k, v in doc["f"].items()}
+        # a table repeats few distinct literals; each is parsed once
+        literals = {v: _parse_ring_ideal(ring, v) for v in dict.fromkeys(doc["f"].values())}
+        f_table = {k: literals[v] for k, v in doc["f"].items()}
         g_table = {
             k: LaurentIdeal.parse(ring, v) for k, v in doc.get("g", {}).items()
         }
@@ -169,7 +171,7 @@ def dump_ideal(pair: ClassifiedIdeal) -> dict:
     ctx = pair.ctx
     return {
         "ring": str(ctx.ring),
-        "f": {p.label(): f"({v})" for p, v in zip(ctx.star, pair.f.vals)},
+        "f": {label: f"({v})" for label, v in zip(ctx.lattice.star_labels(), pair.f.vals)},
         "g": {c.label(): str(g) for c, g in zip(ctx.cycles, pair.g)},
     }
 
@@ -540,10 +542,14 @@ def enumerate(graph_file, ring_spec, as_json, out, as_dot, graded_only):
             "the graded ideals only"
         )
     fns = graded_lattice(g, ring)
-    rows = [
-        {p.label(): f"({v})" for p, v in zip(f.ctx.star, f.vals)} for f in fns
-    ]
+    labels = context(g, ring).lattice.star_labels()
+    rows = [{label: f"({v})" for label, v in zip(labels, f.vals)} for f in fns]
     if as_dot:
+        # drawing compares every pair of ideals, as crosscheck does
+        if len(fns) > MAX_CROSSCHECK_IDEALS:
+            raise GraphError(
+                f"cannot draw: {len(fns)} graded ideals, more than {MAX_CROSSCHECK_IDEALS}"
+            )
         names = [json.dumps(r, sort_keys=True).replace('"', "'") for r in rows]
 
         def leq(i, j):
@@ -556,7 +562,7 @@ def enumerate(graph_file, ring_spec, as_json, out, as_dot, graded_only):
         _emit({"count": len(fns), "ideals": rows}, True, out)
     else:
         lines = [f"{len(fns)} ideals"] + [
-            " ".join(f"{p.label()}:({v})" for p, v in zip(f.ctx.star, f.vals)) for f in fns
+            " ".join(f"{label}:({v})" for label, v in zip(labels, f.vals)) for f in fns
         ]
         _emit("\n".join(lines), False, out)
 

@@ -284,12 +284,13 @@ def _seed_sup(g: Graph, seeds) -> AdmissiblePair:
 def _down_set_walk(below) -> list:
     """The nonempty down-sets of a poset on range(n), given the strict
     down-set of each member as a bit mask, where every member comes after
-    those below it: (parent, j, mask), the down-set mask being its parent's
-    (an earlier entry counted from 1, 0 for the empty set) plus j.
+    those below it: (parent, j), the down-set being its parent's (an
+    earlier entry counted from 1, 0 for the empty set) plus j.
 
-    Each down-set is reached once, from itself minus its last member.
-    Refuses, before anything per pair is built, once the count of down-sets
-    with the empty one passes MAX_PAIRS.
+    Each down-set is reached once, from itself minus its last member, so
+    the entries holding j are the roots of disjoint subtrees that together
+    hold every down-set with j.  Refuses, before anything per pair is
+    built, once the count of down-sets with the empty one passes MAX_PAIRS.
     """
     walk = []
     stack = [(0, 0, 0)]  # (entry, its mask, first member that may be added)
@@ -301,7 +302,7 @@ def _down_set_walk(below) -> list:
                     raise GraphError(
                         f"the admissible-pair lattice has more than {MAX_PAIRS} pairs"
                     )
-                walk.append((entry, j, mask | 1 << j))
+                walk.append((entry, j))
                 stack.append((len(walk), mask | 1 << j, j + 1))
     return walk
 
@@ -346,17 +347,29 @@ class PairLattice:
             sum(1 << a for a in range(b) if _seed_below(seeds[ji[a]], ji[b]))
             for b in range(len(ji))
         ]
-        found = [(BOTTOM, 0)]  # (pair, the join-irreducibles below it as a bit mask)
-        for parent, j, mask in _down_set_walk(below):
-            found.append((self.join(found[parent][0], ji[j]), mask))
-        found.sort(key=lambda pm: pm[0].key())
-        self.pairs = tuple(p for p, _ in found)
+        walk = _down_set_walk(below)
+        found = [BOTTOM]  # the pair of each walk entry, the empty down-set first
+        for parent, j in walk:
+            found.append(self.join(found[parent], ji[j]))
+        order = sorted(range(len(found)), key=lambda k: found[k].key())
+        self.pairs = tuple(found[k] for k in order)
         self._index = {p: i for i, p in enumerate(self.pairs)}
         self.bottom = BOTTOM
         self.top = AdmissiblePair(graph.vertices, frozenset())
         self.star = self.pairs[1:]
         self._star_index = {p: i for i, p in enumerate(self.star)}
-        self._ji_masks = [m for _, m in found[1:]]
+        self._star_labels = self._label_index = None  # built on first use
+        star_of = [0] * len(found)  # walk entry -> star index; the bottom sorts first
+        for i, k in enumerate(order):
+            star_of[k] = i - 1
+        # (star index, its parent's or None, star index of the join-irreducible
+        # added), in walk order: each pair is its parent joined with one member
+        # of J, and every parent comes before its children
+        ji_star = [self._star_index[q] for q in ji]
+        self.down_set_tree = tuple(
+            (star_of[k], star_of[parent] if parent else None, ji_star[j])
+            for k, (parent, j) in enumerate(walk, 1)
+        )
 
     def __len__(self):
         return len(self.pairs)
@@ -395,6 +408,18 @@ class PairLattice:
     def star_index(self, pair: AdmissiblePair) -> int:
         return self._star_index[pair]
 
+    def star_labels(self) -> tuple:
+        """The canonical label of each star pair, in star order."""
+        if self._star_labels is None:
+            self._star_labels = tuple(p.label() for p in self.star)
+        return self._star_labels
+
+    def star_label_index(self) -> dict:
+        """Canonical label -> star index."""
+        if self._label_index is None:
+            self._label_index = {s: i for i, s in enumerate(self.star_labels())}
+        return self._label_index
+
     def star_join_irreducibles(self):
         """Star indices of the join-irreducible pairs, in star order.
 
@@ -403,11 +428,6 @@ class PairLattice:
         """
         return [self._star_index[q] for q in self.join_irreducibles]
 
-    def star_join_irreducibles_below(self):
-        """For each star pair, the star indices of the join-irreducibles below it."""
-        ji = self.star_join_irreducibles()
-        return [[q for a, q in enumerate(ji) if mask >> a & 1] for mask in self._ji_masks]
-
     def hasse_edges(self):
         """Covering relations, for drawing the lattice."""
         ps = self.pairs
@@ -415,7 +435,7 @@ class PairLattice:
         return [(ps[i], ps[j]) for i, j in covers]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def pair_lattice(g: Graph) -> PairLattice:
     return PairLattice(g)
 

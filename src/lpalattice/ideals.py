@@ -21,6 +21,7 @@ from .graph import (
     GraphError,
     breaking_vertices,
     check_cycle,
+    covering_pairs,
     cycle_vertex_closure,
     downward_directed,
     exclusive_cycles,
@@ -33,6 +34,12 @@ from .graph import (
 )
 from .laurent import LaurentIdeal, LaurentPoly
 from .rings import RingError, RingIdeal, RingSpec
+
+
+# graded enumeration lists one value per nonbottom pair for each ideal; more
+# values than this are refused before any table is built.  There are never
+# fewer ideals than pairs, so any lattice of up to 512 ideals is listed.
+MAX_GRADED_VALUES = 1 << 18
 
 
 class ClassificationError(ValueError):
@@ -60,28 +67,27 @@ class Context:
             else:
                 self.cycle_exit_idx.append(None)
         self.ji = self.lattice.star_join_irreducibles()
-        self.ji_below = self.lattice.star_join_irreducibles_below()
 
     @property
     def star(self):
         return self.lattice.star
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def context(graph: Graph, ring: RingSpec) -> Context:
     return Context(graph, ring)
 
 
 def _intersect_below(ctx: Context, on_ji) -> tuple[int, ...]:
     """The table whose value at each pair is the intersection of the values
-    on_ji[q] (indexed by star index) at the join-irreducibles q below it."""
+    on_ji[q] (indexed by star index) at the join-irreducibles q below it.
+
+    Walks the down-set tree, so each pair costs one intersection: its
+    parent's value met with the value at the one join-irreducible more."""
     ring = ctx.ring
-    out = []
-    for below in ctx.ji_below:
-        acc = on_ji[below[0]]
-        for q in below[1:]:
-            acc = ring.gen_intersect(acc, on_ji[q])
-        out.append(acc)
+    out = [0] * len(ctx.star)
+    for i, parent, q in ctx.lattice.down_set_tree:
+        out[i] = on_ji[q] if parent is None else ring.gen_intersect(out[parent], on_ji[q])
     return tuple(out)
 
 
@@ -91,14 +97,19 @@ def _saturate_vals(ctx: Context, vals: list[int]) -> tuple[int, ...]:
     Since the pair lattice is distributive, a saturated function is the
     intersection of its values at the join-irreducibles below each pair, so
     the closure is: push values down onto the join-irreducibles, then read
-    every pair off as an intersection.
+    every pair off as an intersection.  The pairs above a join-irreducible
+    q are the subtrees of the down-set tree rooted where q is added, so the
+    push is one sum per pair up the tree, children before parents.
     """
     ring = ctx.ring
-    down = dict.fromkeys(ctx.ji, 0)
-    for i, v in enumerate(vals):
+    up = list(vals)  # the sum of the values over the subtree of each pair
+    down = [0] * len(vals)  # the sum of the values above each join-irreducible
+    for i, parent, q in reversed(ctx.lattice.down_set_tree):
+        v = up[i]
         if v:
-            for q in ctx.ji_below[i]:
-                down[q] = ring.gen_sum(down[q], v)
+            down[q] = ring.gen_sum(down[q], v)
+            if parent is not None:
+                up[parent] = ring.gen_sum(up[parent], v)
     return _intersect_below(ctx, down)
 
 
@@ -174,17 +185,22 @@ class SaturatedFunction:
 
 
 def _table_to_vals(ctx: Context, table) -> list[int]:
+    lat = ctx.lattice
+    labels = lat.star_label_index()
     vals = [0] * len(ctx.star)
     for pair, ideal in table.items():
-        if isinstance(pair, str):
-            pair = AdmissiblePair.parse(pair)
-        ctx.lattice.check(pair)
-        if pair == ctx.lattice.bottom:
-            raise ClassificationError("the bottom pair carries no value")
+        # a canonical label is looked up; anything else is parsed and checked
+        i = labels.get(pair) if isinstance(pair, str) else None
+        if i is None:
+            if isinstance(pair, str):
+                pair = AdmissiblePair.parse(pair)
+            lat.check(pair)
+            if pair == lat.bottom:
+                raise ClassificationError("the bottom pair carries no value")
+            i = lat.star_index(pair)
         gen = ideal.gen if isinstance(ideal, RingIdeal) else ctx.ring.gen_normalize(ideal)
         if isinstance(ideal, RingIdeal) and ideal.ring != ctx.ring:
-            raise RingError(f"value for {pair.label()} lives in {ideal.ring}, not {ctx.ring}")
-        i = ctx.lattice.star_index(pair)
+            raise RingError(f"value for {ctx.star[i].label()} lives in {ideal.ring}, not {ctx.ring}")
         vals[i] = ctx.ring.gen_sum(vals[i], gen)
     return vals
 
@@ -504,26 +520,31 @@ def graded_lattice(graph: Graph, ring: RingSpec) -> list[SaturatedFunction]:
 
     Saturated functions correspond one to one to the order-reversing maps
     from the join-irreducibles to the ideals of R, each extended by
-    intersection; those maps are listed with the join-irreducibles taken in
-    star order, which puts every one after those below it.
+    intersection.  The maps are grown one join-irreducible at a time, in
+    star order, which puts every one after those below it, so that a value
+    need only lie in the values at its lower covers.  A partial map always
+    extends (by the zero ideal), so no step holds more maps than the end,
+    and more maps than MAX_GRADED_VALUES allows are refused before any
+    table is built.
     """
     ctx = context(graph, ring)
     gens = ring.enumerate_gens()
-    ji = ctx.ji
-    below = [[p for p in ctx.ji_below[q] if p != q] for q in ji]
-    out = []
-    vals = {}
-
-    def assign(k):
-        if k == len(ji):
-            out.append(SaturatedFunction._trusted(ctx, _intersect_below(ctx, vals)))
-            return
-        for v in gens:
-            if all(ring.gen_contains(vals[p], v) for p in below[k]):
-                vals[ji[k]] = v
-                assign(k + 1)
-
-    assign(0)
+    star, ji = ctx.star, ctx.ji
+    limit = MAX_GRADED_VALUES // max(1, len(star))
+    covers = covering_pairs(len(ji), lambda a, b: ctx.lattice.leq(star[ji[a]], star[ji[b]]))
+    lower = [[a for a, b in covers if b == k] for k in range(len(ji))]
+    maps = [()]
+    for k in range(len(ji)):
+        maps = [
+            m + (v,) for m in maps for v in gens
+            if all(ring.gen_contains(m[a], v) for a in lower[k])
+        ]
+        if len(maps) > limit:
+            raise ClassificationError(
+                f"cannot enumerate: there are more than {limit} graded ideals, and "
+                f"{len(star)} values each would pass the {MAX_GRADED_VALUES}-value budget"
+            )
+    out = [SaturatedFunction._trusted(ctx, _intersect_below(ctx, dict(zip(ji, m)))) for m in maps]
     return sorted(out, key=lambda f: f.vals)
 
 

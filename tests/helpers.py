@@ -123,6 +123,35 @@ def star6_graph():
     )
 
 
+def two_breakers():
+    # a and b each break {u}; the pair {u}|{a,b} sorts before {u}|{b},
+    # which lies below it, so star order is not a linear extension
+    return Graph(
+        ["u", "a", "b", "x"],
+        [
+            Bundle("e1", "a", "u", OMEGA),
+            Bundle("e2", "a", "x"),
+            Bundle("e3", "b", "u", OMEGA),
+            Bundle("e4", "b", "x"),
+        ],
+    )
+
+
+def uneven_breakers():
+    # a breaks {u,y} and b breaks {u}: the pair {u,y}|{a,b} is reached in the
+    # down-set walk from {u,y}|{b}, which sorts after it
+    return Graph(
+        ["u", "y", "a", "b", "x"],
+        [
+            Bundle("e1", "a", "u", OMEGA),
+            Bundle("e2", "a", "y", OMEGA),
+            Bundle("e3", "a", "x"),
+            Bundle("e4", "b", "u", OMEGA),
+            Bundle("e5", "b", "x"),
+        ],
+    )
+
+
 def law_suite_graphs():
     """Named (graph, ring) instances for the randomized lattice-law suite."""
     z4, z6, f2, f3 = IntegersMod(4), IntegersMod(6), PrimeField(2), PrimeField(3)
@@ -141,6 +170,8 @@ def law_suite_graphs():
         ("omega-fork/Z4", omega_fork(), z4),
         ("loop/F2", loop_no_exit(), f2),
         ("double-loop/F3", double_loop(), f3),
+        ("two-breakers/Z6", two_breakers(), z6),
+        ("uneven-breakers/Z", uneven_breakers(), ZZ),
     ]
 
 

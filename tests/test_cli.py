@@ -206,6 +206,29 @@ class TestCommands:
         assert result.exit_code == 1
         assert result.output == "error:domain: crosscheck would compare 1024 ideals, more than 256\n"
 
+    def test_enumerate_budget_refusal_is_one_domain_line(self, runner, tmp_path):
+        # six sinks over Z/30: 8^6 = 262144 ideals of 63 values each
+        gfile = _write(tmp_path, "g.graph", "vertices a,b,c,d,e,f;")
+        started = time.perf_counter()
+        result = runner.invoke(main, ["enumerate", "--graph", gfile, "--ring", "Z/30"])
+        assert time.perf_counter() - started < 1.0
+        assert result.exit_code == 1
+        assert result.output == (
+            "error:domain: cannot enumerate: there are more than 4161 graded ideals, "
+            "and 63 values each would pass the 262144-value budget\n"
+        )
+
+    def test_enumerate_dot_has_the_crosscheck_bound(self, runner, tmp_path):
+        # four sinks over Z/30: 8^4 = 4096 ideals are listed but not drawn
+        gfile = _write(tmp_path, "g.graph", "vertices a,b,c,d;")
+        listed = runner.invoke(main, ["enumerate", "--graph", gfile, "--ring", "Z/30"])
+        assert listed.exit_code == 0 and listed.output.startswith("4096 ideals\n")
+        started = time.perf_counter()
+        drawn = runner.invoke(main, ["enumerate", "--graph", gfile, "--ring", "Z/30", "--dot"])
+        assert time.perf_counter() - started < 2.0
+        assert drawn.exit_code == 1
+        assert drawn.output == "error:domain: cannot draw: 4096 graded ideals, more than 256\n"
+
     @pytest.mark.parametrize(
         "spec, code, line",
         [
@@ -354,3 +377,62 @@ class TestExitCodes:
         )
         result = runner.invoke(main, ["graded", "--graph", gfile, "--ring", "Z", pair])
         assert result.exit_code == 1
+
+
+TWO_BREAKERS_TEXT = format_graph(helpers.two_breakers())
+
+
+def _respelled(doc, spelling):
+    return {**doc, "f": {spelling.get(k, k): v for k, v in doc["f"].items()}}
+
+
+class TestPairLabels:
+    @pytest.mark.parametrize(
+        "graph_text, gens, spelling",
+        [
+            (
+                TOEPLITZ_TEXT,
+                [{"kind": "vertex", "r": "2", "v": "v"}, {"kind": "cycle", "p": "3+x", "c": "e.0"}],
+                {"{v}": "{ v }", "{u,v}": "{v,u}"},
+            ),
+            (
+                TWO_BREAKERS_TEXT,
+                [
+                    {"kind": "vertex", "r": "6", "v": "x"},
+                    {"kind": "breaking", "r": "2", "w": "a", "H": ["u"]},
+                    {"kind": "breaking", "r": "3", "w": "b", "H": ["u"]},
+                ],
+                {"{u}|{b}": "{u} | {b}", "{u}|{a,b}": " {u}|{ b , a } ", "{a,b,u,x}": "{x,u,b,a}"},
+            ),
+        ],
+    )
+    def test_other_spellings_give_the_same_output(self, runner, tmp_path, graph_text, gens, spelling):
+        gfile = _write(tmp_path, "g.graph", graph_text)
+        made = runner.invoke(
+            main, ["from-generators", "--graph", gfile, "--ring", "Z", _write(tmp_path, "g.json", json.dumps(gens))]
+        )
+        assert made.exit_code == 0
+        doc = json.loads(made.output)
+        assert set(spelling) <= set(doc["f"])
+        canonical = _write(tmp_path, "a.json", json.dumps(doc))
+        spelled = _write(tmp_path, "b.json", json.dumps(_respelled(doc, spelling)))
+        for op in ("meet", "join", "product"):
+            want = runner.invoke(main, ["lattice-op", "--graph", gfile, "--ring", "Z", op, canonical, canonical])
+            got = runner.invoke(main, ["lattice-op", "--graph", gfile, "--ring", "Z", op, spelled, spelled])
+            assert want.exit_code == got.exit_code == 0
+            assert got.output == want.output
+
+    @pytest.mark.parametrize(
+        "label, line",
+        [
+            ("{a", "bad pair label '{a'"),
+            ("{}", "the bottom pair carries no value"),
+            ("{a}", "{a} is not an admissible pair of this graph"),
+        ],
+    )
+    def test_label_errors_are_one_domain_line(self, runner, tmp_path, label, line):
+        gfile = _write(tmp_path, "g.graph", TWO_BREAKERS_TEXT)
+        pair = _write(tmp_path, "p.json", json.dumps({"f": {"{u}": "(2)", label: "(2)"}}))
+        result = runner.invoke(main, ["lattice-op", "--graph", gfile, "--ring", "Z", "join", pair, pair])
+        assert result.exit_code == 1
+        assert result.output == f"error:domain: invalid pair: {line}\n"

@@ -180,6 +180,35 @@ class TestPairLattice:
             assert ji == helpers.brute_force_join_irreducibles(expected), g
         assert with_omega >= 100
 
+    def test_down_set_tree_joins_one_join_irreducible_to_an_earlier_pair(self):
+        # every entry is its parent joined with one member of J, each pair
+        # appears once, and parents come first in walk order though not
+        # always in star order
+        rng = random.Random(37)
+        graphs = [helpers.two_breakers(), helpers.uneven_breakers()]
+        graphs += [helpers.random_graph(rng, max_v=6, max_b=8) for _ in range(120)]
+        for g in graphs:
+            lat = pair_lattice(g)
+            star = lat.star
+            ji = set(lat.star_join_irreducibles())
+            seen = set()
+            for i, parent, q in lat.down_set_tree:
+                assert q in ji and i not in seen, g
+                base = lat.bottom if parent is None else star[parent]
+                assert parent is None or parent in seen, g
+                assert lat.join(base, star[q]) == star[i] != base, g
+                seen.add(i)
+            assert seen == set(range(len(star))), g
+
+    def test_star_order_is_not_a_linear_extension(self):
+        lat = pair_lattice(helpers.two_breakers())
+        labels = [p.label() for p in lat.star]
+        below, above = AdmissiblePair.parse("{u}|{b}"), AdmissiblePair.parse("{u}|{a,b}")
+        assert lat.leq(below, above)
+        assert labels.index("{u}|{a,b}") < labels.index("{u}|{b}")
+        lat = pair_lattice(helpers.uneven_breakers())
+        assert any(p is not None and p > i for i, p, _ in lat.down_set_tree)
+
     def test_hasse_edges_are_the_covers_in_row_major_order(self):
         rng = random.Random(31)
         for _ in range(60):

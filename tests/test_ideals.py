@@ -74,6 +74,8 @@ class TestSaturateFunction:
             (helpers.omega_fork(), IntegersMod(4)),
             (helpers.isolated(3), IntegersMod(6)),
             (helpers.toeplitz_with_sink(), ZZ),
+            (helpers.two_breakers(), IntegersMod(6)),
+            (helpers.uneven_breakers(), ZZ),
         ]
         for graph, ring in instances:
             ctx = context(graph, ring)
