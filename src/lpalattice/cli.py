@@ -60,36 +60,32 @@ _BUNDLE_RE = re.compile(
 )
 
 
+# a comment runs to the end of its line, so deleting it moves no statement;
+# the statement pattern is greedy, since a lazy one with a `\s*(;|\Z)`
+# lookahead is quadratic in a run of spaces
+_COMMENT_RE = re.compile(r"#[^\n]*")
+_STATEMENT_RE = re.compile(r"[^;\s][^;]*")
+
+
 def _statements(text: str):
-    """Semicolon-terminated statements with their (line, col) positions."""
-    line, col = 1, 1
-    buf = []
-    start = None
-    in_comment = False
-    for ch in text:
-        if ch == "\n":
-            in_comment = False
-        if not in_comment:
-            if ch == "#":
-                in_comment = True
-            elif ch == ";":
-                stmt = "".join(buf).strip()
-                if stmt:
-                    yield stmt, start
-                buf, start = [], None
-            elif not ch.isspace():
-                if start is None:
-                    start = (line, col)
-                buf.append(ch)
-            elif buf:
-                buf.append(" ")
-        if ch == "\n":
-            line, col = line + 1, 1
-        else:
-            col += 1
-    tail = "".join(buf).strip()
-    if tail:
-        raise ParseFailure(f"line {start[0]}, col {start[1]}: missing ';' after {tail!r}")
+    """Semicolon-terminated statements with their (line, col) positions.
+
+    Each whitespace character inside a statement reads as one space.
+    """
+    text = _COMMENT_RE.sub("", text)
+    line, line_start, last = 1, 0, 0
+    for m in _STATEMENT_RE.finditer(text):
+        start = m.start()
+        newlines = text.count("\n", last, start)  # only since the last match
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", last, start) + 1
+        last = start
+        stmt = re.sub(r"\s", " ", m.group().rstrip())
+        col = start - line_start + 1
+        if m.end() == len(text):
+            raise ParseFailure(f"line {line}, col {col}: missing ';' after {stmt!r}")
+        yield stmt, (line, col)
 
 
 def parse_graph(text: str) -> Graph:
@@ -244,9 +240,7 @@ def dump_generators(atoms) -> list:
 
 
 def _emit(payload, as_json: bool, out):
-    if as_json:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    elif isinstance(payload, str):
+    if isinstance(payload, str) and not as_json:
         text = payload if payload.endswith("\n") else payload + "\n"
     else:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -265,40 +259,6 @@ def _dot(nodes, edges) -> str:
         lines.append(f'  "{a}" -> "{b}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _command(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ParseFailure as exc:
-            click.echo(f"error:parse: {exc}", err=True)
-            sys.exit(2)
-        except (GraphError, RingError, ClassificationError, OracleError) as exc:
-            click.echo(f"error:domain: {exc}", err=True)
-            sys.exit(1)
-
-    return wrapper
-
-
-def _load_graph(path) -> Graph:
-    with open(path) as fh:
-        return parse_graph(fh.read())
-
-
-def _ring_option(fn):
-    return click.option("--ring", "ring_spec", required=True, help="Z, Q, Z/12, F7")(fn)
-
-
-def _graph_option(fn):
-    return click.option("--graph", "graph_file", required=True, type=click.Path(exists=True))(fn)
-
-
-def _output_options(fn):
-    fn = click.option("--json", "as_json", is_flag=True, help="stable JSON output")(fn)
-    fn = click.option("--out", "out", type=click.Path(), default=None)(fn)
-    return fn
 
 
 def _parse_ring_spec(spec):
@@ -323,15 +283,43 @@ def main():
     """Exact ideal-lattice computations for Leavitt path algebras."""
 
 
-@main.command()
-@_graph_option
-@_output_options
+def _command(name=None, ring=False):
+    """Register a command on main with --graph, --ring if ring, --out and
+    --json before its own options; the body gets the parsed graph g (and the
+    ring), and an error becomes one error:parse: or error:domain: line."""
+
+    def register(fn):
+        @functools.wraps(fn)
+        def run(graph_file, ring_spec=None, **kwargs):
+            try:
+                with open(graph_file) as fh:
+                    kwargs["g"] = parse_graph(fh.read())
+                if ring:
+                    kwargs["ring"] = _parse_ring_spec(ring_spec)
+                return fn(**kwargs)
+            except ParseFailure as exc:
+                click.echo(f"error:parse: {exc}", err=True)
+                sys.exit(2)
+            except (GraphError, RingError, ClassificationError, OracleError) as exc:
+                click.echo(f"error:domain: {exc}", err=True)
+                sys.exit(1)
+
+        # click lists the option applied last first
+        run = click.option("--json", "as_json", is_flag=True, help="stable JSON output")(run)
+        run = click.option("--out", "out", type=click.Path(), default=None)(run)
+        if ring:
+            run = click.option("--ring", "ring_spec", required=True, help="Z, Q, Z/12, F7")(run)
+        run = click.option("--graph", "graph_file", required=True, type=click.Path(exists=True))(run)
+        return main.command(name=name)(run)
+
+    return register
+
+
+@_command()
 @click.option("--saturated", is_flag=True, help="also close under saturation")
 @click.argument("vertices")
-@_command
-def closure(graph_file, as_json, out, saturated, vertices):
+def closure(g, as_json, out, saturated, vertices):
     """Hereditary closure of a set of vertices."""
-    g = _load_graph(graph_file)
     seed = frozenset(v.strip() for v in vertices.split(",") if v.strip())
     if saturated:
         result = hereditary_saturated_closure(g, seed)
@@ -341,15 +329,11 @@ def closure(graph_file, as_json, out, saturated, vertices):
     _emit(payload, as_json, out)
 
 
-@main.command()
-@_graph_option
-@_output_options
+@_command()
 @click.option("--set", "base", required=True, help="hereditary vertex set, comma separated")
 @click.option("--absorb", default="", help="vertices to absorb once their targets are inside")
-@_command
-def saturate(graph_file, as_json, out, base, absorb):
+def saturate(g, as_json, out, base, absorb):
     """Saturation of a hereditary set, absorbing chosen infinite emitters."""
-    g = _load_graph(graph_file)
     h = frozenset(v.strip() for v in base.split(",") if v.strip())
     s = frozenset(v.strip() for v in absorb.split(",") if v.strip())
     result = saturated_closure(g, h, s)
@@ -357,14 +341,10 @@ def saturate(graph_file, as_json, out, base, absorb):
     _emit(payload, as_json, out)
 
 
-@main.command()
-@_graph_option
-@_output_options
+@_command()
 @click.option("--dot", "as_dot", is_flag=True, help="emit a Hasse diagram")
-@_command
-def pairs(graph_file, as_json, out, as_dot):
+def pairs(g, as_json, out, as_dot):
     """List the admissible pairs of a graph."""
-    g = _load_graph(graph_file)
     lat = pair_lattice(g)
     if as_dot:
         _emit(_dot([p.label() for p in lat], [(a.label(), b.label()) for a, b in lat.hasse_edges()]), False, out)
@@ -373,13 +353,9 @@ def pairs(graph_file, as_json, out, as_dot):
     _emit({"pairs": labels} if as_json else "\n".join(labels), as_json, out)
 
 
-@main.command(name="cycles")
-@_graph_option
-@_output_options
-@_command
-def cycles_cmd(graph_file, as_json, out):
+@_command(name="cycles")
+def cycles_cmd(g, as_json, out):
     """List the cycles of a graph and their closures."""
-    g = _load_graph(graph_file)
     exclusive = set(exclusive_cycles(g))
     rows = []
     for c in cycles(g):
@@ -407,64 +383,41 @@ def cycles_cmd(graph_file, as_json, out):
         _emit("\n".join(lines) if lines else "no cycles", False, out)
 
 
-@main.command(name="lattice-op")
-@_graph_option
-@_ring_option
-@_output_options
+@_command(name="lattice-op", ring=True)
 @click.argument("op", type=click.Choice(["meet", "join", "product"]))
 @click.argument("left", type=click.Path(exists=True))
 @click.argument("right", type=click.Path(exists=True))
-@_command
-def lattice_op(graph_file, ring_spec, as_json, out, op, left, right):
+def lattice_op(g, ring, as_json, out, op, left, right):
     """Meet, join, or product of two classified ideals."""
-    g = _load_graph(graph_file)
-    ctx = context(g, _parse_ring_spec(ring_spec))
+    ctx = context(g, ring)
     a = _load_pair(ctx, left)
     b = _load_pair(ctx, right)
     result = {"meet": a.meet, "join": a.join, "product": a.product}[op](b)
     _emit(dump_ideal(result), True, out)
 
 
-@main.command()
-@_graph_option
-@_ring_option
-@_output_options
+@_command(ring=True)
 @click.argument("pair_file", type=click.Path(exists=True))
-@_command
-def graded(graph_file, ring_spec, as_json, out, pair_file):
+def graded(g, ring, as_json, out, pair_file):
     """Whether a classified ideal is graded."""
-    g = _load_graph(graph_file)
-    ctx = context(g, _parse_ring_spec(ring_spec))
-    pair = _load_pair(ctx, pair_file)
+    pair = _load_pair(context(g, ring), pair_file)
     result = pair.is_graded()
     _emit({"graded": result} if as_json else ("graded" if result else "not graded"), as_json, out)
 
 
-@main.command(name="largest-graded")
-@_graph_option
-@_ring_option
-@_output_options
+@_command(name="largest-graded", ring=True)
 @click.argument("pair_file", type=click.Path(exists=True))
-@_command
-def largest_graded(graph_file, ring_spec, as_json, out, pair_file):
+def largest_graded(g, ring, as_json, out, pair_file):
     """The largest graded ideal inside a classified ideal."""
-    g = _load_graph(graph_file)
-    ctx = context(g, _parse_ring_spec(ring_spec))
-    pair = _load_pair(ctx, pair_file)
+    pair = _load_pair(context(g, ring), pair_file)
     _emit(dump_ideal(pair.largest_graded()), True, out)
 
 
-@main.command()
-@_graph_option
-@_ring_option
-@_output_options
+@_command(ring=True)
 @click.argument("pair_file", type=click.Path(exists=True))
-@_command
-def prime(graph_file, ring_spec, as_json, out, pair_file):
+def prime(g, ring, as_json, out, pair_file):
     """Necessary conditions for a classified ideal to be prime."""
-    g = _load_graph(graph_file)
-    ctx = context(g, _parse_ring_spec(ring_spec))
-    pair = _load_pair(ctx, pair_file)
+    pair = _load_pair(context(g, ring), pair_file)
     report = prime_report(pair)
     if as_json:
         _emit(
@@ -486,39 +439,25 @@ def prime(graph_file, ring_spec, as_json, out, pair_file):
         _emit("\n".join(report.lines()), False, out)
 
 
-@main.command()
-@_graph_option
-@_ring_option
-@_output_options
+@_command(ring=True)
 @click.argument("pair_file", type=click.Path(exists=True))
-@_command
-def generators(graph_file, ring_spec, as_json, out, pair_file):
+def generators(g, ring, as_json, out, pair_file):
     """A generating set for a classified ideal."""
-    g = _load_graph(graph_file)
-    ctx = context(g, _parse_ring_spec(ring_spec))
-    pair = _load_pair(ctx, pair_file)
+    pair = _load_pair(context(g, ring), pair_file)
     _emit(dump_generators(to_generators(pair)), True, out)
 
 
-@main.command(name="from-generators")
-@_graph_option
-@_ring_option
-@_output_options
+@_command(name="from-generators", ring=True)
 @click.argument("gens_file", type=click.Path(exists=True))
-@_command
-def from_generators_cmd(graph_file, ring_spec, as_json, out, gens_file):
+def from_generators_cmd(g, ring, as_json, out, gens_file):
     """The classified ideal generated by the listed elements."""
-    g = _load_graph(graph_file)
-    ctx = context(g, _parse_ring_spec(ring_spec))
+    ctx = context(g, ring)
     with open(gens_file) as fh:
         atoms = load_generators(ctx, fh.read())
     _emit(dump_ideal(from_generators(ctx, atoms)), True, out)
 
 
-@main.command()
-@_graph_option
-@_ring_option
-@_output_options
+@_command(ring=True)
 @click.option("--dot", "as_dot", is_flag=True, help="emit a Hasse diagram")
 @click.option(
     "--graded",
@@ -526,11 +465,8 @@ def from_generators_cmd(graph_file, ring_spec, as_json, out, gens_file):
     is_flag=True,
     help="allow graphs with exclusive cycles; lists only the graded ideals",
 )
-@_command
-def enumerate(graph_file, ring_spec, as_json, out, as_dot, graded_only):
+def enumerate(g, ring, as_json, out, as_dot, graded_only):
     """Enumerate the ideal lattice (graded ideals) over a finite ring."""
-    g = _load_graph(graph_file)
-    ring = _parse_ring_spec(ring_spec)
     if not ring.is_finite:
         raise RingError(
             f"cannot enumerate: {ring} has infinitely many ideals, so the lattice is infinite"
@@ -567,15 +503,9 @@ def enumerate(graph_file, ring_spec, as_json, out, as_dot, graded_only):
         _emit("\n".join(lines), False, out)
 
 
-@main.command(name="crosscheck")
-@_graph_option
-@_ring_option
-@_output_options
-@_command
-def crosscheck_cmd(graph_file, ring_spec, as_json, out):
+@_command(name="crosscheck", ring=True)
+def crosscheck_cmd(g, ring, as_json, out):
     """Cross-validate the classification against the explicit algebra."""
-    g = _load_graph(graph_file)
-    ring = _parse_ring_spec(ring_spec)
     report = crosscheck(g, ring)
     if as_json:
         _emit(

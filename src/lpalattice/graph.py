@@ -273,14 +273,6 @@ def _seed_below(seed, p: AdmissiblePair) -> bool:
     return seed[0] <= p.H and all(w in p.H or w in p.S for w in seed[1])
 
 
-def _seed_sup(g: Graph, seeds) -> AdmissiblePair:
-    """The supremum of the pairs of the given seeds, in time linear in g."""
-    h = frozenset().union(*(h for h, _ in seeds))
-    s = frozenset().union(*(s for _, s in seeds))
-    sat = _lambda_closure(g, hereditary_closure(g, h), s)
-    return AdmissiblePair(sat, s - sat)
-
-
 def _down_set_walk(below) -> list:
     """The nonempty down-sets of a poset on range(n), given the strict
     down-set of each member as a bit mask, where every member comes after
@@ -338,8 +330,8 @@ class PairLattice:
         # key order is a linear extension on these pairs: comparable ones with
         # equal H differ by one breaking vertex
         ji = sorted(
-            (c for c in seeds if c != _seed_sup(
-                graph, [s for q, s in seeds.items() if q is not c and _seed_below(s, c)])),
+            (c for c in seeds if c != self.sup(
+                q for q, s in seeds.items() if q is not c and _seed_below(s, c))),
             key=AdmissiblePair.key,
         )
         self.join_irreducibles = tuple(ji)

@@ -226,26 +226,12 @@ def strong_groebner(gens: list[Poly]) -> list[Poly]:
 
 
 def _interreduce(basis: list[Poly]) -> list[Poly]:
-    # drop elements whose leading term is strongly reducible by a mate
-    basis = [b for b in basis if b]
-    changed = True
-    while changed:
-        changed = False
-        for i, b in enumerate(basis):
-            bm, bc = p_lt(b)
-            for j, c in enumerate(basis):
-                if i == j:
-                    continue
-                cm, cc = p_lt(c)
-                if _mono_divides(cm, bm) and bc % cc == 0:
-                    rest = basis[:i] + basis[i + 1:]
-                    h = _sign_norm(reduce_poly(b, rest))
-                    basis = rest + ([h] if h else [])
-                    changed = True
-                    break
-            if changed:
-                break
-    # tail-reduce for the canonical form; leading terms are stable now
+    # tail-reduce for the canonical form.  No leading term of strong_groebner's
+    # basis is strongly reducible by a mate: each inserted element is fully
+    # reduced, so its leading coefficient lies strictly below that of every
+    # alive element whose leading monomial divides its own, and insert
+    # retires every alive element whose leading term the new one strongly
+    # divides
     out = []
     for i, b in enumerate(basis):
         rest = basis[:i] + basis[i + 1:]

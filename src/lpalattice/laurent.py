@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import groebner
-from .rings import RingError, RingIdeal, RingSpec, ZZ
+from .rings import RingError, RingIdeal, RingSpec
 
 
 @dataclass(frozen=True)
@@ -353,20 +353,6 @@ class LaurentIdeal:
         return LaurentIdeal.from_polys(
             self.ring, [p.scale(element) for p in self.generators()]
         )
-
-    def divide_exact(self, element) -> "LaurentIdeal":
-        """The colon ideal (I : element), assuming element divides every coefficient."""
-        if self.ring != ZZ:
-            raise RingError("exact division is only implemented over Z")
-        e = int(element)
-        if e == 0:
-            raise RingError("division by zero")
-        gens = []
-        for d in self.basis:
-            if any(c % e for c in d):
-                raise RingError(f"{element} does not divide all coefficients")
-            gens.append(tuple(c // e for c in d))
-        return LaurentIdeal(self.ring, _z_saturate(tuple(sorted(set(gens)))))
 
     # -- contraction, extension, grading -----------------------------------
     def contract(self) -> RingIdeal:

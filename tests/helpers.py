@@ -5,7 +5,8 @@ library's own algorithms: subset enumeration for closures and admissible
 pairs, the order and joins of pairs from their definitions, the pairwise
 supremum law and its fixpoint sweep, the literal union-over-subsets formula
 for saturation (element sets over finite rings), the x-colon by elimination
-in Z[x]^2, and integer row reduction for Laurent ideal membership.
+in Z[x]^2, integer row reduction for Laurent ideal membership, and a
+character-by-character scanner for the statements of the graph text format.
 """
 
 import functools
@@ -27,6 +28,7 @@ from lpalattice import (
     breaking_vertices,
     hereditary_saturated_closure,
 )
+from lpalattice.cli import ParseFailure
 from lpalattice.concrete import OracleError
 from lpalattice.ideals import ClassifiedIdeal, SaturatedFunction, _saturate_vals
 
@@ -386,6 +388,42 @@ def subset_formula_saturation(ctx, raw):
     return tuple(out)
 
 
+# -- the graph text format ------------------------------------------------------
+
+
+def scan_statements(text: str):
+    """Semicolon-terminated statements with their (line, col) positions, read
+    one character at a time: the reference for the library's regex splitter."""
+    line, col = 1, 1
+    buf = []
+    start = None
+    in_comment = False
+    for ch in text:
+        if ch == "\n":
+            in_comment = False
+        if not in_comment:
+            if ch == "#":
+                in_comment = True
+            elif ch == ";":
+                stmt = "".join(buf).strip()
+                if stmt:
+                    yield stmt, start
+                buf, start = [], None
+            elif not ch.isspace():
+                if start is None:
+                    start = (line, col)
+                buf.append(ch)
+            elif buf:
+                buf.append(" ")
+        if ch == "\n":
+            line, col = line + 1, 1
+        else:
+            col += 1
+    tail = "".join(buf).strip()
+    if tail:
+        raise ParseFailure(f"line {start[0]}, col {start[1]}: missing ';' after {tail!r}")
+
+
 # -- the worked two-vertex example over the integers ---------------------------
 
 
@@ -413,8 +451,19 @@ def toeplitz_integer_reference(f_table: dict, g_ideal: LaurentIdeal) -> bool:
         return False
     if LaurentPoly.constant(ZZ, b) not in g_ideal:
         return False
-    residual = g_ideal.divide_exact(a)
+    residual = divide_exact(g_ideal, a)
     return residual.contract() <= RingIdeal(ZZ, b // a)
+
+
+def divide_exact(ideal: LaurentIdeal, e: int) -> LaurentIdeal:
+    """The colon ideal (I : e) over Z, for a nonzero e that divides every
+    coefficient of I: the ideal of I's generators divided by e."""
+    polys = []
+    for p in ideal.generators():
+        if any(c % e for c in p.coefficients()):
+            raise OracleError(f"{e} does not divide all coefficients")
+        polys.append(LaurentPoly.from_terms(ZZ, [(x, c // e) for x, c in p.terms]))
+    return LaurentIdeal.from_polys(ZZ, polys)
 
 
 # -- the x-colon by elimination -------------------------------------------------

@@ -1,11 +1,12 @@
 import json
+import random
 import time
 
 import pytest
 from click.testing import CliRunner
 
 from lpalattice import OMEGA, Bundle, Graph
-from lpalattice.cli import ParseFailure, format_graph, main, parse_graph
+from lpalattice.cli import ParseFailure, _statements, format_graph, main, parse_graph
 
 import helpers
 
@@ -26,6 +27,16 @@ def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def _split(statements, text):
+    """The statements and positions read from text, then the error line if any."""
+    out = []
+    try:
+        out.extend(statements(text))
+    except ParseFailure as exc:
+        out.append(str(exc))
+    return out
 
 
 class TestGraphParsing:
@@ -62,6 +73,19 @@ class TestGraphParsing:
     def test_missing_semicolon(self):
         with pytest.raises(ParseFailure):
             parse_graph("vertices u")
+
+    def test_statements_match_the_character_scanner(self):
+        rng = random.Random(8)
+        alphabet = "ab ;#\n\t\r\x0b\x1c\x85"
+        for _ in range(20000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(32)))
+            assert _split(_statements, text) == _split(helpers.scan_statements, text), repr(text)
+
+    def test_a_long_run_of_spaces_parses_in_linear_time(self):
+        started = time.perf_counter()
+        g = parse_graph("vertices" + " " * 10**6 + "u;")
+        assert time.perf_counter() - started < 1.0
+        assert g == Graph(["u"], [])
 
     def test_round_trip_on_catalog(self):
         for g in (
@@ -321,6 +345,19 @@ class TestExitCodes:
         result = runner.invoke(main, ["pairs", "--graph", gfile])
         assert result.exit_code == 2
         assert result.output == "" or "error:parse:" in result.output
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("vertices u;\n  edgy e: u->u;", "line 2, col 3: cannot parse statement 'edgy e: u->u'"),
+            ("vertices u;\nedge e: u->u", "line 2, col 1: missing ';' after 'edge e: u->u'"),
+        ],
+    )
+    def test_graph_parse_error_is_one_positioned_line(self, runner, tmp_path, text, line):
+        gfile = _write(tmp_path, "bad.graph", text)
+        result = runner.invoke(main, ["pairs", "--graph", gfile])
+        assert result.exit_code == 2
+        assert result.output == f"error:parse: {line}\n"
 
     def test_domain_error_is_1(self, runner, tmp_path):
         gfile = _write(tmp_path, "g.graph", TOEPLITZ_TEXT)
