@@ -89,7 +89,7 @@ def _statements(text: str):
 
 
 def parse_graph(text: str) -> Graph:
-    vertices = []
+    vertices = set()
     bundles = []
     for stmt, (line, col) in _statements(text):
         where = f"line {line}, col {col}"
@@ -98,7 +98,7 @@ def parse_graph(text: str) -> Graph:
             for vid in (s.strip() for s in m.group(1).split(",")):
                 if vid in vertices:
                     raise ParseFailure(f"{where}: duplicate vertex id {vid!r}")
-                vertices.append(vid)
+                vertices.add(vid)
             continue
         m = _EDGE_RE.fullmatch(stmt)
         if m:
@@ -269,9 +269,19 @@ def _parse_ring_spec(spec):
     return build()  # a refused ring is a domain error
 
 
+def _read(path) -> str:
+    """The text of a file; one that cannot be read or decoded is a parse error."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseFailure(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseFailure(f"cannot read {path}: {exc}") from exc
+
+
 def _load_pair(ctx, pair_file) -> ClassifiedIdeal:
-    with open(pair_file) as fh:
-        f_table, g_table = load_ideal_tables(ctx.ring, fh.read())
+    f_table, g_table = load_ideal_tables(ctx.ring, _read(pair_file))
     result = validate_tables(ctx, f_table, g_table)
     if isinstance(result, list):
         raise ClassificationError("invalid pair: " + "; ".join(result))
@@ -292,8 +302,7 @@ def _command(name=None, ring=False):
         @functools.wraps(fn)
         def run(graph_file, ring_spec=None, **kwargs):
             try:
-                with open(graph_file) as fh:
-                    kwargs["g"] = parse_graph(fh.read())
+                kwargs["g"] = parse_graph(_read(graph_file))
                 if ring:
                     kwargs["ring"] = _parse_ring_spec(ring_spec)
                 return fn(**kwargs)
@@ -452,8 +461,7 @@ def generators(g, ring, as_json, out, pair_file):
 def from_generators_cmd(g, ring, as_json, out, gens_file):
     """The classified ideal generated by the listed elements."""
     ctx = context(g, ring)
-    with open(gens_file) as fh:
-        atoms = load_generators(ctx, fh.read())
+    atoms = load_generators(ctx, _read(gens_file))
     _emit(dump_ideal(from_generators(ctx, atoms)), True, out)
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
+from typing import NamedTuple
 
 
 class GraphError(ValueError):
@@ -35,6 +37,8 @@ class _Omega:
 OMEGA = _Omega()
 
 MAX_PAIRS = 1 << 16  # admissible pairs a lattice may have, bottom included
+MAX_GRAPH_SIZE = 1 << 13  # vertices plus bundles of a graph whose pair lattice is built
+_TOO_MANY_PAIRS = f"the admissible-pair lattice has more than {MAX_PAIRS} pairs"
 
 
 @dataclass(frozen=True)
@@ -144,15 +148,16 @@ def hereditary_closure(g: Graph, seed) -> frozenset:
     return frozenset(out)
 
 
-def _lambda_closure(g: Graph, base, absorb) -> frozenset:
+def _lambda_closure(g: Graph, base, absorb, start=None) -> frozenset:
     # add every vertex, regular or in absorb, all of whose targets lie
     # inside, to a fixpoint; a vertex is looked at only once one of its
     # targets is inside, and counts its targets outside base still missing,
-    # so the work is linear in the edges around the result
+    # so the work is linear in the edges around the result.  Only sources of
+    # start (all of base by default) and of added vertices are looked at.
     base = frozenset(base)
     cur = set(base)
     missing = {}
-    queue = list(base)
+    queue = list(base if start is None else start)
     while queue:
         w = queue.pop()
         for v in g.sources(w):
@@ -205,8 +210,7 @@ def hereditary_saturated_closure(g: Graph, seed) -> frozenset:
 # -- admissible pairs -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdmissiblePair:
+class AdmissiblePair(NamedTuple):
     """A hereditary saturated set together with some of its breaking vertices."""
 
     H: frozenset
@@ -243,60 +247,204 @@ class AdmissiblePair:
         return self.label()
 
 
-BOTTOM = AdmissiblePair(frozenset(), frozenset())
+EMPTY = frozenset()
+BOTTOM = AdmissiblePair(EMPTY, EMPTY)
 
 
-def _generators(g: Graph) -> dict:
-    """Pairs whose suprema give every admissible pair, each mapped to its
-    seed (h, s): the pair is the supremum of (hs-closure h, s), and it lies
-    below an admissible pair (H, S) exactly when H holds h and H | S holds s.
+def _components(g: Graph) -> list:
+    """The strongly connected components of g, each a list of its vertices,
+    in the order in which Tarjan's algorithm (SIAM J. Comput. 1972) closes
+    them: every edge that leaves a component enters an earlier one."""
+    index, low, depth = {}, {}, {}
+    stack, comps = [], []
+    for root in sorted(g.vertices):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        depth[root] = 0
+        stack.append(root)
+        work = [(root, iter(g.out_targets(root)))]
+        while work:
+            v, targets = work[-1]
+            for w in targets:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    depth[w] = len(stack)
+                    stack.append(w)
+                    work.append((w, iter(g.out_targets(w))))
+                    break
+                if w in depth and index[w] < low[v]:  # w is still on the stack
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = stack[depth[v]:]
+                    del stack[depth[v]:]
+                    for w in comp:
+                        del depth[w]
+                    comps.append(comp)
+    return comps
 
-    The seeds are ({v}, {}) for each vertex v and, for each infinite emitter
-    w that breaks some set, (w's infinite targets, {w}), whose pair is the
-    least with w as a breaking vertex: every set that w breaks holds the
-    closure of those targets, so w breaks some set exactly when it breaks
-    that closure.  Every join-irreducible is among these pairs.
+
+def _union_closure(g: Graph, pieces, extra=()) -> frozenset:
+    """The hs-closure of extra and the union of pieces, where every piece is
+    hereditary and saturated and so is the union with extra hereditary.
+
+    A vertex all of whose targets lie in one piece is in it already, so the
+    search for vertices to add starts outside the largest piece.
     """
-    out = {}
-    for v in sorted(g.vertices):
-        pair = AdmissiblePair(hereditary_saturated_closure(g, {v}), frozenset())
-        out.setdefault(pair, (frozenset({v}), frozenset()))
-        if g.is_infinite_emitter(v):
-            t = frozenset(b.target for b in g.out_bundles(v) if b.is_infinite)
-            h = hereditary_saturated_closure(g, t)
-            if v in breaking_vertices(g, h):
-                out[AdmissiblePair(h, frozenset({v}))] = (t, frozenset({v}))
-    return out
+    pieces = sorted(pieces, key=len)
+    largest = pieces.pop() if pieces else frozenset()
+    if not pieces and not extra:
+        return largest
+    base = largest.union(extra, *pieces)
+    return _lambda_closure(g, base, frozenset(), base - largest)
 
 
-def _seed_below(seed, p: AdmissiblePair) -> bool:
-    return seed[0] <= p.H and all(w in p.H or w in p.S for w in seed[1])
+def _closures(g: Graph, comps):
+    """The distinct hs-closures of single vertices, and each vertex's place
+    among them, from one closure per component at most.
+
+    The components come successors first.  The closure of a component is
+    that of its vertices together with its successors' closures; when a
+    successor's closure holds the component, it is the same closure, so a
+    chain costs a single closure.
+    """
+    where, sets, seen = {}, [], {}
+    for comp in comps:
+        inside = set(comp)
+        succ = {where[w] for v in comp for w in g.out_targets(v) if w not in inside}
+        k = next((k for k in succ if comp[0] in sets[k]), None)
+        if k is None:
+            h = _union_closure(g, [sets[k] for k in succ], comp)
+            k = seen.setdefault(h, len(sets))
+            if k == len(sets):
+                sets.append(h)
+        for v in comp:
+            where[v] = k
+    return where, sets
 
 
-def _down_set_walk(below) -> list:
-    """The nonempty down-sets of a poset on range(n), given the strict
-    down-set of each member as a bit mask, where every member comes after
-    those below it: (parent, j), the down-set being its parent's (an
-    earlier entry counted from 1, 0 for the empty set) plus j.
+def _join_irreducibles(g: Graph, where, sets, members):
+    """J as (key, H, vertices, emitters), sorted by key, and the places of
+    the closures whose pair is not in J.
+
+    The pair (hs-closure{v}, {}) is the supremum of the pairs below it
+    exactly when saturation can add one of its vertices to them: one that
+    is regular or a breaker, with every target in a lower closure.  The
+    least pair breaking an infinite emitter w, (hs-closure of its infinite
+    targets, {w}), is in J whenever w breaks that closure.
+    """
+    breakers = {}  # infinite emitter w -> the least set w breaks
+    for w in sorted(g.vertices):
+        if g.is_infinite_emitter(w):
+            t = {b.target for b in g.out_bundles(w) if b.is_infinite}
+            h = _union_closure(g, {sets[where[x]] for x in t})
+            if w not in h and not g.out_targets(w) <= h:
+                breakers[w] = h
+    reducible = {
+        k for k, vs in enumerate(members)
+        if any(
+            (g.is_regular(v) or v in breakers)
+            and all(where[t] != k for t in g.out_targets(v))
+            for v in vs
+        )
+    }
+    ji = [
+        ((len(h), tuple(sorted(h)), ()), h, vs, [])
+        for k, (h, vs) in enumerate(zip(sets, members)) if k not in reducible
+    ]
+    ji += [((len(h), tuple(sorted(h)), (w,)), h, [], [w]) for w, h in breakers.items()]
+    # key order is a linear extension on J: comparable members with equal
+    # H differ by one breaking vertex
+    ji.sort(key=itemgetter(0))
+    return ji, reducible
+
+
+def _down_mask(anchors: dict, h) -> int:
+    m = 0
+    for v, bits in anchors.items():
+        if v in h:
+            m |= bits
+    return m
+
+
+def _count_down_sets(below) -> int:
+    """The number of down-sets, the empty one included, of a poset on
+    range(n) given as for _down_set_walk, walked in the same way but
+    keeping nothing per down-set; refuses once it passes MAX_PAIRS."""
+    count = 1
+    stack = [(0, 0)]  # (mask, first member that may be added)
+    while stack:
+        mask, first = stack.pop()
+        for j in range(first, len(below)):
+            if below[j] & mask == below[j]:
+                if count == MAX_PAIRS:
+                    raise GraphError(_TOO_MANY_PAIRS)
+                count += 1
+                stack.append((mask | 1 << j, j + 1))
+    return count
+
+
+def _down_set_walk(below, admit):
+    """The down-sets of a poset on range(n), given the strict down-set of
+    each member as a bit mask, where every member comes after those below
+    it, and the pair of each: parallel lists of the parent, the member j
+    added, the mask, the pair, its label, its sorted S and the sort key of
+    its H per entry, entry 0 being the empty down-set and the bottom.  An
+    entry's down-set is its parent's (an earlier entry) plus j.
+
+    The pair's H and E, kept sorted, are its parent's plus what admit[j] =
+    (vertices, emitters, key, more) gives: the vertices and emitters listed,
+    and the vertices of each (mask, vertices, key) in more whose mask lies
+    in the down-set.  S is E less H, and the key of H is the sum of the keys
+    of its vertices.
 
     Each down-set is reached once, from itself minus its last member, so
     the entries holding j are the roots of disjoint subtrees that together
-    hold every down-set with j.  Refuses, before anything per pair is
-    built, once the count of down-sets with the empty one passes MAX_PAIRS.
+    hold every down-set with j.
     """
-    walk = []
-    stack = [(0, 0, 0)]  # (entry, its mask, first member that may be added)
+    rows = [(j, bj, 1 << j, *admit[j]) for j, bj in enumerate(below)]
+    parents, added, masks, pairs, labels, ss, keys = [0], [0], [0], [BOTTOM], ["{}"], [[]], [0]
+    # (entry, its mask, first member that may be added, H, E, key, its pair, S)
+    stack = [(0, 0, 0, [], [], 0, BOTTOM, [])]
     while stack:
-        entry, mask, first = stack.pop()
-        for j in range(first, len(below)):
-            if below[j] & mask == below[j]:
-                if len(walk) + 1 == MAX_PAIRS:
-                    raise GraphError(
-                        f"the admissible-pair lattice has more than {MAX_PAIRS} pairs"
-                    )
-                walk.append((entry, j))
-                stack.append((len(walk), mask | 1 << j, j + 1))
-    return walk
+        entry, mask, first, h, e, hk, pair, s = stack.pop()
+        for j, bj, bit, vs, ws, vk, more in rows[first:]:
+            if bj & mask == bj:
+                d = mask | bit
+                hj, kj = (h + vs, hk + vk) if vs else (h, hk)
+                for m, us, uk in more:
+                    if m & d == m:
+                        hj, kj = hj + us, kj + uk
+                # a set that did not change keeps its frozenset
+                if hj is h:
+                    hs = pair.H
+                else:
+                    hj.sort()
+                    hs = frozenset(hj)
+                ej = e
+                if ws:
+                    ej = e + ws
+                    ej.sort()
+                if ej is e and hs.isdisjoint(s):
+                    sj, sf = s, pair.S
+                else:
+                    sj = [w for w in ej if w not in hs]
+                    sf = frozenset(sj) if sj else EMPTY
+                pj = AdmissiblePair(hs, sf)
+                stack.append((len(pairs), d, j + 1, hj, ej, kj, pj, sj))
+                label = "{" + ",".join(hj) + "}"
+                labels.append(label + "|{" + ",".join(sj) + "}" if sj else label)
+                pairs.append(pj)
+                ss.append(sj)
+                keys.append(kj)
+                parents.append(entry)
+                added.append(j)
+                masks.append(d)
+    return parents, added, masks, pairs, labels, ss, keys
 
 
 def covering_pairs(n: int, leq) -> list:
@@ -320,48 +468,87 @@ class PairLattice:
 
     The lattice is distributive, so by Birkhoff's representation theorem its
     pairs are exactly the suprema of the down-sets of its join-irreducibles
-    J, each pair once; J is read off the graph and the pairs are built from
-    it, so no pass over vertex subsets or over pairs of pairs is needed.
+    J, each pair once.  J is read off the graph: the pair (hs-closure{v}, {})
+    of a vertex v unless saturation adds v to the pairs below it, and the
+    least pair (H, {w}) of each infinite emitter w that breaks some set.
+
+    Each pair is kept as its down-set in J, a bit mask D.  A vertex v lies
+    in H exactly when the mask of (hs-closure{v}, {}) lies in D, and an
+    emitter w lies in H | S exactly when the mask of its least pair does, so
+    the pairs, their order and their suprema need no closure.
     """
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        seeds = _generators(graph)
-        # key order is a linear extension on these pairs: comparable ones with
-        # equal H differ by one breaking vertex
-        ji = sorted(
-            (c for c in seeds if c != self.sup(
-                q for q, s in seeds.items() if q is not c and _seed_below(s, c))),
-            key=AdmissiblePair.key,
+        if len(graph.vertices) + len(graph.bundles) > MAX_GRAPH_SIZE:
+            raise GraphError(f"the graph has more than {MAX_GRAPH_SIZE} vertices and bundles")
+        comps = _components(graph)
+        # the closure of a union of components with no edge leaving them meets
+        # those components in that union only, so k of them give 2^k pairs
+        comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
+        closed = sum(
+            all(comp_of[w] == k for v in comp for w in graph.out_targets(v))
+            for k, comp in enumerate(comps)
         )
-        self.join_irreducibles = tuple(ji)
-        below = [
-            sum(1 << a for a in range(b) if _seed_below(seeds[ji[a]], ji[b]))
-            for b in range(len(ji))
+        if closed >= MAX_PAIRS.bit_length():
+            raise GraphError(_TOO_MANY_PAIRS)
+        where, sets = _closures(graph, comps)
+        members = [[] for _ in sets]  # the vertices whose closure each set is
+        for v in sorted(graph.vertices):
+            members[where[v]].append(v)
+        ji, reducible = _join_irreducibles(graph, where, sets, members)
+        anchors = {}  # v -> the members of J below a pair (H, {}) exactly when H holds v
+        for j, (_, _, vs, ws) in enumerate(ji):
+            v = (vs or ws)[0]
+            anchors[v] = anchors.get(v, 0) | 1 << j
+        set_masks = [_down_mask(anchors, h) for h in sets]
+        ji_masks = [
+            _down_mask(anchors, h) | 1 << j if ws else set_masks[where[vs[0]]]
+            for j, (_, h, vs, ws) in enumerate(ji)
         ]
-        walk = _down_set_walk(below)
-        found = [BOTTOM]  # the pair of each walk entry, the empty down-set first
-        for parent, j in walk:
-            found.append(self.join(found[parent], ji[j]))
-        order = sorted(range(len(found)), key=lambda k: found[k].key())
-        self.pairs = tuple(found[k] for k in order)
+        self._vertex_masks = {v: set_masks[k] for v, k in where.items()}
+        self._breaker_masks = {ws[0]: m for (_, _, _, ws), m in zip(ji, ji_masks) if ws}
+        self._below = [m & ~(1 << j) for j, m in enumerate(ji_masks)]
+        # each member of J brings its own vertices or emitter; a set not in J
+        # joins once its mask, which ends in the member added last, is in.
+        # The i-th of n vertices in name order has the key 2^n - 2^(n-1-i), so
+        # the key of H orders the sets as (|H|, sorted H) does
+        n = len(graph.vertices)
+        vkey = {v: (1 << n) - (1 << (n - 1 - i)) for i, v in enumerate(sorted(graph.vertices))}
+        admit = [(vs, ws, sum(vkey[v] for v in vs), []) for _, _, vs, ws in ji]
+        for k in reducible:
+            m, vs = set_masks[k], members[k]
+            admit[m.bit_length() - 1][3].append((m, vs, sum(vkey[v] for v in vs)))
+        # there are at most 2^|J| down-sets; when that could pass MAX_PAIRS,
+        # they are counted before anything per pair is built
+        if 1 << len(ji) > MAX_PAIRS:
+            _count_down_sets(self._below)
+        parents, added, masks, found, labels, ss, keys = _down_set_walk(self._below, admit)
+        # ordered by (|H|, sorted H, sorted S): by S first, then stably by H
+        order = sorted(range(len(found)), key=ss.__getitem__)
+        order.sort(key=keys.__getitem__)
+        self.pairs = tuple([found[k] for k in order])
         self._index = {p: i for i, p in enumerate(self.pairs)}
+        self._masks = [masks[k] for k in order]
+        self._by_mask = {m: i for i, m in enumerate(self._masks)}
         self.bottom = BOTTOM
         self.top = AdmissiblePair(graph.vertices, frozenset())
         self.star = self.pairs[1:]
-        self._star_index = {p: i for i, p in enumerate(self.star)}
-        self._star_labels = self._label_index = None  # built on first use
+        self._star_labels = tuple([labels[k] for k in order[1:]])
+        self._label_index = None  # built on first use
+        self._ji_star = [self._by_mask[m] - 1 for m in ji_masks]
+        self.join_irreducibles = tuple([self.star[i] for i in self._ji_star])
         star_of = [0] * len(found)  # walk entry -> star index; the bottom sorts first
         for i, k in enumerate(order):
             star_of[k] = i - 1
         # (star index, its parent's or None, star index of the join-irreducible
         # added), in walk order: each pair is its parent joined with one member
         # of J, and every parent comes before its children
-        ji_star = [self._star_index[q] for q in ji]
-        self.down_set_tree = tuple(
-            (star_of[k], star_of[parent] if parent else None, ji_star[j])
-            for k, (parent, j) in enumerate(walk, 1)
-        )
+        ji_star = self._ji_star
+        self.down_set_tree = tuple([
+            (star_of[k], star_of[parents[k]] if parents[k] else None, ji_star[added[k]])
+            for k in range(1, len(found))
+        ])
 
     def __len__(self):
         return len(self.pairs)
@@ -376,8 +563,15 @@ class PairLattice:
         if pair not in self._index:
             raise GraphError(f"{pair.label()} is not an admissible pair of this graph")
 
+    def _mask(self, pair: AdmissiblePair) -> int:
+        i = self._index.get(pair)
+        if i is None:
+            self.check(pair)
+        return self._masks[i]
+
     def leq(self, a: AdmissiblePair, b: AdmissiblePair) -> bool:
-        return a.H <= b.H and a.S <= (b.H | b.S)
+        m = self._mask(a)
+        return self._mask(b) & m == m
 
     def meet(self, a: AdmissiblePair, b: AdmissiblePair) -> AdmissiblePair:
         h = a.H & b.H
@@ -385,31 +579,42 @@ class PairLattice:
         return AdmissiblePair(h, s)
 
     def join(self, a: AdmissiblePair, b: AdmissiblePair) -> AdmissiblePair:
-        return self.sup([a, b])
+        return self.pairs[self._by_mask[self._mask(a) | self._mask(b)]]
 
     def sup(self, pairs) -> AdmissiblePair:
-        """Supremum of any collection; the empty collection gives the bottom."""
-        pairs = list(pairs)
-        if not pairs:
-            return BOTTOM
-        h = frozenset().union(*(p.H for p in pairs))
-        s = frozenset().union(*(p.S for p in pairs))
-        sat = _lambda_closure(self.graph, h, s)
-        return AdmissiblePair(sat, s - sat)
+        """Supremum of any collection of pairs of this lattice; the empty
+        collection gives the bottom."""
+        d = 0
+        for p in pairs:
+            d |= self._mask(p)
+        return self.pairs[self._by_mask[d]]
+
+    def least(self, vertices, breaker=None) -> AdmissiblePair:
+        """The least pair whose H holds the given vertices and, if a vertex
+        w is given, whose H | S holds w: for one vertex the pair of its
+        hs-closure, and with w the least pair in which w breaks a set
+        holding the vertices, unless no such pair exists and H holds w."""
+        d = 0
+        for v in vertices:
+            d |= self._vertex_masks[v]
+        if breaker is not None:
+            d |= self._breaker_masks.get(breaker) or self._vertex_masks[breaker]
+        return self.pairs[self._by_mask[d]]
 
     def star_index(self, pair: AdmissiblePair) -> int:
-        return self._star_index[pair]
+        i = self._index[pair]
+        if not i:
+            raise KeyError(pair)
+        return i - 1
 
     def star_labels(self) -> tuple:
         """The canonical label of each star pair, in star order."""
-        if self._star_labels is None:
-            self._star_labels = tuple(p.label() for p in self.star)
         return self._star_labels
 
     def star_label_index(self) -> dict:
         """Canonical label -> star index."""
         if self._label_index is None:
-            self._label_index = {s: i for i, s in enumerate(self.star_labels())}
+            self._label_index = {s: i for i, s in enumerate(self._star_labels)}
         return self._label_index
 
     def star_join_irreducibles(self):
@@ -418,12 +623,18 @@ class PairLattice:
         Every pair is the supremum of the join-irreducibles below it, which
         is what makes saturated functions recoverable from their values there.
         """
-        return [self._star_index[q] for q in self.join_irreducibles]
+        return list(self._ji_star)
 
     def hasse_edges(self):
-        """Covering relations, for drawing the lattice."""
-        ps = self.pairs
-        covers = covering_pairs(len(ps), lambda i, j: self.leq(ps[i], ps[j]))
+        """Covering relations, for drawing the lattice: b covers a exactly
+        when the down-set of b is that of a plus one join-irreducible."""
+        ps, below, by_mask = self.pairs, self._below, self._by_mask
+        covers = []
+        for i, m in enumerate(self._masks):
+            for j, bj in enumerate(below):
+                if not m >> j & 1 and bj & m == bj:
+                    covers.append((i, by_mask[m | 1 << j]))
+        covers.sort()
         return [(ps[i], ps[j]) for i, j in covers]
 
 

@@ -28,7 +28,6 @@ from .graph import (
     exit_closure,
     find_cycle,
     has_condition_k,
-    hereditary_saturated_closure,
     is_row_finite,
     pair_lattice,
 )
@@ -428,10 +427,10 @@ class CyclePoly:
     c: CycleClass
 
 
-def _minimal_breaking_pair(g: Graph, w: str, H) -> AdmissiblePair:
+def _minimal_breaking_pair(ctx: Context, w: str, H) -> AdmissiblePair:
     """Smallest admissible pair carrying w as a breaking vertex of H."""
-    inside = {b.target for b in g.out_bundles(w) if b.target in H}
-    return AdmissiblePair(hereditary_saturated_closure(g, inside), frozenset({w}))
+    inside = [b.target for b in ctx.graph.out_bundles(w) if b.target in H]
+    return ctx.lattice.least(inside, w)
 
 
 def atom_pair(ctx: Context, atom) -> ClassifiedIdeal:
@@ -442,16 +441,14 @@ def atom_pair(ctx: Context, atom) -> ClassifiedIdeal:
     if isinstance(atom, ScaledVertex):
         if atom.v not in ctx.graph.vertices:
             raise GraphError(f"unknown vertex id {atom.v!r}")
-        pair = AdmissiblePair(
-            hereditary_saturated_closure(ctx.graph, {atom.v}), frozenset()
-        )
+        pair = ctx.lattice.least([atom.v])
         raw[ctx.lattice.star_index(pair)] = ring.gen_from_elements([atom.r])
     elif isinstance(atom, ScaledBreaking):
         if atom.w not in breaking_vertices(ctx.graph, atom.H):
             raise ClassificationError(
                 f"{atom.w!r} is not a breaking vertex of {sorted(atom.H)}"
             )
-        pair = _minimal_breaking_pair(ctx.graph, atom.w, atom.H)
+        pair = _minimal_breaking_pair(ctx, atom.w, atom.H)
         raw[ctx.lattice.star_index(pair)] = ring.gen_from_elements([atom.r])
     elif isinstance(atom, CyclePoly):
         c = atom.c
@@ -490,14 +487,13 @@ def to_generators(pair: ClassifiedIdeal) -> list:
     ctx, ring = pair.ctx, pair.ctx.ring
     atoms = []
     for v in sorted(ctx.graph.vertices):
-        p = AdmissiblePair(hereditary_saturated_closure(ctx.graph, {v}), frozenset())
-        val = pair.f.vals[ctx.lattice.star_index(p)]
+        val = pair.f.vals[ctx.lattice.star_index(ctx.lattice.least([v]))]
         if val != 0:
             atoms.append(ScaledVertex(ring.gen_generator_element(val), v))
     seen = set()
     for p in ctx.star:
         for w in sorted(p.S):
-            minimal = _minimal_breaking_pair(ctx.graph, w, p.H)
+            minimal = _minimal_breaking_pair(ctx, w, p.H)
             if minimal in seen:
                 continue
             seen.add(minimal)

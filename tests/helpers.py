@@ -2,10 +2,11 @@
 
 The oracles here recompute expected values along routes independent of the
 library's own algorithms: subset enumeration for closures and admissible
-pairs, the order and joins of pairs from their definitions, the pairwise
-supremum law and its fixpoint sweep, the literal union-over-subsets formula
-for saturation (element sets over finite rings), the x-colon by elimination
-in Z[x]^2, integer row reduction for Laurent ideal membership, and a
+pairs, the order, joins and suprema of pairs from their definitions (the
+suprema by closing the union of their sets), the pairwise supremum law and
+its fixpoint sweep, the literal union-over-subsets formula for saturation
+(element sets over finite rings), the x-colon by elimination in Z[x]^2,
+integer row reduction for Laurent ideal membership, and a
 character-by-character scanner for the statements of the graph text format.
 """
 
@@ -30,6 +31,7 @@ from lpalattice import (
 )
 from lpalattice.cli import ParseFailure
 from lpalattice.concrete import OracleError
+from lpalattice.graph import _lambda_closure
 from lpalattice.ideals import ClassifiedIdeal, SaturatedFunction, _saturate_vals
 
 
@@ -266,6 +268,17 @@ def subset_scan_pairs(g: Graph):
 def pair_leq(a, b):
     """The order on admissible pairs, from its definition."""
     return a.H <= b.H and a.S <= b.H | b.S
+
+
+def closure_sup(g: Graph, pairs):
+    """The supremum of admissible pairs from its definition: the union of
+    their hereditary sets, saturated while absorbing the union of their
+    breaking sets, with the absorbed vertices left out of S."""
+    pairs = list(pairs)
+    h = frozenset().union(*(p.H for p in pairs))
+    s = frozenset().union(*(p.S for p in pairs))
+    sat = _lambda_closure(g, h, s)
+    return AdmissiblePair(sat, s - sat)
 
 
 def brute_force_join_irreducibles(pairs):

@@ -407,6 +407,25 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert result.output == f"error:parse: {line}\n"
 
+    @pytest.mark.parametrize("bad", ["directory", "not utf-8"])
+    @pytest.mark.parametrize("role", ["graph", "pair", "generators"])
+    def test_unreadable_file_is_one_parse_line(self, runner, tmp_path, role, bad):
+        gfile = _write(tmp_path, "g.graph", TOEPLITZ_TEXT)
+        path = tmp_path / "bad"
+        if bad == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfevertices u;")
+        args = {
+            "graph": ["pairs", "--graph", str(path)],
+            "pair": ["graded", "--graph", gfile, "--ring", "Z", str(path)],
+            "generators": ["from-generators", "--graph", gfile, "--ring", "Z", str(path)],
+        }[role]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.output.startswith(f"error:parse: cannot read {path}: ")
+        assert len(result.output.splitlines()) == 1
+
     def test_invalid_pair_file_is_domain_error(self, runner, tmp_path):
         gfile = _write(tmp_path, "g.graph", TOEPLITZ_TEXT)
         pair = _write(
@@ -414,6 +433,59 @@ class TestExitCodes:
         )
         result = runner.invoke(main, ["graded", "--graph", gfile, "--ring", "Z", pair])
         assert result.exit_code == 1
+
+
+def _chain_text(n):
+    verts = ",".join(f"v{i}" for i in range(n))
+    return f"vertices {verts};\n" + "".join(f"edge e{i}: v{i}->v{i + 1};\n" for i in range(n - 1))
+
+
+class TestGraphLayerWallClock:
+    """Wall-clock bounds on the pair-lattice build, parsing included."""
+
+    def _timed(self, runner, args):
+        started = time.perf_counter()
+        result = runner.invoke(main, args)
+        return result, time.perf_counter() - started
+
+    def test_a_2000_vertex_chain_answers_pairs(self, runner, tmp_path):
+        gfile = _write(tmp_path, "chain.graph", _chain_text(2000))
+        result, took = self._timed(runner, ["pairs", "--graph", gfile])
+        assert took < 0.2
+        assert result.exit_code == 0
+        top = "{" + ",".join(sorted(f"v{i}" for i in range(2000))) + "}"
+        assert result.output == "{}\n" + top + "\n"
+
+    def test_a_100000_vertex_chain_answers_or_is_refused(self, runner, tmp_path):
+        gfile = _write(tmp_path, "chain.graph", _chain_text(100_000))
+        result, took = self._timed(runner, ["pairs", "--graph", gfile])
+        assert took < 5.0
+        if result.exit_code != 0:
+            assert result.exit_code == 1
+            assert result.output.startswith("error:domain: ")
+            assert len(result.output.splitlines()) == 1
+
+    def test_the_3200_vertex_ladder_is_refused(self, runner, tmp_path):
+        # 1600 rungs, each with its own sink: at least 2^1600 pairs
+        n = 1600
+        verts = ",".join([f"v{i}" for i in range(n)] + [f"s{i}" for i in range(n)])
+        text = f"vertices {verts};\n"
+        text += "".join(f"edge a{i}: v{i}->v{i + 1};\n" for i in range(n - 1))
+        text += "".join(f"edge b{i}: v{i}->s{i};\n" for i in range(n))
+        gfile = _write(tmp_path, "ladder.graph", text)
+        result, took = self._timed(runner, ["pairs", "--graph", gfile])
+        assert took < 0.5
+        assert result.exit_code == 1
+        assert result.output == "error:domain: the admissible-pair lattice has more than 65536 pairs\n"
+
+    def test_pairs_dot_on_11_isolated_vertices(self, runner, tmp_path):
+        verts = ",".join(f"v{i}" for i in range(11))
+        gfile = _write(tmp_path, "g.graph", f"vertices {verts};")
+        result, took = self._timed(runner, ["pairs", "--dot", "--graph", gfile])
+        assert took < 1.0
+        assert result.exit_code == 0
+        # 2^11 subsets, each covered by its 11 - |H| one-larger supersets
+        assert result.output.count(" -> ") == 11 * 2 ** 10
 
 
 TWO_BREAKERS_TEXT = format_graph(helpers.two_breakers())

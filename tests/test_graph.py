@@ -23,7 +23,7 @@ from lpalattice import (
     pair_lattice,
     saturated_closure,
 )
-from lpalattice.graph import MAX_PAIRS, find_cycle
+from lpalattice.graph import MAX_GRAPH_SIZE, MAX_PAIRS, PairLattice, covering_pairs, find_cycle
 
 import helpers
 
@@ -196,9 +196,27 @@ class TestPairLattice:
                 assert q in ji and i not in seen, g
                 base = lat.bottom if parent is None else star[parent]
                 assert parent is None or parent in seen, g
-                assert lat.join(base, star[q]) == star[i] != base, g
+                assert helpers.closure_sup(g, [base, star[q]]) == star[i] != base, g
                 seen.add(i)
             assert seen == set(range(len(star))), g
+
+    def test_masks_agree_with_the_sets(self):
+        # labels, order, covers and suprema, read off the down-set masks,
+        # equal what the pairs' sets and their closures give
+        rng = random.Random(29)
+        graphs = [helpers.random_graph(rng, max_v=7, max_b=9) for _ in range(420)]
+        graphs += [helpers.two_breakers(), helpers.uneven_breakers()]
+        for g in graphs:
+            lat = pair_lattice(g)
+            ps = lat.pairs
+            assert list(lat.star_labels()) == [p.label() for p in lat.star], g
+            leq = [[helpers.pair_leq(a, b) for b in ps] for a in ps]
+            assert [[lat.leq(a, b) for b in ps] for a in ps] == leq, g
+            covers = covering_pairs(len(ps), lambda i, j: leq[i][j])
+            assert lat.hasse_edges() == [(ps[i], ps[j]) for i, j in covers], g
+            for _ in range(8):
+                chosen = rng.sample(ps, rng.randint(0, min(4, len(ps))))
+                assert lat.sup(chosen) == helpers.closure_sup(g, chosen), g
 
     def test_star_order_is_not_a_linear_extension(self):
         lat = pair_lattice(helpers.two_breakers())
@@ -227,6 +245,12 @@ class TestPairLattice:
             ]
             assert lat.hasse_edges() == expected
 
+    def test_graph_size_budget(self):
+        # a chain of n vertices has n - 1 bundles and two pairs
+        assert len(pair_lattice(helpers.chain(MAX_GRAPH_SIZE // 2))) == 2
+        with pytest.raises(GraphError, match=f"more than {MAX_GRAPH_SIZE} vertices and bundles"):
+            PairLattice(helpers.chain(MAX_GRAPH_SIZE // 2 + 1))
+
     def test_pair_budget(self):
         # isolated(16) has exactly MAX_PAIRS pairs; one more vertex doubles it
         started = time.perf_counter()
@@ -240,6 +264,23 @@ class TestPairLattice:
         with pytest.raises(GraphError):
             context(helpers.isolated(17), ZZ)
         assert time.perf_counter() - started < 2.0
+
+    @pytest.mark.parametrize("k", [14, 15])
+    def test_pair_budget_with_more_than_16_join_irreducibles(self, k):
+        # k isolated vertices beside a chain of loops a -> b -> c have 2^k * 4
+        # pairs and k + 3 join-irreducibles, and only k + 1 sinks: the pairs
+        # are counted before they are built, and 2^16 of them are allowed
+        g = Graph(
+            [f"v{i}" for i in range(k)] + ["a", "b", "c"],
+            [Bundle("e", "a", "a"), Bundle("f", "a", "b"), Bundle("g", "b", "b"), Bundle("h", "b", "c")],
+        )
+        started = time.perf_counter()
+        if k == 14:
+            assert len(PairLattice(g)) == MAX_PAIRS
+        else:
+            with pytest.raises(GraphError, match=f"more than {MAX_PAIRS} pairs"):
+                PairLattice(g)
+            assert time.perf_counter() - started < 2.0
 
 
 class TestClosureOperators:

@@ -3,12 +3,15 @@ import random
 import pytest
 
 from lpalattice import (
+    OMEGA,
     QQ,
     ZZ,
     AdmissiblePair,
+    Bundle,
     ClassificationError,
     CyclePoly,
     ClassifiedIdeal,
+    Graph,
     IntegersMod,
     LaurentIdeal,
     PrimeField,
@@ -385,6 +388,27 @@ class TestGenerators:
         pair = from_generators(ctx, [CyclePoly(parse_poly(ZZ, "2 + 4x"), c)])
         same = from_generators(ctx, [ScaledVertex(2, "v")])
         assert pair == same
+
+    @pytest.mark.parametrize(
+        "bundles, H",
+        [
+            # w breaks no hereditary saturated set: {a} saturates to {a,c}
+            ([("i", "w", "a", OMEGA), ("j", "w", "c", 1), ("k", "c", "a", 1)], fs("a", "d")),
+            # w breaks {a}, but the saturation {a,b,c} of its targets in H absorbs w
+            (
+                [("i", "w", "a", OMEGA), ("j", "w", "b", 1), ("k", "w", "c", 1),
+                 ("l", "c", "a", 1), ("m", "c", "b", 1)],
+                fs("a", "b"),
+            ),
+        ],
+    )
+    def test_breaking_generator_whose_escapes_saturate(self, bundles, H):
+        # every edge of w escaping the hereditary (unsaturated) set H ends
+        # in the saturation of w's targets in H, so 2*w^H generates 2*w
+        g = Graph(["w", "a", "b", "c", "d"], [Bundle(*b) for b in bundles])
+        ctx = context(g, ZZ)
+        pair = from_generators(ctx, [ScaledBreaking(2, "w", H)])
+        assert pair == from_generators(ctx, [ScaledVertex(2, "w")])
 
     def test_round_trip_randomized(self):
         rng = random.Random(103)
