@@ -245,8 +245,11 @@ def _emit(payload, as_json: bool, out):
     else:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseFailure(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         click.echo(text, nl=False)
 

@@ -205,11 +205,10 @@ class ConcreteIdeal:
         return all(alg.ring.gen_member(at_sink[alg.basis[i][0]], c) for i, c in x.items())
 
     def __le__(self, other: "ConcreteIdeal") -> bool:
-        ring = self.algebra.ring
-        return all(ring.gen_contains(b, a) for a, b in zip(self.gens, other.gens))
+        return all(map(self.algebra.ring.gen_contains, other.gens, self.gens))
 
     def _per_sink(self, other: "ConcreteIdeal", op) -> "ConcreteIdeal":
-        return ConcreteIdeal(self.algebra, tuple(op(a, b) for a, b in zip(self.gens, other.gens)))
+        return ConcreteIdeal(self.algebra, tuple(map(op, self.gens, other.gens)))
 
     def sum(self, other: "ConcreteIdeal") -> "ConcreteIdeal":
         return self._per_sink(other, self.algebra.ring.gen_sum)
@@ -241,25 +240,25 @@ def generated_ideal(alg: FinitePathAlgebra, elements) -> ConcreteIdeal:
 
 def enumerate_concrete_ideals(alg: FinitePathAlgebra) -> list[ConcreteIdeal]:
     """Every two-sided ideal: close single-generator ideals under sums."""
-    seeds = []
+    seeds = [generated_ideal(alg, [])]
     for r in alg.ring.elements():
         if alg.ring.is_zero(r):
             continue
         for i in range(alg.dim):
             seeds.append(generated_ideal(alg, [alg.unit(i, r)]))
-    seeds.append(generated_ideal(alg, []))
-    pool = {s.gens: s for s in seeds}
-    frontier = list(pool.values())
+    add = alg.ring.gen_sum
+    pool = {s.gens for s in seeds}
+    frontier = list(pool)
     while frontier:
         fresh = []
         for a in frontier:
-            for b in list(pool.values()):
-                c = a.sum(b)
-                if c.gens not in pool:
-                    pool[c.gens] = c
+            for b in list(pool):
+                c = tuple(map(add, a, b))
+                if c not in pool:
+                    pool.add(c)
                     fresh.append(c)
         frontier = fresh
-    return sorted(pool.values(), key=lambda i: i.gens)
+    return [ConcreteIdeal(alg, gens) for gens in sorted(pool)]
 
 
 def _generator_image(alg: FinitePathAlgebra, ctx: Context, pair: ClassifiedIdeal) -> ConcreteIdeal:
@@ -311,10 +310,10 @@ def crosscheck(graph: Graph, ring: RingSpec) -> CrosscheckReport:
     pairs = [ClassifiedIdeal.graded(f) for f in graded_lattice(graph, ring)]
     concrete = enumerate_concrete_ideals(alg)
     mismatches = []
-    image = {}
-    for p in pairs:
-        image[p] = _generator_image(alg, ctx, p)
-    forms = {i.gens for i in image.values()}
+    # acyclic graphs carry no cycle data, so each pair is fixed by f.jv
+    image = {p.f.jv: _generator_image(alg, ctx, p) for p in pairs}
+    images = [image[p.f.jv] for p in pairs]
+    forms = {i.gens for i in images}
     if len(forms) != len(pairs):
         mismatches.append("generator images are not pairwise distinct")
     missing = {c.gens for c in concrete} - forms
@@ -323,22 +322,24 @@ def crosscheck(graph: Graph, ring: RingSpec) -> CrosscheckReport:
     extra = forms - {c.gens for c in concrete}
     if extra:
         mismatches.append(f"{len(extra)} classified ideal(s) missing from the algebra")
-    for p in pairs:
-        for q in pairs:
-            if p.leq(q) != (image[p] <= image[q]):
+    for p, ip in zip(pairs, images):
+        for q, iq in zip(pairs, images):
+            if p.leq(q) != (ip <= iq):
                 mismatches.append(f"order mismatch between {p!r} and {q!r}")
     ops = (
         ("sum", ClassifiedIdeal.join, ConcreteIdeal.sum),
         ("intersection", ClassifiedIdeal.meet, ConcreteIdeal.intersect),
         ("product", ClassifiedIdeal.product, ConcreteIdeal.product),
     )
-    for i, p in enumerate(pairs):
-        for q in pairs[: i + 1]:
+    for i, (p, ip) in enumerate(zip(pairs, images)):
+        for q, iq in zip(pairs[: i + 1], images):
             for name, d_op, c_op in ops:
-                want = c_op(image[p], image[q]).gens
-                got = image[d_op(p, q)].gens
-                if want != got:
+                want = c_op(ip, iq).gens
+                got = image.get(d_op(p, q).f.jv)
+                if got is None:
+                    mismatches.append(f"{name} result at {p!r}, {q!r} is not a classified ideal")
+                elif got.gens != want:
                     mismatches.append(
-                        f"{name} mismatch at {p!r}, {q!r}: {got} != {want}"
+                        f"{name} mismatch at {p!r}, {q!r}: {got.gens} != {want}"
                     )
     return CrosscheckReport(graph, ring, len(pairs), len(concrete), mismatches)

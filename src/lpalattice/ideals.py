@@ -12,7 +12,7 @@ directly on this data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .graph import (
     AdmissiblePair,
@@ -65,7 +65,13 @@ class Context:
                 )
             else:
                 self.cycle_exit_idx.append(None)
-        self.ji = self.lattice.star_join_irreducibles()
+        self.ji = ji = self.lattice.star_join_irreducibles()
+        # positions in ji of the join-irreducibles at or below each cycle's closure pair
+        star, leq = self.star, self.lattice.leq
+        self.cycle_ji_below = tuple(
+            tuple(t for t, q in enumerate(ji) if leq(star[q], star[k]))
+            for k in self.cycle_closure_idx
+        )
 
     @property
     def star(self):
@@ -129,7 +135,11 @@ def _law_violations(ctx: Context, vals) -> list[str]:
 
 class SaturatedFunction:
     """A function from the nonbottom admissible pairs to ideals of R that
-    turns suprema into intersections."""
+    turns suprema into intersections.
+
+    It is carried by jv, its values at the join-irreducibles ctx.ji; its
+    table vals, the intersection of jv below each pair, is built on first
+    read."""
 
     def __init__(self, ctx: Context, vals):
         vals = tuple(ctx.ring.gen_normalize(v) for v in vals)
@@ -140,6 +150,7 @@ class SaturatedFunction:
             raise ClassificationError("not saturated: " + "; ".join(bad))
         self.ctx = ctx
         self.vals = vals
+        self.jv = tuple([vals[q] for q in ctx.ji])
 
     @staticmethod
     def from_table(ctx: Context, table) -> "SaturatedFunction":
@@ -151,8 +162,25 @@ class SaturatedFunction:
         # the test suite revalidates op outputs through the public path
         self = cls.__new__(cls)
         self.ctx = ctx
-        self.vals = tuple(vals)
+        self.vals = vals = tuple(vals)
+        self.jv = tuple([vals[q] for q in ctx.ji])
         return self
+
+    @classmethod
+    def _from_jv(cls, ctx: Context, jv) -> "SaturatedFunction":
+        # jv must reverse the order of J; every such map extends to exactly
+        # one saturated function
+        self = cls.__new__(cls)
+        self.ctx = ctx
+        self.jv = tuple(jv)
+        return self
+
+    @cached_property
+    def vals(self) -> tuple[int, ...]:
+        on_ji = [0] * len(self.ctx.star)
+        for q, v in zip(self.ctx.ji, self.jv):
+            on_ji[q] = v
+        return _intersect_below(self.ctx, on_ji)
 
     def value(self, pair: AdmissiblePair) -> RingIdeal:
         return RingIdeal(self.ctx.ring, self.vals[self.ctx.lattice.star_index(pair)])
@@ -164,17 +192,15 @@ class SaturatedFunction:
         return all(v in (0, 1) for v in self.vals)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SaturatedFunction)
-            and self.ctx.graph == other.ctx.graph
-            and self.ctx.ring == other.ctx.ring
-            and self.vals == other.vals
-        )
+        if not isinstance(other, SaturatedFunction) or self.jv != other.jv:
+            return False
+        a, b = self.ctx, other.ctx
+        return a is b or (a.graph == b.graph and a.ring == b.ring)
 
     def __hash__(self):
         h = getattr(self, "_hash", None)
         if h is None:
-            h = hash((self.ctx.graph, self.ctx.ring, self.vals))
+            h = hash((self.ctx.graph, self.ctx.ring, self.jv))
             self._hash = h
         return h
 
@@ -278,10 +304,7 @@ class ClassifiedIdeal:
 
     def leq(self, other: "ClassifiedIdeal") -> bool:
         self._check(other)
-        ring = self.ctx.ring
-        if not all(
-            ring.gen_contains(b, a) for a, b in zip(self.f.vals, other.f.vals)
-        ):
+        if not all(map(self.ctx.ring.gen_contains, other.f.jv, self.f.jv)):
             return False
         return all(ga <= gb for ga, gb in zip(self.g, other.g))
 
@@ -289,10 +312,9 @@ class ClassifiedIdeal:
 
     def meet(self, other: "ClassifiedIdeal") -> "ClassifiedIdeal":
         self._check(other)
-        ring = self.ctx.ring
-        vals = tuple(ring.gen_intersect(a, b) for a, b in zip(self.f.vals, other.f.vals))
+        jv = map(self.ctx.ring.gen_intersect, self.f.jv, other.f.jv)
         g = tuple(ga.intersect(gb) for ga, gb in zip(self.g, other.g))
-        return ClassifiedIdeal._trusted(SaturatedFunction._trusted(self.ctx, vals), g)
+        return ClassifiedIdeal._trusted(SaturatedFunction._from_jv(self.ctx, jv), g)
 
     def join(self, other: "ClassifiedIdeal") -> "ClassifiedIdeal":
         self._check(other)
@@ -306,17 +328,18 @@ class ClassifiedIdeal:
 
     def _saturated(self, other, op, g) -> "ClassifiedIdeal":
         """The smallest pair holding op of the two functions and the
-        contractions of g.  Both functions reverse the order and op is
-        monotone, so op's values away from the join-irreducibles lie in its
-        values at them and can be left out."""
+        contractions of g.  Both functions reverse the order of J and op is
+        monotone, so op of their values on J reverses it too and already
+        holds op's values at every pair above; each cycle's contraction is
+        then added at every member of J at or below its closure pair."""
         ctx, ring = self.ctx, self.ctx.ring
-        raw = [0] * len(ctx.star)
-        for q in ctx.ji:
-            raw[q] = op(self.f.vals[q], other.f.vals[q])
-        for i, gi in enumerate(g):
-            k = ctx.cycle_closure_idx[i]
-            raw[k] = ring.gen_sum(raw[k], gi.contract().gen)
-        return ClassifiedIdeal._trusted(SaturatedFunction._trusted(ctx, _saturate_vals(ctx, raw)), g)
+        jv = list(map(op, self.f.jv, other.f.jv))
+        for gi, below in zip(g, ctx.cycle_ji_below):
+            c = gi.contract().gen
+            if c:
+                for t in below:
+                    jv[t] = ring.gen_sum(jv[t], c)
+        return ClassifiedIdeal._trusted(SaturatedFunction._from_jv(ctx, jv), g)
 
     # -- grading ------------------------------------------------------------
     def is_graded(self) -> bool:
@@ -540,7 +563,7 @@ def graded_lattice(graph: Graph, ring: RingSpec) -> list[SaturatedFunction]:
                 f"cannot enumerate: there are more than {limit} graded ideals, and "
                 f"{len(star)} values each would pass the {MAX_GRADED_VALUES}-value budget"
             )
-    out = [SaturatedFunction._trusted(ctx, _intersect_below(ctx, dict(zip(ji, m)))) for m in maps]
+    out = [SaturatedFunction._from_jv(ctx, m) for m in maps]
     return sorted(out, key=lambda f: f.vals)
 
 

@@ -4,10 +4,11 @@ The oracles here recompute expected values along routes independent of the
 library's own algorithms: subset enumeration for closures and admissible
 pairs, the order, joins and suprema of pairs from their definitions (the
 suprema by closing the union of their sets), the pairwise supremum law and
-its fixpoint sweep, the literal union-over-subsets formula for saturation
-(element sets over finite rings), the x-colon by elimination in Z[x]^2,
-integer row reduction for Laurent ideal membership, and a
-character-by-character scanner for the statements of the graph text format.
+its fixpoint sweep, join, meet and product on full tables, the literal
+union-over-subsets formula for saturation (element sets over finite rings),
+the x-colon by elimination in Z[x]^2, integer row reduction for Laurent
+ideal membership, and a character-by-character scanner for the statements
+of the graph text format.
 """
 
 import functools
@@ -97,6 +98,14 @@ def two_cycle_with_exit():
     return Graph(
         ["a", "b", "s"],
         [Bundle("e", "a", "b"), Bundle("f", "b", "a"), Bundle("g", "a", "s")],
+    )
+
+
+def stacked_loops():
+    # a loop above a loop: two exclusive cycles, the lower one without exit
+    return Graph(
+        ["u", "w"],
+        [Bundle("e", "u", "u"), Bundle("f", "u", "w"), Bundle("g", "w", "w")],
     )
 
 
@@ -640,6 +649,44 @@ def random_classified(ctx, rng: random.Random) -> ClassifiedIdeal:
             break
         vals = _saturate_vals(ctx, grown)
     return ClassifiedIdeal(SaturatedFunction(ctx, vals), tuple(g))
+
+
+# -- full-table reference for the lattice operations --------------------------
+
+
+def reference_meet(a: ClassifiedIdeal, b: ClassifiedIdeal):
+    """The meet as (table, cycle values): both intersected pointwise."""
+    ring = a.ctx.ring
+    vals = tuple(ring.gen_intersect(x, y) for x, y in zip(a.f.vals, b.f.vals))
+    return vals, tuple(ga.intersect(gb) for ga, gb in zip(a.g, b.g))
+
+
+def reference_join(a: ClassifiedIdeal, b: ClassifiedIdeal):
+    return _reference_saturated(a, b, a.ctx.ring.gen_sum, [ga + gb for ga, gb in zip(a.g, b.g)])
+
+
+def reference_product(a: ClassifiedIdeal, b: ClassifiedIdeal):
+    return _reference_saturated(a, b, a.ctx.ring.gen_product, [ga * gb for ga, gb in zip(a.g, b.g)])
+
+
+def _reference_saturated(a, b, op, g):
+    """op of the two tables on J plus each cycle's contraction at its
+    closure pair, saturated over the full table: (table, cycle values)."""
+    ctx, ring = a.ctx, a.ctx.ring
+    raw = [0] * len(ctx.star)
+    for q in ctx.ji:
+        raw[q] = op(a.f.vals[q], b.f.vals[q])
+    for i, gi in enumerate(g):
+        k = ctx.cycle_closure_idx[i]
+        raw[k] = ring.gen_sum(raw[k], gi.contract().gen)
+    return _saturate_vals(ctx, raw), tuple(g)
+
+
+def reference_leq(a: ClassifiedIdeal, b: ClassifiedIdeal) -> bool:
+    ring = a.ctx.ring
+    return all(ring.gen_contains(y, x) for x, y in zip(a.f.vals, b.f.vals)) and all(
+        ga <= gb for ga, gb in zip(a.g, b.g)
+    )
 
 
 def acyclic_family(max_v=4, max_e=5):

@@ -338,6 +338,13 @@ class TestCommands:
         assert result.exit_code == 0
         assert json.loads(target.read_text())["pairs"] == ["{}", "{v}", "{u,v}"]
 
+    def test_out_option_to_a_directory_is_one_parse_line(self, runner, tmp_path):
+        gfile = _write(tmp_path, "g.graph", TOEPLITZ_TEXT)
+        result = runner.invoke(main, ["pairs", "--graph", gfile, "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.output.startswith(f"error:parse: cannot write {tmp_path}: ")
+        assert len(result.output.splitlines()) == 1
+
 
 class TestExitCodes:
     def test_parse_error_is_2(self, runner, tmp_path):

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from click.testing import CliRunner
 
 from lpalattice import (
     Bundle,
@@ -12,13 +13,17 @@ from lpalattice import (
     RingIdeal,
     ZZ,
 )
+from lpalattice import ideals
+from lpalattice.cli import main
 from lpalattice.concrete import (
+    MAX_CROSSCHECK_IDEALS,
     FinitePathAlgebra,
     OracleError,
     crosscheck,
     enumerate_concrete_ideals,
     generated_ideal,
 )
+from lpalattice.ideals import ClassifiedIdeal, SaturatedFunction
 
 import helpers
 
@@ -190,6 +195,40 @@ class TestCrosscheck:
         rep = crosscheck(helpers.chain(2), IntegersMod(4))
         assert rep.lattice_size == rep.concrete_size == 3
         assert any("PASSED" in line for line in rep.lines())
+
+    def test_work_stays_linear_in_the_ideals(self, monkeypatch):
+        # 4 sinks over Z/6 give the largest admitted case, 256 ideals and
+        # 3 * 256 * 257 / 2 operations; only the tables that are read out
+        # (one per enumerated ideal) are built over every pair
+        calls = []
+        for name in ("_intersect_below", "_saturate_vals"):
+            real = getattr(ideals, name)
+            monkeypatch.setattr(
+                ideals, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args)
+            )
+        rep = crosscheck(helpers.isolated(4), IntegersMod(6))
+        assert rep.ok and rep.lattice_size == MAX_CROSSCHECK_IDEALS
+        assert len(calls) <= MAX_CROSSCHECK_IDEALS + 8
+
+    def test_result_outside_the_lattice_is_a_mismatch(self, monkeypatch, tmp_path):
+        # a join whose values on J do not reverse the order of J is no
+        # classified ideal: the report says so instead of raising
+        def broken(a, b):
+            # the unit ideal at the top pair, the zero ideal below it
+            return ClassifiedIdeal._trusted(SaturatedFunction._from_jv(a.ctx, (0, 1)), ())
+
+        monkeypatch.setattr(ClassifiedIdeal, "join", broken)
+        rep = crosscheck(helpers.chain(2), PrimeField(2))
+        assert not rep.ok and rep.lines()[-1] == "crosscheck FAILED"
+        assert rep.mismatches and all(
+            m.startswith("sum result at ") and m.endswith(" is not a classified ideal")
+            for m in rep.mismatches
+        )
+        gfile = tmp_path / "g.graph"
+        gfile.write_text("vertices v0,v1; edge e0: v0->v1;")
+        result = CliRunner().invoke(main, ["crosscheck", "--graph", str(gfile), "--ring", "F2"])
+        assert result.exit_code == 1
+        assert result.output.splitlines()[-1] == "crosscheck FAILED"
 
 
 class TestToeplitzReference:

@@ -241,6 +241,39 @@ class TestLatticeOps:
             b = helpers.random_classified(ctx, rng).largest_graded()
             assert a.join(b).is_graded(), name
 
+    def test_ops_on_join_irreducibles_match_the_full_tables(self):
+        # join, meet and product act on the values at J; the reference acts
+        # on the full tables, saturating join and product over every pair.
+        # A result equals, and hashes as, the same pair validated from its
+        # full table
+        rng = random.Random(29)
+        graphs = [helpers.random_graph(rng, max_v=7, max_b=9) for _ in range(420)]
+        graphs += [helpers.toeplitz(), helpers.two_cycle_with_exit(), helpers.stacked_loops()]
+        ops = (
+            (ClassifiedIdeal.join, helpers.reference_join),
+            (ClassifiedIdeal.meet, helpers.reference_meet),
+            (ClassifiedIdeal.product, helpers.reference_product),
+        )
+        pick = random.Random(101)
+        cyclic = 0
+        for graph in graphs:
+            for ring in (ZZ, IntegersMod(12), PrimeField(2)):
+                ctx = context(graph, ring)
+                cyclic += bool(ctx.cycles)
+                ideals = [helpers.random_classified(ctx, pick) for _ in range(2)]
+                ideals.append(ClassifiedIdeal.bottom(ctx))
+                for a in ideals:
+                    for b in ideals:
+                        assert a.leq(b) == helpers.reference_leq(a, b), graph
+                        for op, reference in ops:
+                            got = op(a, b)
+                            vals, g = reference(a, b)
+                            full = ClassifiedIdeal(SaturatedFunction(ctx, vals), g)
+                            assert got == full and hash(got) == hash(full), graph
+                            assert got.f == full.f and hash(got.f) == hash(full.f), graph
+                            assert got.f.vals == vals and got.g == g, graph
+        assert cyclic >= 300
+
     def test_mismatched_contexts_rejected(self):
         a = ClassifiedIdeal.top(context(helpers.fork(), ZZ))
         b = ClassifiedIdeal.top(context(helpers.fork(), QQ))
