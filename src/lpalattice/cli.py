@@ -39,6 +39,7 @@ from .ideals import (
     context,
     from_generators,
     graded_lattice,
+    pair_json,
     prime_report,
     to_generators,
     validate_tables,
@@ -161,15 +162,6 @@ def load_ideal_tables(ring, text: str):
     except RingError as exc:
         raise ParseFailure(str(exc)) from exc
     return f_table, g_table
-
-
-def dump_ideal(pair: ClassifiedIdeal) -> dict:
-    ctx = pair.ctx
-    return {
-        "ring": str(ctx.ring),
-        "f": {label: f"({v})" for label, v in zip(ctx.lattice.star_labels(), pair.f.vals)},
-        "g": {c.label(): str(g) for c, g in zip(ctx.cycles, pair.g)},
-    }
 
 
 # the fields of each generator kind and their JSON types; "r" is read as a
@@ -405,7 +397,7 @@ def lattice_op(g, ring, as_json, out, op, left, right):
     a = _load_pair(ctx, left)
     b = _load_pair(ctx, right)
     result = {"meet": a.meet, "join": a.join, "product": a.product}[op](b)
-    _emit(dump_ideal(result), True, out)
+    _emit(pair_json(result), False, out)
 
 
 @_command(ring=True)
@@ -422,7 +414,7 @@ def graded(g, ring, as_json, out, pair_file):
 def largest_graded(g, ring, as_json, out, pair_file):
     """The largest graded ideal inside a classified ideal."""
     pair = _load_pair(context(g, ring), pair_file)
-    _emit(dump_ideal(pair.largest_graded()), True, out)
+    _emit(pair_json(pair.largest_graded()), False, out)
 
 
 @_command(ring=True)
@@ -465,7 +457,7 @@ def from_generators_cmd(g, ring, as_json, out, gens_file):
     """The classified ideal generated by the listed elements."""
     ctx = context(g, ring)
     atoms = load_generators(ctx, _read(gens_file))
-    _emit(dump_ideal(from_generators(ctx, atoms)), True, out)
+    _emit(pair_json(from_generators(ctx, atoms)), False, out)
 
 
 @_command(ring=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -71,18 +71,33 @@ class Graph:
             if b.multiplicity is not OMEGA and (not isinstance(b.multiplicity, int) or b.multiplicity < 1):
                 raise GraphError(f"bad multiplicity {b.multiplicity!r} in bundle {b.name!r}")
         self.bundles = bundles
-        self._out = {v: [] for v in self.vertices}
-        self._sources = {v: set() for v in self.vertices}
-        for b in bundles:
-            self._out[b.source].append(b)
-            self._sources[b.target].add(b.source)
-        self._targets = {v: frozenset(b.target for b in out) for v, out in self._out.items()}
-        self._regular = {
-            v for v, out in self._out.items() if out and not any(b.is_infinite for b in out)
-        }
         self._cycles = None  # label -> CycleClass, filled on first use
         self._key = (self.vertices, self.bundles)
         self._hash = hash(self._key)
+
+    # the adjacency is built on first use: a graph refused for its size
+    # before any walk needs none of it
+    @cached_property
+    def _out(self) -> dict:
+        out = {v: [] for v in self.vertices}
+        for b in self.bundles:
+            out[b.source].append(b)
+        return out
+
+    @cached_property
+    def _sources(self) -> dict:
+        sources = {}
+        for b in self.bundles:
+            sources.setdefault(b.target, set()).add(b.source)
+        return sources
+
+    @cached_property
+    def _targets(self) -> dict:
+        return {v: frozenset([b.target for b in out]) for v, out in self._out.items()}
+
+    @cached_property
+    def _regular(self) -> set:
+        return {v for v, out in self._out.items() if out and not any(b.is_infinite for b in out)}
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self._key == other._key
@@ -114,8 +129,8 @@ class Graph:
     def out_targets(self, v: str) -> frozenset:
         return self._targets[v]
 
-    def sources(self, v: str) -> set:
-        return self._sources[v]
+    def sources(self, v: str) -> "set | frozenset":
+        return self._sources.get(v, EMPTY)
 
     def escape_count(self, v: str, H) -> object:
         """Number of edges from v whose target avoids H (OMEGA if infinite)."""
@@ -574,9 +589,7 @@ class PairLattice:
         return self._mask(b) & m == m
 
     def meet(self, a: AdmissiblePair, b: AdmissiblePair) -> AdmissiblePair:
-        h = a.H & b.H
-        s = (a.S & b.S) | ((a.S | b.S) & (a.H | b.H))
-        return AdmissiblePair(h, s)
+        return self.pairs[self._by_mask[self._mask(a) & self._mask(b)]]
 
     def join(self, a: AdmissiblePair, b: AdmissiblePair) -> AdmissiblePair:
         return self.pairs[self._by_mask[self._mask(a) | self._mask(b)]]
@@ -606,6 +619,11 @@ class PairLattice:
         if not i:
             raise KeyError(pair)
         return i - 1
+
+    def star_mask(self, i: int) -> int:
+        """The down-set in J of star pair i, as a bit mask whose bit t stands
+        for the t-th of star_join_irreducibles()."""
+        return self._masks[i + 1]
 
     def star_labels(self) -> tuple:
         """The canonical label of each star pair, in star order."""

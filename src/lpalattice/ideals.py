@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 
 from .graph import (
     AdmissiblePair,
@@ -65,17 +66,42 @@ class Context:
                 )
             else:
                 self.cycle_exit_idx.append(None)
-        self.ji = ji = self.lattice.star_join_irreducibles()
-        # positions in ji of the join-irreducibles at or below each cycle's closure pair
-        star, leq = self.star, self.lattice.leq
-        self.cycle_ji_below = tuple(
-            tuple(t for t, q in enumerate(ji) if leq(star[q], star[k]))
-            for k in self.cycle_closure_idx
+        self.ji = self.lattice.star_join_irreducibles()
+        self.cycle_ji_below = tuple(map(self.ji_below, self.cycle_closure_idx))
+        self.cycle_exit_ji_below = tuple(
+            () if k is None else self.ji_below(k) for k in self.cycle_exit_idx
         )
 
     @property
     def star(self):
         return self.lattice.star
+
+    def ji_below(self, k: int) -> tuple[int, ...]:
+        """Positions in ji of the join-irreducibles at or below star pair k:
+        the bits of its down-set mask."""
+        m = self.lattice.star_mask(k)
+        return tuple([t for t in range(m.bit_length()) if m >> t & 1])
+
+    @cached_property
+    def generator_candidates(self) -> tuple:
+        """(star index, vertex, H) of every generator to_generators may list,
+        in its order: each vertex at its least pair, with H None, then each
+        distinct minimal breaking pair, in star order and by emitter, with
+        its emitter and H."""
+        lat = self.lattice
+        out = [(lat.star_index(lat.least([v])), v, None) for v in sorted(self.graph.vertices)]
+        seen = set()
+        for p in self.star:
+            for w in sorted(p.S):
+                minimal = _minimal_breaking_pair(self, w, p.H)
+                if minimal not in seen:
+                    seen.add(minimal)
+                    out.append((lat.star_index(minimal), w, minimal.H))
+        return tuple(out)
+
+    @cached_property
+    def writer(self) -> "_PairWriter":
+        return _PairWriter(self)
 
 
 @lru_cache(maxsize=32)
@@ -182,8 +208,21 @@ class SaturatedFunction:
             on_ji[q] = v
         return _intersect_below(self.ctx, on_ji)
 
+    def at(self, k: int) -> int:
+        """The value at star pair k: read from the table once it is built,
+        else the intersection of jv over the pair's down-set in J."""
+        vals = self.__dict__.get("vals")
+        if vals is not None:
+            return vals[k]
+        jv, meet = self.jv, self.ctx.ring.gen_intersect
+        below = iter(self.ctx.ji_below(k))
+        v = jv[next(below)]
+        for t in below:
+            v = meet(v, jv[t])
+        return v
+
     def value(self, pair: AdmissiblePair) -> RingIdeal:
-        return RingIdeal(self.ctx.ring, self.vals[self.ctx.lattice.star_index(pair)])
+        return RingIdeal(self.ctx.ring, self.at(self.ctx.lattice.star_index(pair)))
 
     def table(self) -> dict:
         return {p: RingIdeal(self.ctx.ring, v) for p, v in zip(self.ctx.star, self.vals)}
@@ -210,7 +249,7 @@ class SaturatedFunction:
 
 
 def _table_to_vals(ctx: Context, table) -> list[int]:
-    lat = ctx.lattice
+    lat, ring = ctx.lattice, ctx.ring
     labels = lat.star_label_index()
     vals = [0] * len(ctx.star)
     for pair, ideal in table.items():
@@ -223,10 +262,14 @@ def _table_to_vals(ctx: Context, table) -> list[int]:
             if pair == lat.bottom:
                 raise ClassificationError("the bottom pair carries no value")
             i = lat.star_index(pair)
-        gen = ideal.gen if isinstance(ideal, RingIdeal) else ctx.ring.gen_normalize(ideal)
-        if isinstance(ideal, RingIdeal) and ideal.ring != ctx.ring:
-            raise RingError(f"value for {ctx.star[i].label()} lives in {ideal.ring}, not {ctx.ring}")
-        vals[i] = ctx.ring.gen_sum(vals[i], gen)
+        if isinstance(ideal, RingIdeal):
+            if ideal.ring is not ring and ideal.ring != ring:
+                raise RingError(f"value for {ctx.star[i].label()} lives in {ideal.ring}, not {ring}")
+            gen = ideal.gen
+        else:
+            gen = ring.gen_normalize(ideal)
+        # a pair named twice gets the sum of its values
+        vals[i] = ring.gen_sum(vals[i], gen) if vals[i] else gen
     return vals
 
 
@@ -246,7 +289,7 @@ class ClassifiedIdeal:
     def __init__(self, f: SaturatedFunction, g):
         ctx = f.ctx
         g = tuple(g)
-        problems = _cycle_violations(ctx, f.vals, g)
+        problems = _cycle_violations(ctx, f, g)
         if problems:
             raise ClassificationError("; ".join(problems))
         self.ctx = ctx
@@ -262,24 +305,23 @@ class ClassifiedIdeal:
         return self
 
     # -- constructors -----------------------------------------------------
+    # a constant function and the matching constant cycle values meet both
+    # cycle constraints
     @staticmethod
     def bottom(ctx: Context) -> "ClassifiedIdeal":
-        f = SaturatedFunction(ctx, (0,) * len(ctx.star))
-        return ClassifiedIdeal(f, (LaurentIdeal.zero(ctx.ring),) * len(ctx.cycles))
+        f = SaturatedFunction._from_jv(ctx, (0,) * len(ctx.ji))
+        return ClassifiedIdeal._trusted(f, (LaurentIdeal.zero(ctx.ring),) * len(ctx.cycles))
 
     @staticmethod
     def top(ctx: Context) -> "ClassifiedIdeal":
-        f = SaturatedFunction(ctx, (1,) * len(ctx.star))
-        return ClassifiedIdeal(f, (LaurentIdeal.unit(ctx.ring),) * len(ctx.cycles))
+        f = SaturatedFunction._from_jv(ctx, (ctx.ring.gen_normalize(1),) * len(ctx.ji))
+        return ClassifiedIdeal._trusted(f, (LaurentIdeal.unit(ctx.ring),) * len(ctx.cycles))
 
     @staticmethod
     def graded(f: SaturatedFunction) -> "ClassifiedIdeal":
         """The graded pair determined by a saturated function alone."""
-        ctx = f.ctx
-        g = [
-            LaurentIdeal.extend(RingIdeal(ctx.ring, f.vals[ctx.cycle_closure_idx[i]]))
-            for i in range(len(ctx.cycles))
-        ]
+        ring = f.ctx.ring
+        g = [LaurentIdeal.extend(RingIdeal(ring, f.at(k))) for k in f.ctx.cycle_closure_idx]
         return ClassifiedIdeal(f, g)
 
     def cycle_value(self, c: CycleClass) -> LaurentIdeal:
@@ -368,7 +410,7 @@ class ClassifiedIdeal:
         return f"ClassifiedIdeal(f={self.f!r}, g={{{gs}}})"
 
 
-def _cycle_violations(ctx: Context, vals, g) -> list[str]:
+def _cycle_violations(ctx: Context, f: SaturatedFunction, g) -> list[str]:
     ring = ctx.ring
     out = []
     if len(g) != len(ctx.cycles):
@@ -379,7 +421,7 @@ def _cycle_violations(ctx: Context, vals, g) -> list[str]:
         if not isinstance(gi, LaurentIdeal) or gi.ring != ring:
             out.append(f"value at cycle {c.label()} is not an ideal of {ring}[x,x^-1]")
             continue
-        want = vals[ctx.cycle_closure_idx[i]]
+        want = f.at(ctx.cycle_closure_idx[i])
         got = gi.contract().gen
         if got != want:
             out.append(
@@ -389,10 +431,11 @@ def _cycle_violations(ctx: Context, vals, g) -> list[str]:
         k = ctx.cycle_exit_idx[i]
         if k is not None:
             coeff = gi.coefficient_ideal().gen
-            if not ring.gen_contains(vals[k], coeff):
+            have = f.at(k)
+            if not ring.gen_contains(have, coeff):
                 out.append(
                     f"cycle {c.label()}: coefficient ideal ({coeff}) escapes the "
-                    f"exit-closure value ({vals[k]})"
+                    f"exit-closure value ({have})"
                 )
     return out
 
@@ -416,10 +459,48 @@ def validate_tables(ctx: Context, f_table, g_table) -> "ClassifiedIdeal | list[s
             problems.append(f"no value supplied for cycle {ctx.cycles[i].label()}")
     if problems:
         return problems
-    problems = _cycle_violations(ctx, vals, tuple(g))
+    f = SaturatedFunction._trusted(ctx, vals)
+    problems = _cycle_violations(ctx, f, tuple(g))
     if problems:
         return problems
-    return ClassifiedIdeal._trusted(SaturatedFunction._trusted(ctx, vals), g)
+    return ClassifiedIdeal._trusted(f, g)
+
+
+# -- output ------------------------------------------------------------------
+
+
+class _PairWriter:
+    """The pieces of a context's pair text that do not depend on the pair:
+    the star indices in label order with each label quoted as JSON quotes
+    it, the quoted cycle labels in label order, and the ring's line."""
+
+    def __init__(self, ctx: Context):
+        labels = ctx.lattice.star_labels()
+        self.order = sorted(range(len(labels)), key=labels.__getitem__)
+        self.keys = []
+        for i in self.order:
+            q = _quote(labels[i])[1:-1]
+            self.keys.append(labels[i] if q == labels[i] else q)  # shared when unchanged
+        names = [c.label() for c in ctx.cycles]
+        self.cycle_order = sorted(range(len(names)), key=names.__getitem__)
+        self.cycle_keys = [_quote(names[i]) for i in self.cycle_order]
+        self.tail = ',\n  "ring": ' + _quote(str(ctx.ring)) + "\n}\n"
+
+
+def pair_json(pair: ClassifiedIdeal) -> str:
+    """json.dumps(dump, sort_keys=True, indent=2) + "\n" for the pair's dump
+    {"ring": ring, "f": {label: "(v)"}, "g": {cycle label: ideal}}, joined
+    from the pieces its context prepares once."""
+    w = pair.ctx.writer
+    vals = pair.f.vals
+    f = ",\n".join([f'    "{k}": "({vals[i]})"' for k, i in zip(w.keys, w.order)])
+    g = ",\n".join([
+        f"    {k}: {_quote(str(pair.g[i]))}" for k, i in zip(w.cycle_keys, w.cycle_order)
+    ])
+    return (
+        '{\n  "f": ' + ("{\n" + f + "\n  }" if f else "{}")
+        + ',\n  "g": ' + ("{\n" + g + "\n  }" if g else "{}") + w.tail
+    )
 
 
 # -- generators --------------------------------------------------------------
@@ -457,22 +538,33 @@ def _minimal_breaking_pair(ctx: Context, w: str, H) -> AdmissiblePair:
 
 
 def atom_pair(ctx: Context, atom) -> ClassifiedIdeal:
-    """The classification pair of the ideal generated by a single generator."""
+    """The classification pair of the ideal generated by a single generator.
+
+    A generator puts its ring ideal at one pair (a cycle: its contraction
+    at the closure pair and its coefficient ideal at the exit-closure pair),
+    and the smallest saturated function holding it takes at each member of
+    J the sum of what lies at the pairs above, so the ideal goes to the
+    members of J below its pair and 0 elsewhere."""
     ring = ctx.ring
-    raw = [0] * len(ctx.star)
+    jv = [0] * len(ctx.ji)
     extra = {}
+
+    def place(below, gen):
+        for t in below:
+            jv[t] = ring.gen_sum(jv[t], gen)
+
     if isinstance(atom, ScaledVertex):
         if atom.v not in ctx.graph.vertices:
             raise GraphError(f"unknown vertex id {atom.v!r}")
         pair = ctx.lattice.least([atom.v])
-        raw[ctx.lattice.star_index(pair)] = ring.gen_from_elements([atom.r])
+        place(ctx.ji_below(ctx.lattice.star_index(pair)), ring.gen_from_elements([atom.r]))
     elif isinstance(atom, ScaledBreaking):
         if atom.w not in breaking_vertices(ctx.graph, atom.H):
             raise ClassificationError(
                 f"{atom.w!r} is not a breaking vertex of {sorted(atom.H)}"
             )
         pair = _minimal_breaking_pair(ctx, atom.w, atom.H)
-        raw[ctx.lattice.star_index(pair)] = ring.gen_from_elements([atom.r])
+        place(ctx.ji_below(ctx.lattice.star_index(pair)), ring.gen_from_elements([atom.r]))
     elif isinstance(atom, CyclePoly):
         c = atom.c
         if c not in ctx.cycles:
@@ -482,17 +574,15 @@ def atom_pair(ctx: Context, atom) -> ClassifiedIdeal:
             return atom_pair(ctx, ScaledVertex(coeff.generator_element(), c.base))
         i = ctx.cycles.index(c)
         ip = LaurentIdeal.from_polys(ring, [atom.p])
-        raw[ctx.cycle_closure_idx[i]] = ip.contract().gen
-        k = ctx.cycle_exit_idx[i]
-        if k is not None:
-            raw[k] = ring.gen_sum(raw[k], ip.coefficient_ideal().gen)
+        place(ctx.cycle_ji_below[i], ip.contract().gen)
+        place(ctx.cycle_exit_ji_below[i], ip.coefficient_ideal().gen)
         extra[i] = ip
     else:
         raise ClassificationError(f"unknown generator {atom!r}")
-    f = SaturatedFunction(ctx, _saturate_vals(ctx, raw))
+    f = SaturatedFunction._from_jv(ctx, jv)
     g = []
-    for i in range(len(ctx.cycles)):
-        base = LaurentIdeal.extend(RingIdeal(ring, f.vals[ctx.cycle_closure_idx[i]]))
+    for i, k in enumerate(ctx.cycle_closure_idx):
+        base = LaurentIdeal.extend(RingIdeal(ring, f.at(k)))
         g.append(extra[i] + base if i in extra else base)
     return ClassifiedIdeal(f, g)
 
@@ -509,22 +599,11 @@ def to_generators(pair: ClassifiedIdeal) -> list:
     """A generating set for the classified ideal; see from_generators."""
     ctx, ring = pair.ctx, pair.ctx.ring
     atoms = []
-    for v in sorted(ctx.graph.vertices):
-        val = pair.f.vals[ctx.lattice.star_index(ctx.lattice.least([v]))]
+    for k, w, h in ctx.generator_candidates:
+        val = pair.f.at(k)
         if val != 0:
-            atoms.append(ScaledVertex(ring.gen_generator_element(val), v))
-    seen = set()
-    for p in ctx.star:
-        for w in sorted(p.S):
-            minimal = _minimal_breaking_pair(ctx, w, p.H)
-            if minimal in seen:
-                continue
-            seen.add(minimal)
-            val = pair.f.vals[ctx.lattice.star_index(minimal)]
-            if val != 0:
-                atoms.append(
-                    ScaledBreaking(ring.gen_generator_element(val), w, minimal.H)
-                )
+            r = ring.gen_generator_element(val)
+            atoms.append(ScaledVertex(r, w) if h is None else ScaledBreaking(r, w, h))
     for c, gi in zip(ctx.cycles, pair.g):
         for poly in gi.generators():
             atoms.append(CyclePoly(poly, c))

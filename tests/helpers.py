@@ -8,7 +8,9 @@ its fixpoint sweep, join, meet and product on full tables, the literal
 union-over-subsets formula for saturation (element sets over finite rings),
 the x-colon by elimination in Z[x]^2, integer row reduction for Laurent
 ideal membership, and a character-by-character scanner for the statements
-of the graph text format.
+of the graph text format.  The meet of pairs by its set formula, the
+classification pair of one generator saturated over the full table, and
+the JSON document of a classified ideal serve as references too.
 """
 
 import functools
@@ -33,7 +35,14 @@ from lpalattice import (
 from lpalattice.cli import ParseFailure
 from lpalattice.concrete import OracleError
 from lpalattice.graph import _lambda_closure
-from lpalattice.ideals import ClassifiedIdeal, SaturatedFunction, _saturate_vals
+from lpalattice.ideals import (
+    ClassifiedIdeal,
+    SaturatedFunction,
+    ScaledBreaking,
+    ScaledVertex,
+    _minimal_breaking_pair,
+    _saturate_vals,
+)
 
 
 # -- graph catalog ----------------------------------------------------------
@@ -288,6 +297,15 @@ def closure_sup(g: Graph, pairs):
     s = frozenset().union(*(p.S for p in pairs))
     sat = _lambda_closure(g, h, s)
     return AdmissiblePair(sat, s - sat)
+
+
+def formula_meet(a, b):
+    """The meet of two admissible pairs by the set formula: the common
+    hereditary set, with the breakers of both and those of either that lie
+    in the other's hereditary set or in its own."""
+    h = a.H & b.H
+    s = (a.S & b.S) | ((a.S | b.S) & (a.H | b.H))
+    return AdmissiblePair(h, s)
 
 
 def brute_force_join_irreducibles(pairs):
@@ -649,6 +667,53 @@ def random_classified(ctx, rng: random.Random) -> ClassifiedIdeal:
             break
         vals = _saturate_vals(ctx, grown)
     return ClassifiedIdeal(SaturatedFunction(ctx, vals), tuple(g))
+
+
+# -- full-table references for generators and pair output ---------------------
+
+
+def dump_ideal(pair: ClassifiedIdeal) -> dict:
+    """The JSON document of a classified ideal; the CLI writes it as
+    json.dumps(dump_ideal(pair), sort_keys=True, indent=2)."""
+    ctx = pair.ctx
+    return {
+        "ring": str(ctx.ring),
+        "f": {label: f"({v})" for label, v in zip(ctx.lattice.star_labels(), pair.f.vals)},
+        "g": {c.label(): str(g) for c, g in zip(ctx.cycles, pair.g)},
+    }
+
+
+def saturated_atom_pair(ctx, atom) -> ClassifiedIdeal:
+    """The classification pair of one generator over the full table: its
+    raw values at its pairs, saturated over every pair and then checked in
+    full by SaturatedFunction and ClassifiedIdeal."""
+    ring = ctx.ring
+    raw = [0] * len(ctx.star)
+    extra = {}
+    if isinstance(atom, ScaledVertex):
+        raw[ctx.lattice.star_index(ctx.lattice.least([atom.v]))] = ring.gen_from_elements([atom.r])
+    elif isinstance(atom, ScaledBreaking):
+        assert atom.w in breaking_vertices(ctx.graph, atom.H)
+        pair = _minimal_breaking_pair(ctx, atom.w, atom.H)
+        raw[ctx.lattice.star_index(pair)] = ring.gen_from_elements([atom.r])
+    else:
+        c = atom.c
+        if c not in ctx.cycles:
+            coeff = RingIdeal.of(ring, *atom.p.coefficients())
+            return saturated_atom_pair(ctx, ScaledVertex(coeff.generator_element(), c.base))
+        i = ctx.cycles.index(c)
+        ip = LaurentIdeal.from_polys(ring, [atom.p])
+        raw[ctx.cycle_closure_idx[i]] = ip.contract().gen
+        k = ctx.cycle_exit_idx[i]
+        if k is not None:
+            raw[k] = ring.gen_sum(raw[k], ip.coefficient_ideal().gen)
+        extra[i] = ip
+    f = SaturatedFunction(ctx, _saturate_vals(ctx, raw))
+    g = []
+    for i in range(len(ctx.cycles)):
+        base = LaurentIdeal.extend(RingIdeal(ring, f.vals[ctx.cycle_closure_idx[i]]))
+        g.append(extra[i] + base if i in extra else base)
+    return ClassifiedIdeal(f, g)
 
 
 # -- full-table reference for the lattice operations --------------------------

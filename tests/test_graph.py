@@ -163,6 +163,18 @@ class TestPairLattice:
                         right = lat.join(lat.meet(a, b), lat.meet(a, c))
                         assert left == right
 
+    def test_meet_on_masks_matches_the_set_formula(self):
+        # the meet intersects down-sets of J; the reference is the set
+        # formula, on every two pairs of each lattice
+        rng = random.Random(29)
+        graphs = [helpers.random_graph(rng, max_v=7, max_b=9) for _ in range(420)]
+        graphs += [g for _, g, _ in helpers.law_suite_graphs()]
+        for g in graphs:
+            lat = pair_lattice(g)
+            for a in lat:
+                for b in lat:
+                    assert lat.meet(a, b) == helpers.formula_meet(a, b), g
+
     def test_down_sets_of_join_irreducibles_give_every_pair(self):
         # the pairs built from J equal both the closures of all vertex
         # subsets and the pairs found from the definitions; J equals the

@@ -1,6 +1,9 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpalattice import (
     OMEGA,
@@ -19,17 +22,20 @@ from lpalattice import (
     ScaledBreaking,
     ScaledVertex,
     SaturatedFunction,
+    breaking_vertices,
     context,
     cycles,
     from_generators,
     graded_lattice,
+    hereditary_closure,
     parse_poly,
     prime_report,
     saturate_function,
     to_generators,
     validate_tables,
 )
-from lpalattice.ideals import _law_violations, _saturate_vals
+from lpalattice import ideals
+from lpalattice.ideals import _law_violations, _saturate_vals, atom_pair, pair_json
 
 import helpers
 
@@ -451,6 +457,60 @@ class TestGenerators:
                 p = helpers.random_classified(ctx, rng)
                 assert from_generators(ctx, to_generators(p)) == p, name
 
+    def test_atoms_on_join_irreducibles_match_the_saturated_tables(self):
+        # each kind of generator: the values on J equal those of the raw
+        # table saturated over every pair and checked in full
+        rng = random.Random(107)
+        seen = set()
+        for name, graph, ring in helpers.law_suite_graphs():
+            ctx = context(graph, ring)
+            verts = sorted(graph.vertices)
+            atoms = [ScaledVertex(ring.normalize(r), v) for v in verts for r in (1, 2, 3)]
+            sets = {frozenset()} | {hereditary_closure(graph, {v}) for v in verts}
+            sets |= {p.H for p in ctx.lattice}
+            for h in sorted(sets, key=sorted):
+                atoms += [ScaledBreaking(ring.normalize(2), w, h)
+                          for w in sorted(breaking_vertices(graph, h))]
+            atoms += [CyclePoly(helpers.random_poly(ctx, rng), c) for c in cycles(graph)]
+            for atom in atoms:
+                got, want = atom_pair(ctx, atom), helpers.saturated_atom_pair(ctx, atom)
+                assert got.f.jv == want.f.jv and got.g == want.g, (name, atom)
+                assert got.f.vals == want.f.vals and got == want, (name, atom)
+                exclusive = isinstance(atom, CyclePoly) and atom.c in ctx.cycles
+                seen.add((type(atom).__name__, exclusive))
+        assert seen == {
+            ("ScaledVertex", False), ("ScaledBreaking", False),
+            ("CyclePoly", True), ("CyclePoly", False),
+        }
+
+    def test_work_stays_on_join_irreducibles(self, monkeypatch):
+        # 10 isolated vertices, a loop with an exit and an infinite fork:
+        # 2^10 * 3 * 6 pairs.  Building the ideal takes no table over the
+        # pairs; writing it takes one
+        fork = helpers.omega_fork()
+        graph = Graph(
+            [f"a{i}" for i in range(10)] + ["u", "v"] + sorted(fork.vertices),
+            [Bundle("e", "u", "u"), Bundle("f", "u", "v"), *fork.bundles],
+        )
+        ctx = context(graph, ZZ)
+        assert len(ctx.lattice) == 18432 and len(ctx.cycles) == 1
+        atoms = [
+            ScaledVertex(2, "a3"), ScaledVertex(3, "v"), ScaledBreaking(2, "w", fs("a")),
+            CyclePoly(parse_poly(ZZ, "x - 2"), ctx.cycles[0]),
+        ]
+        calls = []
+        for name in ("_intersect_below", "_saturate_vals"):
+            real = getattr(ideals, name)
+            monkeypatch.setattr(
+                ideals, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args)
+            )
+        pair = from_generators(ctx, atoms)
+        assert calls == []
+        text = pair_json(pair)
+        assert calls == ["_intersect_below"]
+        assert json.loads(text) == helpers.dump_ideal(pair)
+        assert to_generators(pair) and calls == ["_intersect_below"]
+
     def test_generator_validity_errors(self):
         ctx = context(helpers.toeplitz(), ZZ)
         with pytest.raises(ClassificationError):
@@ -545,3 +605,52 @@ class TestPrimeReport:
             prime_report(ClassifiedIdeal.top(context(helpers.omega_fork(), ZZ)))
         with pytest.raises(ClassificationError):
             prime_report(ClassifiedIdeal.top(context(helpers.toeplitz(), ZZ)))
+
+
+# named graphs for the writer: breakers give labels with an |{S} part, the
+# empty graph has one pair (the bottom, so "f" is empty), and the last one
+# has names that JSON escapes
+_WRITER_GRAPHS = [g for _, g, _ in helpers.law_suite_graphs()] + [
+    helpers.omega_fork(),
+    helpers.two_breakers(),
+    Graph([], []),
+    Graph(["\u00e4", 'q"\\'], [Bundle("\u00e9\"", "\u00e4", "\u00e4"), Bundle("t", "\u00e4", 'q"\\')]),
+]
+_WRITER_RINGS = [ZZ, IntegersMod(12), QQ, PrimeField(2)]
+
+
+def _written_as_json(pair):
+    assert pair_json(pair) == json.dumps(helpers.dump_ideal(pair), sort_keys=True, indent=2) + "\n"
+
+
+class TestPairWriter:
+    @given(
+        st.one_of(
+            st.sampled_from(_WRITER_GRAPHS),
+            st.integers(0, 2**32).map(lambda n: helpers.random_graph(random.Random(n))),
+        ),
+        st.sampled_from(_WRITER_RINGS),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_writes_what_json_dumps_writes(self, graph, ring, seed):
+        _written_as_json(helpers.random_classified(context(graph, ring), random.Random(seed)))
+
+    def test_cases(self):
+        rng = random.Random(5)
+        seen = set()
+        for graph in _WRITER_GRAPHS:
+            for ring in _WRITER_RINGS:
+                ctx = context(graph, ring)
+                for pair in (ClassifiedIdeal.bottom(ctx), ClassifiedIdeal.top(ctx),
+                             helpers.random_classified(ctx, rng)):
+                    _written_as_json(pair)
+                    doc = helpers.dump_ideal(pair)
+                    seen.add("cycles" if doc["g"] else "no cycles")
+                    if any("|{" in k for k in doc["f"]):
+                        seen.add("breakers")
+                    if not doc["f"]:
+                        seen.add("one pair")
+                    if any(k != json.dumps(k)[1:-1] for k in [*doc["f"], *doc["g"]]):
+                        seen.add("escaped")
+        assert seen == {"cycles", "no cycles", "breakers", "one pair", "escaped"}
