@@ -14,12 +14,10 @@ from dataclasses import dataclass
 
 from .graph import Graph, cycles, is_row_finite
 from .ideals import (
-    Context,
     CyclePoly,
     ClassifiedIdeal,
     ScaledBreaking,
     ScaledVertex,
-    context,
     graded_lattice,
     to_generators,
 )
@@ -114,9 +112,6 @@ class FinitePathAlgebra:
         return out
 
     # -- elements ---------------------------------------------------------
-    def zero(self) -> dict:
-        return {}
-
     def unit(self, i: int, coeff=1) -> dict:
         c = self.ring.normalize(coeff)
         return {i: c} if c else {}
@@ -184,50 +179,20 @@ class FinitePathAlgebra:
         return self.symbol(Path(b.target, ()), Path(b.source, ((bundle, slot),)))
 
 
-@dataclass(frozen=True)
-class ConcreteIdeal:
-    """A two-sided ideal as one ideal of the coefficient ring per sink block.
-
-    Each sink block of the algebra is a full matrix ring M_n(R), whose
-    two-sided ideals are exactly M_n(I) for the ideals I of R (squeezing an
-    element between matrix units isolates single entries and moves them to
-    any position).  An ideal is therefore the tuple of canonical ring-ideal
-    generators, one per sink in ``algebra.sinks`` order, 0 meaning the zero
-    ideal.
-    """
-
-    algebra: FinitePathAlgebra
-    gens: tuple  # one canonical ideal generator of the ring per sink
-
-    def contains_element(self, x: dict) -> bool:
-        alg = self.algebra
-        at_sink = dict(zip(alg.sinks, self.gens))
-        return all(alg.ring.gen_member(at_sink[alg.basis[i][0]], c) for i, c in x.items())
-
-    def __le__(self, other: "ConcreteIdeal") -> bool:
-        return all(map(self.algebra.ring.gen_contains, other.gens, self.gens))
-
-    def _per_sink(self, other: "ConcreteIdeal", op) -> "ConcreteIdeal":
-        return ConcreteIdeal(self.algebra, tuple(map(op, self.gens, other.gens)))
-
-    def sum(self, other: "ConcreteIdeal") -> "ConcreteIdeal":
-        return self._per_sink(other, self.algebra.ring.gen_sum)
-
-    def intersect(self, other: "ConcreteIdeal") -> "ConcreteIdeal":
-        return self._per_sink(other, self.algebra.ring.gen_intersect)
-
-    def product(self, other: "ConcreteIdeal") -> "ConcreteIdeal":
-        # M_n(I) M_n(J) = M_n(IJ): each entry of a product of two matrices
-        # is a sum of products of entries
-        return self._per_sink(other, self.algebra.ring.gen_product)
-
-
-def generated_ideal(alg: FinitePathAlgebra, elements) -> ConcreteIdeal:
+def generated_ideal(alg: FinitePathAlgebra, elements) -> tuple:
     """Closure of some elements under addition and two-sided multiplication.
 
-    Multiplying x on both sides by basis idempotents leaves the single
-    entries c * unit(a, d) with a, d running over the relevant sink blocks,
-    so the closure in each block is the ring ideal its entries generate.
+    Each sink block of the algebra is a full matrix ring M_n(R), whose
+    two-sided ideals are exactly M_n(I) for the ideals I of R: multiplying
+    x on both sides by matrix units isolates its single entries
+    c * unit(a, d) and moves them to any position of their block.  The
+    closure is therefore the tuple of canonical ring-ideal generators of
+    the entries of each block, one per sink in ``alg.sinks`` order, 0
+    meaning the zero ideal.  Sums, intersections and products of ideals
+    are taken sink by sink with the ring's ``gen_sum``, ``gen_intersect``
+    and ``gen_product`` (M_n(I) M_n(J) = M_n(IJ), since each entry of a
+    product of two matrices is a sum of products of entries), and the
+    order with ``gen_contains``.
     """
     ring = alg.ring
     per_sink = {}
@@ -235,33 +200,33 @@ def generated_ideal(alg: FinitePathAlgebra, elements) -> ConcreteIdeal:
         for i, c in x.items():
             s, _, _ = alg.basis[i]
             per_sink[s] = ring.gen_sum(per_sink.get(s, 0), ring.gen_from_elements([c]))
-    return ConcreteIdeal(alg, tuple(per_sink.get(s, 0) for s in alg.sinks))
+    return tuple(per_sink.get(s, 0) for s in alg.sinks)
 
 
-def enumerate_concrete_ideals(alg: FinitePathAlgebra) -> list[ConcreteIdeal]:
-    """Every two-sided ideal: close single-generator ideals under sums."""
-    seeds = [generated_ideal(alg, [])]
-    for r in alg.ring.elements():
-        if alg.ring.is_zero(r):
-            continue
-        for i in range(alg.dim):
-            seeds.append(generated_ideal(alg, [alg.unit(i, r)]))
-    add = alg.ring.gen_sum
-    pool = {s.gens for s in seeds}
+def enumerate_concrete_ideals(alg: FinitePathAlgebra) -> list[tuple]:
+    """Every two-sided ideal, in sorted order: single-generator ideals
+    closed under sums.  A seed depends only on its ring element and the
+    sink block of its basis index, so one index per block gives them all."""
+    ring = alg.ring
+    per_block = {s: i for i, (s, _, _) in enumerate(alg.basis)}.values()
+    pool = {generated_ideal(alg, [])}
+    for r in ring.elements():
+        if not ring.is_zero(r):
+            pool.update(generated_ideal(alg, [alg.unit(i, r)]) for i in per_block)
     frontier = list(pool)
     while frontier:
         fresh = []
         for a in frontier:
             for b in list(pool):
-                c = tuple(map(add, a, b))
+                c = tuple(map(ring.gen_sum, a, b))
                 if c not in pool:
                     pool.add(c)
                     fresh.append(c)
         frontier = fresh
-    return [ConcreteIdeal(alg, gens) for gens in sorted(pool)]
+    return sorted(pool)
 
 
-def _generator_image(alg: FinitePathAlgebra, ctx: Context, pair: ClassifiedIdeal) -> ConcreteIdeal:
+def _generator_image(alg: FinitePathAlgebra, pair: ClassifiedIdeal) -> tuple:
     elements = []
     for atom in to_generators(pair):
         if isinstance(atom, ScaledVertex):
@@ -306,40 +271,37 @@ def crosscheck(graph: Graph, ring: RingSpec) -> CrosscheckReport:
         raise OracleError(
             f"crosscheck would compare {count} ideals, more than {MAX_CROSSCHECK_IDEALS}"
         )
-    ctx = context(graph, ring)
     pairs = [ClassifiedIdeal.graded(f) for f in graded_lattice(graph, ring)]
-    concrete = enumerate_concrete_ideals(alg)
+    concrete = set(enumerate_concrete_ideals(alg))
     mismatches = []
     # acyclic graphs carry no cycle data, so each pair is fixed by f.jv
-    image = {p.f.jv: _generator_image(alg, ctx, p) for p in pairs}
+    image = {p.f.jv: _generator_image(alg, p) for p in pairs}
     images = [image[p.f.jv] for p in pairs]
-    forms = {i.gens for i in images}
+    forms = set(images)
     if len(forms) != len(pairs):
         mismatches.append("generator images are not pairwise distinct")
-    missing = {c.gens for c in concrete} - forms
+    missing = concrete - forms
     if missing:
         mismatches.append(f"{len(missing)} concrete ideal(s) have no classification")
-    extra = forms - {c.gens for c in concrete}
+    extra = forms - concrete
     if extra:
         mismatches.append(f"{len(extra)} classified ideal(s) missing from the algebra")
     for p, ip in zip(pairs, images):
         for q, iq in zip(pairs, images):
-            if p.leq(q) != (ip <= iq):
+            if p.leq(q) != all(map(ring.gen_contains, iq, ip)):
                 mismatches.append(f"order mismatch between {p!r} and {q!r}")
     ops = (
-        ("sum", ClassifiedIdeal.join, ConcreteIdeal.sum),
-        ("intersection", ClassifiedIdeal.meet, ConcreteIdeal.intersect),
-        ("product", ClassifiedIdeal.product, ConcreteIdeal.product),
+        ("sum", ClassifiedIdeal.join, ring.gen_sum),
+        ("intersection", ClassifiedIdeal.meet, ring.gen_intersect),
+        ("product", ClassifiedIdeal.product, ring.gen_product),
     )
     for i, (p, ip) in enumerate(zip(pairs, images)):
         for q, iq in zip(pairs[: i + 1], images):
             for name, d_op, c_op in ops:
-                want = c_op(ip, iq).gens
+                want = tuple(map(c_op, ip, iq))
                 got = image.get(d_op(p, q).f.jv)
                 if got is None:
                     mismatches.append(f"{name} result at {p!r}, {q!r} is not a classified ideal")
-                elif got.gens != want:
-                    mismatches.append(
-                        f"{name} mismatch at {p!r}, {q!r}: {got.gens} != {want}"
-                    )
+                elif got != want:
+                    mismatches.append(f"{name} mismatch at {p!r}, {q!r}: {got} != {want}")
     return CrosscheckReport(graph, ring, len(pairs), len(concrete), mismatches)

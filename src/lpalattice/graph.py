@@ -41,8 +41,7 @@ MAX_GRAPH_SIZE = 1 << 13  # vertices plus bundles of a graph whose pair lattice 
 _TOO_MANY_PAIRS = f"the admissible-pair lattice has more than {MAX_PAIRS} pairs"
 
 
-@dataclass(frozen=True)
-class Bundle:
+class Bundle(NamedTuple):
     name: str
     source: str
     target: str

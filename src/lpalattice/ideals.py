@@ -224,9 +224,6 @@ class SaturatedFunction:
     def value(self, pair: AdmissiblePair) -> RingIdeal:
         return RingIdeal(self.ctx.ring, self.at(self.ctx.lattice.star_index(pair)))
 
-    def table(self) -> dict:
-        return {p: RingIdeal(self.ctx.ring, v) for p, v in zip(self.ctx.star, self.vals)}
-
     def is_basic(self) -> bool:
         return all(v in (0, 1) for v in self.vals)
 

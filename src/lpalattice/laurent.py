@@ -102,10 +102,10 @@ class LaurentPoly:
                 pass
             mag = -c if neg else c
             if e == 0:
-                body = self.ring.format_element(mag)
+                body = str(mag)
             else:
                 xpart = "x" if e == 1 else f"x^{e}"
-                body = xpart if mag == 1 else f"{self.ring.format_element(mag)}{xpart}"
+                body = xpart if mag == 1 else f"{mag}{xpart}"
             if i == 0:
                 pieces.append(f"-{body}" if neg else body)
             else:

@@ -96,9 +96,6 @@ class RingSpec:
     def is_zero(self, a) -> bool:
         return self.normalize(a) == self.zero()
 
-    def is_unit(self, a) -> bool:
-        raise NotImplementedError
-
     def inverse(self, a):
         raise NotImplementedError
 
@@ -114,9 +111,6 @@ class RingSpec:
             return self.normalize(int(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise RingError(f"bad element {text!r} for {self}") from exc
-
-    def format_element(self, x) -> str:
-        return str(x)
 
     def gen_generator_element(self, g: int):
         """A ring element generating the ideal with canonical generator g."""
@@ -153,9 +147,6 @@ class IntegerRing(RingSpec):
 
     def normalize(self, x):
         return int(x)
-
-    def is_unit(self, a) -> bool:
-        return math.gcd(self.normalize(a), self.n) == 1
 
     def gen_normalize(self, g):
         d = math.gcd(int(g), self.n)
@@ -195,9 +186,6 @@ class RationalField(RingSpec):
 
     def normalize(self, x):
         return Fraction(x)
-
-    def is_unit(self, a) -> bool:
-        return Fraction(a) != 0
 
     def inverse(self, a):
         return 1 / Fraction(a)

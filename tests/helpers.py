@@ -9,8 +9,9 @@ union-over-subsets formula for saturation (element sets over finite rings),
 the x-colon by elimination in Z[x]^2, integer row reduction for Laurent
 ideal membership, and a character-by-character scanner for the statements
 of the graph text format.  The meet of pairs by its set formula, the
-classification pair of one generator saturated over the full table, and
-the JSON document of a classified ideal serve as references too.
+classification pair of one generator saturated over the full table, the
+JSON document of a classified ideal, and the ideals of an explicit algebra
+seeded at every basis index serve as references too.
 """
 
 import functools
@@ -33,7 +34,7 @@ from lpalattice import (
     hereditary_saturated_closure,
 )
 from lpalattice.cli import ParseFailure
-from lpalattice.concrete import OracleError
+from lpalattice.concrete import OracleError, generated_ideal
 from lpalattice.graph import _lambda_closure
 from lpalattice.ideals import (
     ClassifiedIdeal,
@@ -523,58 +524,64 @@ def colon_x_by_elimination(basis):
 # -- integer row-reduction membership oracle for Laurent ideals ----------------
 
 
-def _xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
+class EchelonSpan:
+    """The span over Z of integer rows of one width, in row echelon form.
 
+    A row is kept from its first to its last nonzero entry and filed under
+    the column of the first.  Column by column, left to right, a Euclidean
+    remainder cascade with nearest-integer quotients (smallest leading entry
+    first, which avoids the coefficient blowup of single-shot unimodular
+    combinations) leaves one pivot row there; every other row moves, from
+    its next nonzero entry on, to that column.  A pivot row never changes
+    once it is made.
+    """
 
-def integer_row_echelon(rows, width):
-    """Row echelon over Z by Euclidean remainder cascades (avoids the
-    coefficient blowup of single-shot unimodular combinations)."""
-    work = [list(r) + [0] * (width - len(r)) for r in rows if any(r)]
-    out = []
-    for col in range(width):
-        active = [r for r in work if r[col]]
-        rest = [r for r in work if not r[col]]
-        while len(active) > 1:
-            active.sort(key=lambda r: abs(r[col]))
+    def __init__(self, rows, width):
+        self.width = width
+        self.pivots = {}  # column -> the row from its pivot entry on, pivot > 0
+        filed = {}
+        for row in rows:
+            self._file(filed, 0, list(row))
+        for c in range(width):
+            active = filed.pop(c, None)
+            if not active:
+                continue
+            while len(active) > 1:
+                active.sort(key=lambda r: abs(r[0]))
+                p = active[0] if active[0][0] > 0 else [-a for a in active[0]]
+                nxt = [p]
+                for r in active[1:]:
+                    r = _minus_multiple(r, (2 * r[0] + p[0]) // (2 * p[0]), p)
+                    if r[0]:
+                        nxt.append(r)
+                    else:
+                        self._file(filed, c, r)
+                active = nxt
             p = active[0]
-            nxt = [p]
-            for r in active[1:]:
-                q = r[col] // p[col]
-                if q:
-                    r = [x - q * y for x, y in zip(r, p)]
-                if r[col]:
-                    nxt.append(r)
-                elif any(r):
-                    rest.append(r)
-            active = nxt
-        if active:
-            p = active[0]
-            if p[col] < 0:
-                p = [-x for x in p]
-            out.append(p)
-        work = rest
-    return out
+            self.pivots[c] = p if p[0] > 0 else [-a for a in p]
+
+    @staticmethod
+    def _file(filed, c, row):
+        nonzero = [i for i, a in enumerate(row) if a]
+        if nonzero:
+            filed.setdefault(c + nonzero[0], []).append(row[nonzero[0] : nonzero[-1] + 1])
+
+    def __contains__(self, vec):
+        v = list(vec) + [0] * (self.width - len(vec))
+        for c in range(self.width):
+            if v[c]:
+                p = self.pivots.get(c)
+                if p is None or v[c] % p[0]:
+                    return False
+                v[c : c + len(p)] = _minus_multiple(v[c : c + len(p)], v[c] // p[0], p)
+        return True
 
 
-def in_row_span(vec, echelon, width):
-    v = list(vec) + [0] * (width - len(vec))
-    for row in echelon:
-        col = next(i for i, x in enumerate(row) if x)
-        if v[col] == 0:
-            continue
-        if v[col] % row[col] != 0:
-            return False
-        q = v[col] // row[col]
-        v = [a - q * b for a, b in zip(v, row)]
-    return not any(v)
+def _minus_multiple(r, q, p):
+    """r - q * p for rows that start at the same column."""
+    if len(r) < len(p):
+        r = r + [0] * (len(p) - len(r))
+    return [a - q * b for a, b in zip(r, p)] + r[len(p) :]
 
 
 class LaurentSpanOracle:
@@ -582,7 +589,7 @@ class LaurentSpanOracle:
 
     Works on the Z-module of shifts x^a * g of the generators up to a
     generous degree window; membership in the Laurent ideal allows an extra
-    power of x on the probe.  The echelon form is computed once.
+    power of x on the probe.  The span is reduced once.
     """
 
     def __init__(self, gens, window=30, probe_deg=12):
@@ -592,7 +599,7 @@ class LaurentSpanOracle:
         for g in self.gens:
             for shift in range(self.width - len(g) + 1):
                 rows.append([0] * shift + list(g))
-        self.echelon = integer_row_echelon(rows, self.width)
+        self.span = EchelonSpan(rows, self.width)
 
     def member(self, p, shift_bound=16):
         if not any(p):
@@ -601,7 +608,7 @@ class LaurentSpanOracle:
             return False
         for s in range(shift_bound):
             vec = [0] * s + list(p)
-            if len(vec) <= self.width and in_row_span(vec, self.echelon, self.width):
+            if len(vec) <= self.width and vec in self.span:
                 return True
         return False
 
@@ -789,3 +796,18 @@ def acyclic_family(max_v=4, max_e=5):
                 )
             )
     return out
+
+
+def every_index_concrete_ideals(alg):
+    """Every two-sided ideal of an explicit algebra, in sorted order, from
+    one seed per nonzero ring element and basis index closed under sums."""
+    ring = alg.ring
+    pool = {generated_ideal(alg, [])}
+    for r in ring.elements():
+        if not ring.is_zero(r):
+            pool.update(generated_ideal(alg, [alg.unit(i, r)]) for i in range(alg.dim))
+    while True:
+        sums = {tuple(map(ring.gen_sum, a, b)) for a in pool for b in pool}
+        if sums <= pool:
+            return sorted(pool)
+        pool |= sums
