@@ -1,17 +1,17 @@
 """Command-line front end: graph parsing, command dispatch, stable output.
 
-Exit codes: 0 success, 1 domain error, 2 parse/usage error.  Errors print a
-single machine-parsable line ``error:<kind>: <message>`` on stderr.
+Each command is registered by ``_command`` in a table of its positional
+arguments, value options and flags; ``_parse`` reads argv against that table.
+Exit codes: 0 success, 1 domain error, 2 parse or usage error.  Errors print
+a single machine-parsable line ``error:<kind>: <message>`` on stderr.
 """
 
 from __future__ import annotations
 
-import functools
 import json
+import os
 import re
 import sys
-
-import click
 
 from .concrete import MAX_CROSSCHECK_IDEALS, OracleError, crosscheck
 from .graph import (
@@ -45,7 +45,7 @@ from .ideals import (
     validate_tables,
 )
 from .laurent import LaurentIdeal, parse_poly
-from .rings import RingError, RingIdeal, ring_constructor
+from .rings import RingError, ring_constructor
 
 
 class ParseFailure(ValueError):
@@ -133,35 +133,45 @@ def format_graph(g: Graph) -> str:
 # -- pair and generator files --------------------------------------------------
 
 
-def _parse_ring_ideal(ring, text: str) -> RingIdeal:
-    text = text.strip()
-    m = re.fullmatch(r"\((-?\d+)\)", text)
-    if not m:
-        raise ParseFailure(f"bad ring ideal literal {text!r}; expected like (2)")
-    return RingIdeal(ring, int(m.group(1)))
+def _must_map(doc, *keys):
+    for key in keys or ("f", "g"):
+        table = doc.get(key, {})
+        if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
+            raise ParseFailure(f'pair file "{key}" must map labels to ideal literals')
 
 
-def load_ideal_tables(ring, text: str):
+def load_ideal_tables(ctx, text: str):
+    """Read a pair file in one pass over its f table: the star-indexed
+    values at its canonical labels, the values at its other labels, which
+    validate_tables checks and adds, and its g table.  A table that maps a
+    label to anything but a string is reported before a bad literal."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseFailure(f"bad pair file: {exc}") from exc
     if not isinstance(doc, dict) or "f" not in doc:
         raise ParseFailure('pair file must be an object with an "f" table')
-    for key in ("f", "g"):
-        table = doc.get(key, {})
-        if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
-            raise ParseFailure(f'pair file "{key}" must map labels to ideal literals')
+    if not isinstance(doc["f"], dict):
+        _must_map(doc, "f")
+    index, vals, rest, gens = ctx.lattice.star_label_index(), [0] * len(ctx.star), {}, {}
+    for label, literal in doc["f"].items():
+        gen = gens.get(literal) if isinstance(literal, str) else _must_map(doc)
+        if gen is None:  # each distinct literal is parsed once
+            m = re.fullmatch(r"\((-?\d+)\)", literal.strip())
+            if not m:
+                _must_map(doc)
+                raise ParseFailure(f"bad ring ideal literal {literal.strip()!r}; expected like (2)")
+            gen = gens[literal] = ctx.ring.gen_normalize(int(m.group(1)))
+        i = index.get(label)
+        if i is None:
+            rest[label] = gen
+        else:
+            vals[i] = gen
+    _must_map(doc, "g")
     try:
-        # a table repeats few distinct literals; each is parsed once
-        literals = {v: _parse_ring_ideal(ring, v) for v in dict.fromkeys(doc["f"].values())}
-        f_table = {k: literals[v] for k, v in doc["f"].items()}
-        g_table = {
-            k: LaurentIdeal.parse(ring, v) for k, v in doc.get("g", {}).items()
-        }
+        return vals, rest, {k: LaurentIdeal.parse(ctx.ring, v) for k, v in doc.get("g", {}).items()}
     except RingError as exc:
         raise ParseFailure(str(exc)) from exc
-    return f_table, g_table
 
 
 # the fields of each generator kind and their JSON types; "r" is read as a
@@ -243,7 +253,7 @@ def _emit(payload, as_json: bool, out):
         except OSError as exc:
             raise ParseFailure(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
 def _dot(nodes, edges) -> str:
@@ -276,52 +286,135 @@ def _read(path) -> str:
 
 
 def _load_pair(ctx, pair_file) -> ClassifiedIdeal:
-    f_table, g_table = load_ideal_tables(ctx.ring, _read(pair_file))
-    result = validate_tables(ctx, f_table, g_table)
+    vals, rest, g_table = load_ideal_tables(ctx, _read(pair_file))
+    result = validate_tables(ctx, rest, g_table, vals)
     if isinstance(result, list):
         raise ClassificationError("invalid pair: " + "; ".join(result))
     return result
 
 
-@click.group()
-def main():
-    """Exact ideal-lattice computations for Leavitt path algebras."""
+# -- command table and dispatch --------------------------------------------------
+
+_COMMANDS = {}  # name -> (body, positional names, options)
+_COMMON = {
+    "--graph": ("graph_file", ..., "graph file"),
+    "--ring": ("ring_spec", ..., "Z, Q, Z/12, F7"),
+    "--out": ("out", None, "write the output to this file"),
+    "--json": ("as_json", False, "stable JSON output"),
+}
 
 
-def _command(name=None, ring=False):
-    """Register a command on main with --graph, --ring if ring, --out and
-    --json before its own options; the body gets the parsed graph g (and the
-    ring), and an error becomes one error:parse: or error:domain: line."""
+def _command(name=None, ring=False, args=(), options=None):
+    """Register a command.  args are its positional names, a (name, choices)
+    tuple for a choice; options map "--name" to (parameter, default, help),
+    where a default of ... makes the option required and a default of False
+    makes it a flag.  --graph, --ring if ring, --out and --json come first;
+    the body gets the parsed graph g (and the ring)."""
 
     def register(fn):
-        @functools.wraps(fn)
-        def run(graph_file, ring_spec=None, **kwargs):
-            try:
-                kwargs["g"] = parse_graph(_read(graph_file))
-                if ring:
-                    kwargs["ring"] = _parse_ring_spec(ring_spec)
-                return fn(**kwargs)
-            except ParseFailure as exc:
-                click.echo(f"error:parse: {exc}", err=True)
-                sys.exit(2)
-            except (GraphError, RingError, ClassificationError, OracleError) as exc:
-                click.echo(f"error:domain: {exc}", err=True)
-                sys.exit(1)
-
-        # click lists the option applied last first
-        run = click.option("--json", "as_json", is_flag=True, help="stable JSON output")(run)
-        run = click.option("--out", "out", type=click.Path(), default=None)(run)
-        if ring:
-            run = click.option("--ring", "ring_spec", required=True, help="Z, Q, Z/12, F7")(run)
-        run = click.option("--graph", "graph_file", required=True, type=click.Path(exists=True))(run)
-        return main.command(name=name)(run)
+        common = {k: v for k, v in _COMMON.items() if ring or k != "--ring"}
+        _COMMANDS[name or fn.__name__] = (fn, args, {**common, **(options or {})})
+        return fn
 
     return register
 
 
-@_command()
-@click.option("--saturated", is_flag=True, help="also close under saturation")
-@click.argument("vertices")
+def _help(prog: str, name=None) -> str:
+    if name is None:
+        rows = [(n, c[0].__doc__.splitlines()[0]) for n, c in sorted(_COMMANDS.items())]
+        head = f"Usage: {prog} COMMAND [OPTIONS] [ARGS]\n\n{main.__doc__}\n\nCommands:\n"
+    else:
+        fn, args, options = _COMMANDS[name]
+        rows = [(o, h + " (required)" * (d is ...)) for o, (_, d, h) in options.items()]
+        rows.append(("--help", "show this message"))
+        args = "".join(" {" + "|".join(a[1]) + "}" if isinstance(a, tuple) else " " + a.upper() for a in args)
+        head = f"Usage: {prog} {name} [OPTIONS]{args}\n\n{fn.__doc__}\n\nOptions:\n"
+    return head + "".join(f"  {o:<16} {h}\n" for o, h in rows)
+
+
+def _parse(prog: str, argv: list):
+    """The body of the command argv names and its keyword arguments.
+    Options may come anywhere, as --name value or --name=value, the last of
+    a repeated option wins, and -- ends the options."""
+    name = argv[0] if argv else None
+    if name == "--help":
+        sys.stdout.write(_help(prog))
+        sys.exit(0)
+    if name not in _COMMANDS:
+        raise ParseFailure(f"no such command {name!r}; see --help" if argv else "missing command; see --help")
+    fn, params, options = _COMMANDS[name]
+    kwargs = {p: d for p, d, _ in options.values()}
+    args, tokens = [], iter(argv[1:])
+    for tok in tokens:
+        opt, eq, value = tok.partition("=")
+        spec = options.get(opt)
+        if tok == "--":
+            args.extend(tokens)
+        elif tok[:1] != "-" or tok == "-":
+            args.append(tok)
+        elif tok == "--help":
+            sys.stdout.write(_help(prog, name))
+            sys.exit(0)
+        elif spec is None or spec[1] is False and eq:
+            raise ParseFailure(f"no such option {tok!r} for {name}")
+        elif spec[1] is False:
+            kwargs[spec[0]] = True
+        else:
+            value = value if eq else next(tokens, None)
+            if value is None:
+                raise ParseFailure(f"option {opt} needs a value")
+            kwargs[spec[0]] = value
+    for opt, (p, _, _) in options.items():
+        if kwargs[p] is ...:
+            raise ParseFailure(f"missing option {opt} for {name}")
+    if len(args) != len(params):
+        raise ParseFailure(f"{name} takes {len(params)} argument(s), got {len(args)}")
+    for p, value in zip(params, args):
+        if isinstance(p, tuple):
+            if value not in p[1]:
+                raise ParseFailure(f"{p[0]} must be one of {', '.join(p[1])}, not {value!r}")
+            p = p[0]
+        kwargs[p] = value
+    return fn, kwargs
+
+
+def _run(argv: list, prog: str):
+    """Parse argv, read the graph and the ring, and run the command; an error
+    becomes one error:parse: line (exit 2) or error:domain: line (exit 1),
+    and a closed output pipe or Ctrl-C exits 1."""
+    try:
+        fn, kwargs = _parse(prog, argv)
+        kwargs["g"] = parse_graph(_read(kwargs.pop("graph_file")))
+        if "ring_spec" in kwargs:
+            kwargs["ring"] = _parse_ring_spec(kwargs.pop("ring_spec"))
+        fn(**kwargs)
+    except ParseFailure as exc:
+        sys.stderr.write(f"error:parse: {exc}\n")
+        sys.exit(2)
+    except (GraphError, RingError, ClassificationError, OracleError) as exc:
+        sys.stderr.write(f"error:domain: {exc}\n")
+        sys.exit(1)
+    except BrokenPipeError:  # the reader left, as `| head` does; the final flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    except KeyboardInterrupt:
+        sys.stderr.write("\nAborted!\n")
+        sys.exit(1)
+
+
+def main(args=None, prog_name=None, standalone_mode=True):
+    """Exact ideal-lattice computations for Leavitt path algebras."""
+    _run(sys.argv[1:] if args is None else list(args), prog_name or main.name)
+    if standalone_mode:
+        sys.exit(0)
+
+
+# called as a click command is: main() by the console script, and
+# main.main(args, ...) by click.testing.CliRunner and the benchmark
+main.main, main.name = main, "lpalattice"
+
+
+@_command(args=("vertices",), options={"--saturated": ("saturated", False, "also close under saturation")})
 def closure(g, as_json, out, saturated, vertices):
     """Hereditary closure of a set of vertices."""
     seed = frozenset(v.strip() for v in vertices.split(",") if v.strip())
@@ -333,9 +426,10 @@ def closure(g, as_json, out, saturated, vertices):
     _emit(payload, as_json, out)
 
 
-@_command()
-@click.option("--set", "base", required=True, help="hereditary vertex set, comma separated")
-@click.option("--absorb", default="", help="vertices to absorb once their targets are inside")
+@_command(options={
+    "--set": ("base", ..., "hereditary vertex set, comma separated"),
+    "--absorb": ("absorb", "", "vertices to absorb once their targets are inside"),
+})
 def saturate(g, as_json, out, base, absorb):
     """Saturation of a hereditary set, absorbing chosen infinite emitters."""
     h = frozenset(v.strip() for v in base.split(",") if v.strip())
@@ -345,8 +439,7 @@ def saturate(g, as_json, out, base, absorb):
     _emit(payload, as_json, out)
 
 
-@_command()
-@click.option("--dot", "as_dot", is_flag=True, help="emit a Hasse diagram")
+@_command(options={"--dot": ("as_dot", False, "emit a Hasse diagram")})
 def pairs(g, as_json, out, as_dot):
     """List the admissible pairs of a graph."""
     lat = pair_lattice(g)
@@ -387,10 +480,7 @@ def cycles_cmd(g, as_json, out):
         _emit("\n".join(lines) if lines else "no cycles", False, out)
 
 
-@_command(name="lattice-op", ring=True)
-@click.argument("op", type=click.Choice(["meet", "join", "product"]))
-@click.argument("left", type=click.Path(exists=True))
-@click.argument("right", type=click.Path(exists=True))
+@_command(name="lattice-op", ring=True, args=(("op", ("meet", "join", "product")), "left", "right"))
 def lattice_op(g, ring, as_json, out, op, left, right):
     """Meet, join, or product of two classified ideals."""
     ctx = context(g, ring)
@@ -400,8 +490,7 @@ def lattice_op(g, ring, as_json, out, op, left, right):
     _emit(pair_json(result), False, out)
 
 
-@_command(ring=True)
-@click.argument("pair_file", type=click.Path(exists=True))
+@_command(ring=True, args=("pair_file",))
 def graded(g, ring, as_json, out, pair_file):
     """Whether a classified ideal is graded."""
     pair = _load_pair(context(g, ring), pair_file)
@@ -409,16 +498,14 @@ def graded(g, ring, as_json, out, pair_file):
     _emit({"graded": result} if as_json else ("graded" if result else "not graded"), as_json, out)
 
 
-@_command(name="largest-graded", ring=True)
-@click.argument("pair_file", type=click.Path(exists=True))
+@_command(name="largest-graded", ring=True, args=("pair_file",))
 def largest_graded(g, ring, as_json, out, pair_file):
     """The largest graded ideal inside a classified ideal."""
     pair = _load_pair(context(g, ring), pair_file)
     _emit(pair_json(pair.largest_graded()), False, out)
 
 
-@_command(ring=True)
-@click.argument("pair_file", type=click.Path(exists=True))
+@_command(ring=True, args=("pair_file",))
 def prime(g, ring, as_json, out, pair_file):
     """Necessary conditions for a classified ideal to be prime."""
     pair = _load_pair(context(g, ring), pair_file)
@@ -443,16 +530,14 @@ def prime(g, ring, as_json, out, pair_file):
         _emit("\n".join(report.lines()), False, out)
 
 
-@_command(ring=True)
-@click.argument("pair_file", type=click.Path(exists=True))
+@_command(ring=True, args=("pair_file",))
 def generators(g, ring, as_json, out, pair_file):
     """A generating set for a classified ideal."""
     pair = _load_pair(context(g, ring), pair_file)
     _emit(dump_generators(to_generators(pair)), True, out)
 
 
-@_command(name="from-generators", ring=True)
-@click.argument("gens_file", type=click.Path(exists=True))
+@_command(name="from-generators", ring=True, args=("gens_file",))
 def from_generators_cmd(g, ring, as_json, out, gens_file):
     """The classified ideal generated by the listed elements."""
     ctx = context(g, ring)
@@ -460,14 +545,10 @@ def from_generators_cmd(g, ring, as_json, out, gens_file):
     _emit(pair_json(from_generators(ctx, atoms)), False, out)
 
 
-@_command(ring=True)
-@click.option("--dot", "as_dot", is_flag=True, help="emit a Hasse diagram")
-@click.option(
-    "--graded",
-    "graded_only",
-    is_flag=True,
-    help="allow graphs with exclusive cycles; lists only the graded ideals",
-)
+@_command(ring=True, options={
+    "--dot": ("as_dot", False, "emit a Hasse diagram"),
+    "--graded": ("graded_only", False, "allow graphs with exclusive cycles; lists only the graded ideals"),
+})
 def enumerate(g, ring, as_json, out, as_dot, graded_only):
     """Enumerate the ideal lattice (graded ideals) over a finite ring."""
     if not ring.is_finite:

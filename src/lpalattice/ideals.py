@@ -245,10 +245,11 @@ class SaturatedFunction:
         return "{" + parts + "}"
 
 
-def _table_to_vals(ctx: Context, table) -> list[int]:
+def _table_to_vals(ctx: Context, table, vals=None) -> list[int]:
+    """The star-indexed values of a table, added to vals if given."""
     lat, ring = ctx.lattice, ctx.ring
     labels = lat.star_label_index()
-    vals = [0] * len(ctx.star)
+    vals = [0] * len(ctx.star) if vals is None else vals
     for pair, ideal in table.items():
         # a canonical label is looked up; anything else is parsed and checked
         i = labels.get(pair) if isinstance(pair, str) else None
@@ -437,10 +438,11 @@ def _cycle_violations(ctx: Context, f: SaturatedFunction, g) -> list[str]:
     return out
 
 
-def validate_tables(ctx: Context, f_table, g_table) -> "ClassifiedIdeal | list[str]":
-    """Build a classification pair, or report every violated constraint."""
+def validate_tables(ctx: Context, f_table, g_table, vals=None) -> "ClassifiedIdeal | list[str]":
+    """Build a classification pair, or report every violated constraint;
+    vals holds star-indexed values already read, which f_table adds to."""
     try:
-        vals = tuple(_table_to_vals(ctx, f_table))
+        vals = tuple(_table_to_vals(ctx, f_table, vals))
     except (ClassificationError, GraphError, RingError) as exc:
         return [str(exc)]
     problems = _law_violations(ctx, vals)

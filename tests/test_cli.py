@@ -1,10 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 from click.testing import CliRunner
 
+import lpalattice
 from lpalattice import OMEGA, Bundle, Graph
 from lpalattice.cli import ParseFailure, _statements, format_graph, main, parse_graph
 
@@ -440,6 +444,125 @@ class TestExitCodes:
         )
         result = runner.invoke(main, ["graded", "--graph", gfile, "--ring", "Z", pair])
         assert result.exit_code == 1
+
+
+# each command's own options, on top of --graph, --out and --json, and
+# whether it takes --ring
+COMMAND_OPTIONS = {
+    "closure": (False, ["--saturated"]),
+    "saturate": (False, ["--set", "--absorb"]),
+    "pairs": (False, ["--dot"]),
+    "cycles": (False, []),
+    "lattice-op": (True, []),
+    "graded": (True, []),
+    "largest-graded": (True, []),
+    "prime": (True, []),
+    "generators": (True, []),
+    "from-generators": (True, []),
+    "enumerate": (True, ["--dot", "--graded"]),
+    "crosscheck": (True, []),
+}
+
+
+class TestUsage:
+    """How argv is read: a usage error is one error:parse: line with exit 2,
+    options may come anywhere, and --help exits 0."""
+
+    @pytest.fixture
+    def files(self, runner, tmp_path):
+        gfile = _write(tmp_path, "g.graph", TOEPLITZ_TEXT)
+        gens = [{"kind": "vertex", "r": "2", "v": "v"}, {"kind": "cycle", "p": "3+x", "c": "e.0"}]
+        made = runner.invoke(
+            main, ["from-generators", "--graph", gfile, "--ring", "Z", _write(tmp_path, "g.json", json.dumps(gens))]
+        )
+        assert made.exit_code == 0
+        return gfile, _write(tmp_path, "a.json", made.output), _write(tmp_path, "b.json", made.output)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            pytest.param(["pairs"], id="missing --graph"),
+            pytest.param(["graded", "--graph", "G", "A"], id="missing --ring"),
+            pytest.param([], id="missing command"),
+            pytest.param(["frobnicate", "--graph", "G"], id="unknown command"),
+            pytest.param(["pairs", "--graph", "G", "--frob"], id="unknown option"),
+            pytest.param(["cycles", "--graph", "G", "--ring", "Z"], id="--ring on a command without a ring"),
+            pytest.param(["pairs", "--graph"], id="option with no value"),
+            pytest.param(["pairs", "--graph", "G", "--json=yes"], id="flag with a value"),
+            pytest.param(["graded", "--graph", "G", "--ring", "Z", "A", "B"], id="too many arguments"),
+            pytest.param(["lattice-op", "--graph", "G", "--ring", "Z", "join", "A"], id="too few arguments"),
+            pytest.param(["pairs", "--graph", "G", "extra"], id="argument to a command without any"),
+            pytest.param(["lattice-op", "--graph", "G", "--ring", "Z", "union", "A", "B"], id="unknown operator"),
+        ],
+    )
+    def test_usage_error_is_one_parse_line(self, runner, files, args):
+        names = dict(zip("GAB", files))
+        result = runner.invoke(main, [names.get(a, a) for a in args])
+        assert result.exit_code == 2
+        assert result.output.startswith("error:parse: ")
+        assert len(result.output.splitlines()) == 1
+
+    @pytest.mark.parametrize("role", ["graph", "pair"])
+    def test_missing_file_is_one_parse_line(self, runner, files, tmp_path, role):
+        gfile, a, _ = files
+        missing = str(tmp_path / "missing.json")
+        args = {
+            "graph": ["pairs", "--graph", missing],
+            "pair": ["lattice-op", "--graph", gfile, "--ring", "Z", "meet", a, missing],
+        }[role]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.output.startswith(f"error:parse: cannot read {missing}: ")
+        assert len(result.output.splitlines()) == 1
+
+    def test_options_anywhere_in_either_form(self, runner, files):
+        gfile, a, b = files
+        plain = runner.invoke(main, ["lattice-op", "--graph", gfile, "--ring", "Z", "meet", a, b])
+        assert plain.exit_code == 0
+        for args in (
+            ["lattice-op", "meet", a, b, "--graph", gfile, "--ring=Z"],
+            ["lattice-op", "meet", "--ring=Z", a, f"--graph={gfile}", b],
+            ["lattice-op", "--ring", "Q", "--graph", gfile, "--ring", "Z", "--", "meet", a, b],
+        ):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0
+            assert result.stdout == plain.stdout
+
+    def test_a_closed_pipe_ends_quietly(self, tmp_path):
+        # 8192 pairs, more text than a pipe holds, so the write meets the closed pipe
+        gfile = _write(tmp_path, "g.graph", "vertices " + ",".join(f"v{i}" for i in range(13)) + ";")
+        src = os.path.dirname(os.path.dirname(lpalattice.__file__))
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lpalattice.cli", "pairs", "--graph", gfile],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
+
+    def test_help_lists_every_command(self, runner):
+        result = runner.invoke(main, ["--help"])
+        assert result.exit_code == 0
+        listed = [line.split()[0] for line in result.output.split("Commands:\n")[1].splitlines()]
+        assert listed == sorted(COMMAND_OPTIONS)
+        assert "  lattice-op       Meet, join, or product of two classified ideals.\n" in result.output
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+    def test_command_help_names_its_options(self, runner, command):
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0
+        assert result.output.startswith(f"Usage: lpalattice {command} [OPTIONS]")
+        ring, own = COMMAND_OPTIONS[command]
+        for option in ["--graph", "--out", "--json", "--help"] + ["--ring"] * ring + own:
+            assert f"  {option} " in result.output
+        assert ("  --ring " in result.output) == ring
+        assert "stable JSON output" in result.output
+
+    def test_command_help_keeps_the_option_help(self, runner):
+        assert "also close under saturation" in runner.invoke(main, ["closure", "--help"]).output
+        assert "{meet|join|product} LEFT RIGHT" in runner.invoke(main, ["lattice-op", "--help"]).output
 
 
 def _chain_text(n):
