@@ -56,8 +56,9 @@ class ParseFailure(ValueError):
 
 _VERTICES_RE = re.compile(r"vertices\s+([A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)")
 _EDGE_RE = re.compile(r"edge\s+([A-Za-z0-9_]+)\s*:\s*([A-Za-z0-9_]+)\s*->\s*([A-Za-z0-9_]+)")
+# int() converts at most 4300 digits; a longer number is a statement that does not parse
 _BUNDLE_RE = re.compile(
-    r"bundle\s+([A-Za-z0-9_]+)\s*:\s*([A-Za-z0-9_]+)\s*->\s*([A-Za-z0-9_]+)\s*\*\s*(\d+|inf)"
+    r"bundle\s+([A-Za-z0-9_]+)\s*:\s*([A-Za-z0-9_]+)\s*->\s*([A-Za-z0-9_]+)\s*\*\s*(\d{1,4300}|inf)"
 )
 
 
@@ -117,19 +118,6 @@ def parse_graph(text: str) -> Graph:
         raise ParseFailure(str(exc)) from exc
 
 
-def format_graph(g: Graph) -> str:
-    lines = []
-    if g.vertices:
-        lines.append("vertices " + ",".join(sorted(g.vertices)) + ";")
-    for b in g.bundles:
-        if b.multiplicity == 1:
-            lines.append(f"edge {b.name}: {b.source}->{b.target};")
-        else:
-            mult = "inf" if b.is_infinite else str(b.multiplicity)
-            lines.append(f"bundle {b.name}: {b.source}->{b.target} * {mult};")
-    return "\n".join(lines) + "\n"
-
-
 # -- pair and generator files --------------------------------------------------
 
 
@@ -157,7 +145,8 @@ def load_ideal_tables(ctx, text: str):
     for label, literal in doc["f"].items():
         gen = gens.get(literal) if isinstance(literal, str) else _must_map(doc)
         if gen is None:  # each distinct literal is parsed once
-            m = re.fullmatch(r"\((-?\d+)\)", literal.strip())
+            # int() converts at most 4300 digits; a longer literal is a bad one
+            m = re.fullmatch(r"\((-?\d{1,4300})\)", literal.strip())
             if not m:
                 _must_map(doc)
                 raise ParseFailure(f"bad ring ideal literal {literal.strip()!r}; expected like (2)")
@@ -220,9 +209,8 @@ def load_generators(ctx, text: str):
                 )
             )
         else:
-            atoms.append(
-                CyclePoly(parse_poly(ctx.ring, item["p"]), find_cycle(ctx.graph, item["c"]))
-            )
+            c = ctx.cycles_by_label.get(item["c"]) or find_cycle(ctx.graph, item["c"])
+            atoms.append(CyclePoly(parse_poly(ctx.ring, item["p"]), c))
     return atoms
 
 

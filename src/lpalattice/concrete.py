@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, cycles, is_row_finite
+from .graph import Graph, _components, is_row_finite
 from .ideals import (
     CyclePoly,
     ClassifiedIdeal,
@@ -52,7 +52,8 @@ class FinitePathAlgebra:
     """
 
     def __init__(self, graph: Graph, ring: RingSpec):
-        if cycles(graph):
+        comps = _components(graph)  # successors first
+        if any(len(comp) > 1 or comp[0] in graph.out_targets(comp[0]) for comp in comps):
             raise OracleError("explicit model requires an acyclic graph")
         if not is_row_finite(graph):
             raise OracleError("explicit model requires finite multiplicities")
@@ -61,9 +62,12 @@ class FinitePathAlgebra:
         self.graph = graph
         self.ring = ring
         self.sinks = sorted(v for v in graph.vertices if graph.is_sink(v))
-        counts = {}
-        for v in graph.vertices:
-            self._count_sink_paths(v, counts)
+        counts = {}  # v -> {sink: number of paths from v to it}
+        for (v,) in comps:
+            counts[v] = n = {v: 1} if graph.is_sink(v) else {}
+            for b in graph.out_bundles(v):
+                for s, k in counts[b.target].items():
+                    n[s] = n.get(s, 0) + b.multiplicity * k
         dim = sum(sum(counts[v].get(s, 0) for v in graph.vertices) ** 2 for s in self.sinks)
         if len(ring.elements()) * dim * dim > MAX_ENUMERATION_WORK:
             raise OracleError("algebra too large for ideal enumeration")
@@ -84,16 +88,6 @@ class FinitePathAlgebra:
                     self.basis.append((s, a, b))
         self.dim = len(self.basis)
         self._index = {(a, b): i for i, (s, a, b) in enumerate(self.basis)}
-
-    def _count_sink_paths(self, v, counts):
-        """Number of paths from v to each sink, memoised in counts."""
-        if v not in counts:
-            n = {v: 1} if self.graph.is_sink(v) else {}
-            for b in self.graph.out_bundles(v):
-                for s, k in self._count_sink_paths(b.target, counts).items():
-                    n[s] = n.get(s, 0) + b.multiplicity * k
-            counts[v] = n
-        return counts[v]
 
     def _target(self, p: Path) -> str:
         return self._paths_from[p.source][p]

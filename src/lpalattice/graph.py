@@ -682,12 +682,6 @@ class CycleClass:
     def vertices(self) -> frozenset:
         return frozenset(v for v, _, _ in self.steps)
 
-    def bundle_at(self, v: str) -> str:
-        for w, b, _ in self.steps:
-            if w == v:
-                return b
-        raise GraphError(f"vertex {v!r} is not on the cycle")
-
     def label(self) -> str:
         return "-".join(f"{b}.{s}" for _, b, s in self.steps)
 
@@ -702,24 +696,27 @@ class CycleClass:
 
 
 def _vertex_cycles(g: Graph):
-    """Simple cycles as vertex tuples, least vertex first."""
-    order = sorted(g.vertices)
+    """Simple cycles as vertex tuples, least vertex first, in sorted order.  A
+    cycle stays inside one strongly connected component, so the search from
+    each start vertex walks that component only."""
     results = []
-
-    def extend(start, path, on_path):
-        for w in sorted(g.out_targets(path[-1])):
-            if w == start:
-                results.append(tuple(path))
-            elif w > start and w not in on_path:
-                on_path.add(w)
-                path.append(w)
-                extend(start, path, on_path)
-                path.pop()
-                on_path.remove(w)
-
-    for start in order:
-        extend(start, [start], {start})
-    return results
+    for comp in map(frozenset, _components(g)):
+        for start in comp:
+            path, on_path = [start], {start}
+            todo = [iter(comp & g.out_targets(start))]
+            while todo:
+                for w in todo[-1]:
+                    if w == start:
+                        results.append(tuple(path))
+                    elif w > start and w not in on_path:
+                        on_path.add(w)
+                        path.append(w)
+                        todo.append(iter(comp & g.out_targets(w)))
+                        break
+                else:
+                    todo.pop()
+                    on_path.discard(path.pop())
+    return sorted(results)
 
 
 def _cycle_index(g: Graph) -> dict:
@@ -727,10 +724,8 @@ def _cycle_index(g: Graph) -> dict:
     if g._cycles is None:
         found = set()
         for vcycle in _vertex_cycles(g):
-            n = len(vcycle)
             choices = []
-            for i in range(n):
-                v, w = vcycle[i], vcycle[(i + 1) % n]
+            for v, w in zip(vcycle, vcycle[1:] + vcycle[:1]):
                 step = []
                 for b in g.out_bundles(v):
                     if b.target != w:
@@ -751,28 +746,33 @@ def cycles(g: Graph) -> list[CycleClass]:
 
 def _exit_targets(g: Graph, c: CycleClass) -> frozenset:
     """Ranges of the exits of c; a slot left over on a cycle bundle is an exit."""
-    cverts = c.vertices()
-    targets = set()
-    for v in cverts:
-        used = c.bundle_at(v)
-        for b in g.out_bundles(v):
-            if b.name != used or b.is_infinite or b.multiplicity >= 2:
-                targets.add(b.target)
-    return frozenset(targets)
+    return frozenset([
+        b.target for v, used, _ in c.steps for b in g.out_bundles(v)
+        if b.name != used or b.multiplicity != 1
+    ])
 
 
 def exclusive_cycles(g: Graph) -> list[CycleClass]:
     """Cycles whose base vertex carries exactly one closed simple path.
 
-    A cycle is disqualified exactly when some exit can flow back into the
-    cycle: that return trip is a second closed simple path at the base.
+    A cycle is exclusive exactly when its strongly connected component is
+    the cycle itself: each vertex of the component has one bundle into it,
+    of multiplicity 1.  Any other edge inside the component, a second slot
+    included, would close a second simple path at the base.  In a component
+    with a cycle every vertex has a bundle into it, so it has one each
+    exactly when it has as many bundles inside as vertices.
     """
     out = []
-    for c in cycles(g):
-        cverts = c.vertices()
-        if hereditary_closure(g, _exit_targets(g, c)).isdisjoint(cverts):
-            out.append(c)
-    return out
+    for comp in map(set, _components(g)):
+        inside = [b for v in comp for b in g.out_bundles(v) if b.target in comp]
+        if len(inside) == len(comp) and all(b.multiplicity == 1 for b in inside):
+            step = {b.source: b for b in inside}
+            v, steps = min(comp), []
+            for _ in comp:
+                steps.append((v, step[v].name, 0))
+                v = step[v].target
+            out.append(CycleClass(tuple(steps)))
+    return sorted(out, key=lambda c: (len(c.steps), c.steps))
 
 
 def cycle_vertex_closure(g: Graph, c: CycleClass) -> frozenset:

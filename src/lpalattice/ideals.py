@@ -26,11 +26,11 @@ from .graph import (
     cycle_vertex_closure,
     downward_directed,
     exclusive_cycles,
-    exit_closure,
     find_cycle,
     has_condition_k,
     is_row_finite,
     pair_lattice,
+    _exit_targets,
 )
 from .laurent import LaurentIdeal, LaurentPoly
 from .rings import RingError, RingIdeal, RingSpec
@@ -54,19 +54,14 @@ class Context:
         self.ring = ring
         self.lattice = pair_lattice(graph)
         self.cycles = tuple(exclusive_cycles(graph))
-        self.cycle_closure_idx = []   # star index of the vertex-closure pair of each cycle
-        self.cycle_exit_idx = []  # star index of the exit-closure pair, or None
-        for c in self.cycles:
-            top = AdmissiblePair(cycle_vertex_closure(graph, c), frozenset())
-            self.cycle_closure_idx.append(self.lattice.star_index(top))
-            down = exit_closure(graph, c)
-            if down:
-                self.cycle_exit_idx.append(
-                    self.lattice.star_index(AdmissiblePair(down, frozenset()))
-                )
-            else:
-                self.cycle_exit_idx.append(None)
-        self.ji = self.lattice.star_join_irreducibles()
+        self.cycles_by_label = {c.label(): c for c in self.cycles}
+        # the star index of each cycle's vertex-closure pair, and of its
+        # exit-closure pair or None when it has no exit
+        lat = self.lattice
+        self.cycle_closure_idx = [lat.star_index(lat.least(c.vertices())) for c in self.cycles]
+        exits = [_exit_targets(graph, c) for c in self.cycles]
+        self.cycle_exit_idx = [lat.star_index(lat.least(t)) if t else None for t in exits]
+        self.ji = lat.star_join_irreducibles()
         self.cycle_ji_below = tuple(map(self.ji_below, self.cycle_closure_idx))
         self.cycle_exit_ji_below = tuple(
             () if k is None else self.ji_below(k) for k in self.cycle_exit_idx
@@ -447,8 +442,9 @@ def validate_tables(ctx: Context, f_table, g_table, vals=None) -> "ClassifiedIde
         return [str(exc)]
     problems = _law_violations(ctx, vals)
     g = [None] * len(ctx.cycles)
-    for key, ideal in g_table.items():
-        c = key if isinstance(key, CycleClass) else find_cycle(ctx.graph, key)
+    for c, ideal in g_table.items():
+        if not isinstance(c, CycleClass):
+            c = ctx.cycles_by_label.get(c) or find_cycle(ctx.graph, c)
         if c not in ctx.cycles:
             problems.append(f"cycle {c.label()} is not exclusive; its value is forced")
             continue

@@ -113,7 +113,8 @@ class LaurentPoly:
         return " ".join(pieces)
 
 
-_TERM_RE = re.compile(r"(?:(?P<c>\d+(?:/\d+)?)\*?)?(?P<x>x(?:\^(?P<e>-?\d+))?)?")
+# int() converts at most 4300 digits, so a longer exponent is a bad term
+_TERM_RE = re.compile(r"(?:(?P<c>\d+(?:/\d+)?)\*?)?(?P<x>x(?:\^(?P<e>-?\d{1,4300}))?)?")
 
 
 def parse_poly(ring: RingSpec, text: str) -> LaurentPoly:

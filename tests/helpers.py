@@ -7,11 +7,12 @@ suprema by closing the union of their sets), the pairwise supremum law and
 its fixpoint sweep, join, meet and product on full tables, the literal
 union-over-subsets formula for saturation (element sets over finite rings),
 the x-colon by elimination in Z[x]^2, integer row reduction for Laurent
-ideal membership, and a character-by-character scanner for the statements
-of the graph text format.  The meet of pairs by its set formula, the
-classification pair of one generator saturated over the full table, the
-JSON document of a classified ideal, and the ideals of an explicit algebra
-seeded at every basis index serve as references too.
+ideal membership, a character-by-character scanner for the statements of
+the graph text format, and the cycles of a graph by enumerating every simple
+cycle, with exclusivity tested by closing the exits.  The meet of pairs by
+its set formula, the classification pair of one generator saturated over the
+full table, the JSON document of a classified ideal, and the ideals of an
+explicit algebra seeded at every basis index serve as references too.
 """
 
 import functools
@@ -23,6 +24,7 @@ from lpalattice import (
     OMEGA,
     AdmissiblePair,
     Bundle,
+    CycleClass,
     Graph,
     IntegersMod,
     LaurentIdeal,
@@ -31,6 +33,7 @@ from lpalattice import (
     RingIdeal,
     ZZ,
     breaking_vertices,
+    hereditary_closure,
     hereditary_saturated_closure,
 )
 from lpalattice.cli import ParseFailure
@@ -463,6 +466,76 @@ def scan_statements(text: str):
     tail = "".join(buf).strip()
     if tail:
         raise ParseFailure(f"line {start[0]}, col {start[1]}: missing ';' after {tail!r}")
+
+
+def format_graph(g: Graph) -> str:
+    """The graph text of g, one statement a line: the inverse of parse_graph."""
+    lines = []
+    if g.vertices:
+        lines.append("vertices " + ",".join(sorted(g.vertices)) + ";")
+    for b in g.bundles:
+        if b.multiplicity == 1:
+            lines.append(f"edge {b.name}: {b.source}->{b.target};")
+        else:
+            mult = "inf" if b.is_infinite else str(b.multiplicity)
+            lines.append(f"bundle {b.name}: {b.source}->{b.target} * {mult};")
+    return "\n".join(lines) + "\n"
+
+
+# -- cycles by enumeration ----------------------------------------------------------
+
+
+def reference_vertex_cycles(g: Graph):
+    """Simple cycles as vertex tuples, least vertex first, by a recursive
+    depth-first search over the whole graph from each vertex in turn."""
+    results = []
+
+    def extend(start, path, on_path):
+        for w in sorted(g.out_targets(path[-1])):
+            if w == start:
+                results.append(tuple(path))
+            elif w > start and w not in on_path:
+                on_path.add(w)
+                path.append(w)
+                extend(start, path, on_path)
+                path.pop()
+                on_path.remove(w)
+
+    for start in sorted(g.vertices):
+        extend(start, [start], {start})
+    return results
+
+
+def reference_cycles(g: Graph):
+    """Every cycle class, ordered by (length, steps): each vertex cycle with
+    every choice of bundle and slot along it, canonically rotated."""
+    found = set()
+    for vcycle in reference_vertex_cycles(g):
+        choices = []
+        for v, w in zip(vcycle, vcycle[1:] + vcycle[:1]):
+            choices.append([
+                (v, b.name, s)
+                for b in g.out_bundles(v) if b.target == w
+                for s in ([0] if b.is_infinite else range(b.multiplicity))
+            ])
+        found.update(CycleClass.canonical(combo) for combo in itertools.product(*choices))
+    return sorted(found, key=lambda c: (len(c.steps), c.steps))
+
+
+def reference_exclusive_cycles(g: Graph):
+    """The cycles none of whose exits flows back into them: an exit is a
+    bundle at a cycle vertex other than the cycle's own, or a slot left over
+    on the cycle's own."""
+    out = []
+    for c in reference_cycles(g):
+        own = {v: b for v, b, _ in c.steps}
+        exits = {
+            b.target for v in own for b in g.out_bundles(v)
+            if b.name != own[v] or b.is_infinite or b.multiplicity >= 2
+        }
+        if hereditary_closure(g, exits).isdisjoint(own):
+            out.append(c)
+    return out
 
 
 # -- the worked two-vertex example over the integers ---------------------------

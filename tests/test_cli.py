@@ -10,9 +10,10 @@ from click.testing import CliRunner
 
 import lpalattice
 from lpalattice import OMEGA, Bundle, Graph
-from lpalattice.cli import ParseFailure, _statements, format_graph, main, parse_graph
+from lpalattice.cli import ParseFailure, _statements, main, parse_graph
 
 import helpers
+from helpers import format_graph
 
 TOEPLITZ_TEXT = """\
 # loop plus sink
@@ -445,6 +446,36 @@ class TestExitCodes:
         result = runner.invoke(main, ["graded", "--graph", gfile, "--ring", "Z", pair])
         assert result.exit_code == 1
 
+    # Python refuses to convert a string of more than 4300 digits to an int
+    @pytest.mark.parametrize(
+        "command, graph_text, doc, code, start",
+        [
+            (
+                "graded", TOEPLITZ_TEXT, {"f": {"{v}": "(" + "1" * 5000 + ")"}},
+                2, "error:parse: bad ring ideal literal '(111",
+            ),
+            (
+                "pairs", "vertices u,v; bundle b: u->v * " + "1" * 5000 + ";", None,
+                2, "error:parse: line 1, col 15: cannot parse statement 'bundle b: u->v * 111",
+            ),
+            (
+                "from-generators", TOEPLITZ_TEXT, [{"kind": "cycle", "p": "x^" + "1" * 5000, "c": "e.0"}],
+                1, "error:domain: bad polynomial term 'x^111",
+            ),
+        ],
+        ids=["pair-literal", "multiplicity", "exponent"],
+    )
+    def test_an_integer_past_the_conversion_limit_is_one_error_line(
+        self, runner, tmp_path, command, graph_text, doc, code, start
+    ):
+        args = [command, "--graph", _write(tmp_path, "g.graph", graph_text)]
+        if doc is not None:
+            args += ["--ring", "Z", _write(tmp_path, "doc.json", json.dumps(doc))]
+        result = runner.invoke(main, args)
+        assert result.exit_code == code
+        assert result.output.startswith(start)
+        assert len(result.output.splitlines()) == 1
+
 
 # each command's own options, on top of --graph, --out and --json, and
 # whether it takes --ring
@@ -675,3 +706,60 @@ class TestPairLabels:
         result = runner.invoke(main, ["lattice-op", "--graph", gfile, "--ring", "Z", "join", pair, pair])
         assert result.exit_code == 1
         assert result.output == f"error:domain: invalid pair: {line}\n"
+
+
+def _ladder_text(n):
+    """n diamonds in a row, v(3i) -> v(3i+1), v(3i+2) -> v(3i+3): no cycle,
+    and 2^n paths from v0 to the last vertex."""
+    text = "vertices " + ",".join(f"v{i}" for i in range(3 * n + 1)) + ";\n"
+    for i in range(n):
+        a, b, c, d = (f"v{3 * i + k}" for k in range(4))
+        text += f"edge l{i}: {a}->{b}; edge r{i}: {a}->{c}; edge s{i}: {b}->{d}; edge t{i}: {c}->{d};\n"
+    return text
+
+
+def _run_cli(args):
+    """The command line run in a fresh interpreter, killed after 10 s."""
+    src = os.path.dirname(os.path.dirname(lpalattice.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run(
+        [sys.executable, "-m", "lpalattice.cli", *args],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+
+
+class TestCyclesOffTheComponents:
+    """No ideal command and no crosscheck lists the cycles of a graph, so a
+    long chain or a ladder of diamonds, which has exponentially many paths
+    but no cycle, answers at once."""
+
+    @pytest.mark.parametrize(
+        "n, text", [(3000, _chain_text(3000)), (121, _ladder_text(40))], ids=["chain", "ladder"]
+    )
+    def test_generators_and_join_answer(self, tmp_path, n, text):
+        gfile = _write(tmp_path, "g.graph", text)
+        pairs = []
+        for name, gens in [("a", {"r": "2", "v": "v0"}), ("b", {"r": "3", "v": "v1"})]:
+            doc = _write(tmp_path, f"{name}.gens", json.dumps([{"kind": "vertex", **gens}]))
+            pairs.append(str(tmp_path / f"{name}.json"))
+            made = _run_cli(["from-generators", "--graph", gfile, "--ring", "Z", "--out", pairs[-1], doc])
+            assert (made.returncode, made.stderr) == (0, "")
+        joined = _run_cli(["lattice-op", "--graph", gfile, "--ring", "Z", "join", *pairs])
+        assert (joined.returncode, joined.stderr) == (0, "")
+        doc = json.loads(joined.stdout)
+        assert doc["g"] == {} and doc["ring"] == "Z"
+        top = "{" + ",".join(sorted(f"v{i}" for i in range(n))) + "}"
+        assert doc["f"][top] == "(1)"
+
+    @pytest.mark.parametrize("text", [_chain_text(3000), _ladder_text(40)], ids=["chain", "ladder"])
+    def test_cycles_prints_no_cycles(self, tmp_path, text):
+        result = _run_cli(["cycles", "--graph", _write(tmp_path, "g.graph", text)])
+        assert (result.returncode, result.stdout, result.stderr) == (0, "no cycles\n", "")
+
+    def test_crosscheck_on_a_5000_vertex_chain_is_one_domain_line(self, tmp_path):
+        gfile = _write(tmp_path, "g.graph", _chain_text(5000))
+        result = _run_cli(["crosscheck", "--graph", gfile, "--ring", "F2"])
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:domain: ")
+        assert len(result.stderr.splitlines()) == 1

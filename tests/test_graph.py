@@ -23,7 +23,14 @@ from lpalattice import (
     pair_lattice,
     saturated_closure,
 )
-from lpalattice.graph import MAX_GRAPH_SIZE, MAX_PAIRS, PairLattice, covering_pairs, find_cycle
+from lpalattice.graph import (
+    MAX_GRAPH_SIZE,
+    MAX_PAIRS,
+    PairLattice,
+    _vertex_cycles,
+    covering_pairs,
+    find_cycle,
+)
 
 import helpers
 
@@ -406,6 +413,68 @@ class TestCycles:
         g1, g2 = helpers.toeplitz(), helpers.fork()
         with pytest.raises(GraphError):
             exit_closure(g2, cycles(g1)[0])
+
+
+def _named_graphs():
+    """Every graph of the catalog in tests/helpers.py."""
+    return [
+        helpers.toeplitz(), helpers.fork(), helpers.chain(1), helpers.chain(4),
+        helpers.single_vertex(), helpers.isolated(3), helpers.prime_counterexample(),
+        helpers.omega_fork(), helpers.loop_no_exit(), helpers.double_loop(),
+        helpers.toeplitz_with_sink(), helpers.two_cycle(), helpers.two_cycle_with_exit(),
+        helpers.stacked_loops(), helpers.star4_graph(), helpers.star6_graph(),
+        helpers.two_breakers(), helpers.uneven_breakers(),
+    ]
+
+
+class TestCyclesMatchTheEnumeration:
+    """exclusive_cycles reads the strongly connected components, and the
+    cycle search walks one component at a time without recursion; both give
+    what enumerating every simple cycle gives, in the same order and with
+    the same labels."""
+
+    def _check(self, g) -> bool:
+        assert _vertex_cycles(g) == helpers.reference_vertex_cycles(g)
+        want = helpers.reference_cycles(g)
+        assert [c.label() for c in cycles(g)] == [c.label() for c in want]
+        assert cycles(g) == want
+        exclusive = helpers.reference_exclusive_cycles(g)
+        assert [c.label() for c in exclusive_cycles(g)] == [c.label() for c in exclusive]
+        assert exclusive_cycles(g) == exclusive
+        return bool(exclusive)
+
+    def test_catalog_graphs(self):
+        graphs = [g for _, g, _ in helpers.law_suite_graphs()] + _named_graphs()
+        assert sum(map(self._check, graphs)) == 13
+
+    def test_acyclic_family(self):
+        for g in helpers.acyclic_family():
+            assert not self._check(g)
+            assert cycles(g) == []
+
+    def test_random_graphs(self):
+        rng = random.Random(14)
+        with_exclusive = 0
+        for _ in range(3000):
+            with_exclusive += self._check(helpers.random_graph(rng, max_v=6, max_b=8))
+        assert with_exclusive == 701
+
+    def test_context_reads_the_cycle_closures_off_the_lattice(self):
+        # the closure and exit-closure pairs of each exclusive cycle equal
+        # the hs-closures of its vertices and of its exits
+        rng = random.Random(15)
+        graphs = [g for _, g, _ in helpers.law_suite_graphs()] + _named_graphs()
+        graphs += [helpers.random_graph(rng, max_v=6, max_b=8) for _ in range(400)]
+        for g in graphs:
+            ctx = context(g, ZZ)
+            assert ctx.cycles == tuple(exclusive_cycles(g))
+            for c, k, e in zip(ctx.cycles, ctx.cycle_closure_idx, ctx.cycle_exit_idx):
+                assert ctx.cycles_by_label[c.label()] is c
+                assert ctx.star[k] == AdmissiblePair(cycle_vertex_closure(g, c), frozenset())
+                down = exit_closure(g, c)
+                assert (e is None) == (not down)
+                if down:
+                    assert ctx.star[e] == AdmissiblePair(down, frozenset())
 
 
 class TestGlobalConditions:
