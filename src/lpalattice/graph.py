@@ -10,6 +10,8 @@ enumeration finite).
 from __future__ import annotations
 
 import itertools
+import math
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
@@ -39,6 +41,8 @@ OMEGA = _Omega()
 MAX_PAIRS = 1 << 16  # admissible pairs a lattice may have, bottom included
 MAX_GRAPH_SIZE = 1 << 13  # vertices plus bundles of a graph whose pair lattice is built
 _TOO_MANY_PAIRS = f"the admissible-pair lattice has more than {MAX_PAIRS} pairs"
+MAX_CYCLES = 1 << 12  # cycles `cycles` lists, and vertices its search may push
+_TOO_MANY_CYCLES = f"cannot list the cycles: more than {MAX_CYCLES} cycles or search steps"
 
 
 class Bundle(NamedTuple):
@@ -50,6 +54,11 @@ class Bundle(NamedTuple):
     @property
     def is_infinite(self) -> bool:
         return self.multiplicity is OMEGA
+
+    @property
+    def slots(self) -> int:
+        """The number of edges a cycle label tells apart: one on an infinite bundle."""
+        return 1 if self.is_infinite else self.multiplicity
 
 
 class Graph:
@@ -70,7 +79,6 @@ class Graph:
             if b.multiplicity is not OMEGA and (not isinstance(b.multiplicity, int) or b.multiplicity < 1):
                 raise GraphError(f"bad multiplicity {b.multiplicity!r} in bundle {b.name!r}")
         self.bundles = bundles
-        self._cycles = None  # label -> CycleClass, filled on first use
         self._key = (self.vertices, self.bundles)
         self._hash = hash(self._key)
 
@@ -229,9 +237,6 @@ class AdmissiblePair(NamedTuple):
 
     H: frozenset
     S: frozenset
-
-    def key(self):
-        return (len(self.H), tuple(sorted(self.H)), tuple(sorted(self.S)))
 
     def label(self) -> str:
         h = "{" + ",".join(sorted(self.H)) + "}"
@@ -685,21 +690,12 @@ class CycleClass:
     def label(self) -> str:
         return "-".join(f"{b}.{s}" for _, b, s in self.steps)
 
-    def __str__(self):
-        return self.label()
-
-    @staticmethod
-    def canonical(steps) -> "CycleClass":
-        steps = tuple(steps)
-        best = min(range(len(steps)), key=lambda i: steps[i:] + steps[:i])
-        return CycleClass(steps[best:] + steps[:best])
-
 
 def _vertex_cycles(g: Graph):
     """Simple cycles as vertex tuples, least vertex first, in sorted order.  A
     cycle stays inside one strongly connected component, so the search from
     each start vertex walks that component only."""
-    results = []
+    results, pushed = [], 0
     for comp in map(frozenset, _components(g)):
         for start in comp:
             path, on_path = [start], {start}
@@ -709,6 +705,9 @@ def _vertex_cycles(g: Graph):
                     if w == start:
                         results.append(tuple(path))
                     elif w > start and w not in on_path:
+                        pushed += 1
+                        if pushed > MAX_CYCLES:
+                            raise GraphError(_TOO_MANY_CYCLES)
                         on_path.add(w)
                         path.append(w)
                         todo.append(iter(comp & g.out_targets(w)))
@@ -719,29 +718,18 @@ def _vertex_cycles(g: Graph):
     return sorted(results)
 
 
-def _cycle_index(g: Graph) -> dict:
-    """Label -> cycle, in the order of cycles(g); computed once per graph."""
-    if g._cycles is None:
-        found = set()
-        for vcycle in _vertex_cycles(g):
-            choices = []
-            for v, w in zip(vcycle, vcycle[1:] + vcycle[:1]):
-                step = []
-                for b in g.out_bundles(v):
-                    if b.target != w:
-                        continue
-                    slots = [0] if b.is_infinite else range(b.multiplicity)
-                    step.extend((v, b.name, s) for s in slots)
-                choices.append(step)
-            found.update(CycleClass.canonical(combo) for combo in itertools.product(*choices))
-        ordered = sorted(found, key=lambda c: (len(c.steps), c.steps))
-        g._cycles = {c.label(): c for c in ordered}
-    return g._cycles
-
-
 def cycles(g: Graph) -> list[CycleClass]:
-    """All cycles (closed simple paths up to rotation), canonically rotated."""
-    return list(_cycle_index(g).values())
+    """All cycles (closed simple paths up to rotation), canonically rotated:
+    each choice of bundle and slot along a vertex cycle, counted first."""
+    out = []
+    for vcycle in _vertex_cycles(g):
+        pairs = zip(vcycle, vcycle[1:] + vcycle[:1])
+        bundles = [[b for b in g.out_bundles(v) if b.target == w] for v, w in pairs]
+        if len(out) + math.prod(sum(b.slots for b in bs) for bs in bundles) > MAX_CYCLES:
+            raise GraphError(_TOO_MANY_CYCLES)
+        choices = [[(b.source, b.name, s) for b in bs for s in range(b.slots)] for bs in bundles]
+        out += map(CycleClass, itertools.product(*choices))
+    return sorted(out, key=lambda c: (len(c.steps), c.steps))
 
 
 def _exit_targets(g: Graph, c: CycleClass) -> frozenset:
@@ -786,14 +774,26 @@ def exit_closure(g: Graph, c: CycleClass) -> frozenset:
 
 
 def find_cycle(g: Graph, label: str) -> CycleClass:
-    c = _cycle_index(g).get(label)
-    if c is None:
-        raise GraphError(f"no cycle labelled {label!r}")
-    return c
+    """The cycle a label names, read off its own bundle.slot steps: they
+    chain, close, repeat no vertex and start at the least (names hold no '-')."""
+    named, steps, at = {b.name: b for b in g.bundles}, [], None
+    for name, _, slot in (step.rpartition(".") for step in label.split("-")):
+        b = named.get(name)
+        # a slot is a canonical decimal, of at most the 4300 digits int() reads
+        ok = b is not None and (not steps or b.source == at) and re.fullmatch(r"0|[1-9][0-9]{0,4299}", slot)
+        if not ok or int(slot) >= b.slots:
+            break
+        steps.append((b.source, name, int(slot)))
+        at = b.target
+    else:
+        vs = [v for v, _, _ in steps]
+        if at == vs[0] == min(vs) and len(set(vs)) == len(vs):
+            return CycleClass(tuple(steps))
+    raise GraphError(f"no cycle labelled {label!r}")
 
 
 def check_cycle(g: Graph, c: CycleClass):
-    if _cycle_index(g).get(c.label()) != c:
+    if find_cycle(g, c.label()) != c:
         raise GraphError(f"{c.label()} is not a cycle of this graph")
 
 

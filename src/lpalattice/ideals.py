@@ -488,10 +488,13 @@ def pair_json(pair: ClassifiedIdeal) -> str:
     from the pieces its context prepares once."""
     w = pair.ctx.writer
     vals = pair.f.vals
-    f = ",\n".join([f'    "{k}": "({vals[i]})"' for k, i in zip(w.keys, w.order)])
-    g = ",\n".join([
-        f"    {k}: {_quote(str(pair.g[i]))}" for k, i in zip(w.cycle_keys, w.cycle_order)
-    ])
+    try:
+        f = ",\n".join([f'    "{k}": "({vals[i]})"' for k, i in zip(w.keys, w.order)])
+        g = ",\n".join([
+            f"    {k}: {_quote(str(pair.g[i]))}" for k, i in zip(w.cycle_keys, w.cycle_order)
+        ])
+    except ValueError as exc:  # str() of an int past the 4300-digit limit
+        raise RingError("cannot write the result: it holds an integer too long to print") from exc
     return (
         '{\n  "f": ' + ("{\n" + f + "\n  }" if f else "{}")
         + ',\n  "g": ' + ("{\n" + g + "\n  }" if g else "{}") + w.tail

@@ -113,6 +113,8 @@ class LaurentPoly:
         return " ".join(pieces)
 
 
+MAX_EXPONENT_SPAN = 1 << 10  # highest less lowest exponent of a parsed polynomial
+
 # int() converts at most 4300 digits, so a longer exponent is a bad term
 _TERM_RE = re.compile(r"(?:(?P<c>\d+(?:/\d+)?)\*?)?(?P<x>x(?:\^(?P<e>-?\d{1,4300}))?)?")
 
@@ -148,7 +150,10 @@ def parse_poly(ring: RingSpec, text: str) -> LaurentPoly:
         if m["x"] is not None:
             exp = int(m["e"]) if m["e"] is not None else 1
         terms.append((exp, coeff))
-    return LaurentPoly.from_terms(ring, terms)
+    p = LaurentPoly.from_terms(ring, terms)
+    if p.terms and p.terms[-1][0] - p.terms[0][0] > MAX_EXPONENT_SPAN:
+        raise RingError(f"polynomial {text!r} spans more than {MAX_EXPONENT_SPAN} powers of x")
+    return p
 
 
 # -- dense helpers over a field ------------------------------------------

@@ -242,9 +242,14 @@ def naive_saturated_closure(g: Graph, base, absorb=frozenset()):
 # -- admissible pairs from their definition -------------------------------------
 
 
+def pair_order(p: AdmissiblePair):
+    """The order in which a lattice lists its pairs: by (|H|, sorted H, sorted S)."""
+    return (len(p.H), tuple(sorted(p.H)), tuple(sorted(p.S)))
+
+
 def brute_force_pairs(g: Graph):
-    """Every admissible pair, sorted by key, found by testing each vertex
-    subset for heredity and saturation and each set of its breaking
+    """Every admissible pair, sorted by pair_order, found by testing each
+    vertex subset for heredity and saturation and each set of its breaking
     vertices, straight from the definitions."""
     verts = sorted(g.vertices)
     out = []
@@ -267,11 +272,11 @@ def brute_force_pairs(g: Graph):
         for n in range(len(breaking) + 1):
             for S in itertools.combinations(breaking, n):
                 out.append(AdmissiblePair(H, frozenset(S)))
-    return sorted(out, key=AdmissiblePair.key)
+    return sorted(out, key=pair_order)
 
 
 def subset_scan_pairs(g: Graph):
-    """Every admissible pair, sorted by key, as the closures of all vertex
+    """Every admissible pair, sorted by pair_order, as the closures of all vertex
     subsets together with every set of their breaking vertices."""
     hs_sets = {
         hereditary_saturated_closure(g, k)
@@ -284,7 +289,7 @@ def subset_scan_pairs(g: Graph):
         for n in range(len(bv) + 1):
             for s in itertools.combinations(bv, n):
                 out.append(AdmissiblePair(H, frozenset(s)))
-    return sorted(out, key=AdmissiblePair.key)
+    return sorted(out, key=pair_order)
 
 
 def pair_leq(a, b):
@@ -506,6 +511,12 @@ def reference_vertex_cycles(g: Graph):
     return results
 
 
+def canonical(steps) -> CycleClass:
+    steps = tuple(steps)
+    best = min(range(len(steps)), key=lambda i: steps[i:] + steps[:i])
+    return CycleClass(steps[best:] + steps[:best])
+
+
 def reference_cycles(g: Graph):
     """Every cycle class, ordered by (length, steps): each vertex cycle with
     every choice of bundle and slot along it, canonically rotated."""
@@ -518,7 +529,7 @@ def reference_cycles(g: Graph):
                 for b in g.out_bundles(v) if b.target == w
                 for s in ([0] if b.is_infinite else range(b.multiplicity))
             ])
-        found.update(CycleClass.canonical(combo) for combo in itertools.product(*choices))
+        found.update(canonical(combo) for combo in itertools.product(*choices))
     return sorted(found, key=lambda c: (len(c.steps), c.steps))
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -718,13 +719,13 @@ def _ladder_text(n):
     return text
 
 
-def _run_cli(args):
+def _run_cli(args, preexec_fn=None):
     """The command line run in a fresh interpreter, killed after 10 s."""
     src = os.path.dirname(os.path.dirname(lpalattice.__file__))
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     return subprocess.run(
         [sys.executable, "-m", "lpalattice.cli", *args],
-        capture_output=True, text=True, env=env, timeout=10,
+        capture_output=True, text=True, env=env, timeout=10, preexec_fn=preexec_fn,
     )
 
 
@@ -763,3 +764,89 @@ class TestCyclesOffTheComponents:
         assert result.stdout == ""
         assert result.stderr.startswith("error:domain: ")
         assert len(result.stderr.splitlines()) == 1
+
+
+def _complete_text(n):
+    """The complete digraph on n vertices, e<k> the k-th edge v<i> -> v<j>
+    with i before j: e0 is v0 -> v1 and e<n-1> is v1 -> v0."""
+    edges = [(i, j) for i in range(n) for j in range(n) if i != j]
+    text = "vertices " + ",".join(f"v{i}" for i in range(n)) + ";\n"
+    return text + "".join(f"edge e{k}: v{i}->v{j};\n" for k, (i, j) in enumerate(edges))
+
+
+class TestCycleLabelsAndBudgets:
+    """A cycle label is checked by walking its own steps, and only `cycles`
+    lists cycles, up to MAX_CYCLES: the complete digraph on 12 vertices
+    and a 2-cycle of two 1000-edge bundles are refused at once, and a pair
+    or generators file naming a non-exclusive cycle of the first answers."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [_complete_text(12), "vertices u,v; bundle a: u->v * 1000; bundle b: v->u * 1000;"],
+        ids=["K12", "m1000"],
+    )
+    def test_cycles_past_the_budget_is_one_domain_line(self, tmp_path, text):
+        result = _run_cli(["cycles", "--graph", _write(tmp_path, "g.graph", text)])
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.startswith("error:domain: ") and result.stderr.count("\n") == 1
+
+    def test_a_non_exclusive_cycle_of_k12_is_read_off_its_label(self, tmp_path):
+        gfile = _write(tmp_path, "g.graph", _complete_text(12))
+        gen = {"kind": "cycle", "p": "x - 3", "c": "e0.0-e11.0"}
+        gens = _write(tmp_path, "a.gens", json.dumps([gen]))
+        made = _run_cli(["from-generators", "--graph", gfile, "--ring", "Z", gens])
+        assert (made.returncode, made.stderr) == (0, "")
+        doc = json.loads(made.stdout)
+        assert doc["g"] == {} and list(doc["f"].values()) == ["(1)"]
+        doc["g"] = {"e0.0-e11.0": "<x - 3>"}
+        pair = _write(tmp_path, "p.json", json.dumps(doc))
+        result = _run_cli(["graded", "--graph", gfile, "--ring", "Z", pair])
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == (
+            "error:domain: invalid pair: cycle e0.0-e11.0 is not exclusive; its value is forced\n"
+        )
+
+
+def _limit_memory():
+    """Limit the address space of the process to 1 GB."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+class TestNumberBudgets:
+    """A polynomial spanning more than MAX_EXPONENT_SPAN powers of x is
+    refused when it is read, and a result holding an integer too long for
+    str() is refused before anything is written."""
+
+    def test_a_wide_cycle_generator_is_one_domain_line(self, tmp_path):
+        gfile = _write(tmp_path, "g.graph", TOEPLITZ_TEXT)
+        gen = {"kind": "cycle", "p": "x^1000000000 - 2", "c": "e.0"}
+        gens = _write(tmp_path, "a.gens", json.dumps([gen]))
+        result = _run_cli(["from-generators", "--graph", gfile, "--ring", "Z", gens], _limit_memory)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == "error:domain: polynomial 'x^1000000000 - 2' spans more than 1024 powers of x\n"
+
+    def test_a_wide_cycle_value_is_one_parse_line(self, tmp_path):
+        gfile = _write(tmp_path, "g.graph", TOEPLITZ_TEXT)
+        doc = {"f": {"{u,v}": "(1)", "{v}": "(1)"}, "g": {"e.0": "<x^1000000000 - 2>"}}
+        pair = _write(tmp_path, "p.json", json.dumps(doc))
+        result = _run_cli(["graded", "--graph", gfile, "--ring", "Z", pair], _limit_memory)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error:parse: polynomial 'x^1000000000 - 2' spans more than 1024 powers of x\n"
+
+    @pytest.mark.parametrize(
+        "gen",
+        [{"kind": "vertex", "r": "7" * 3000, "v": "v"}, {"kind": "cycle", "p": "7" * 3000 + "x + 1", "c": "e.0"}],
+        ids=["vertex", "cycle"],
+    )
+    def test_a_product_past_the_digit_limit_is_one_domain_line(self, runner, tmp_path, gen):
+        gfile = _write(tmp_path, "g.graph", TOEPLITZ_TEXT)
+        gens = _write(tmp_path, "a.gens", json.dumps([gen]))
+        pair = str(tmp_path / "a.json")
+        made = runner.invoke(main, ["from-generators", "--graph", gfile, "--ring", "Z", "--out", pair, gens])
+        assert (made.exit_code, made.output) == (0, "")
+        out = tmp_path / "out.json"
+        args = ["lattice-op", "--graph", gfile, "--ring", "Z", "--out", str(out), "product", pair, pair]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.output == "error:domain: cannot write the result: it holds an integer too long to print\n"
+        assert not out.exists()

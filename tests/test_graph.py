@@ -4,6 +4,7 @@ import time
 import pytest
 
 from lpalattice import (
+    OMEGA,
     ZZ,
     AdmissiblePair,
     Bundle,
@@ -414,6 +415,29 @@ class TestCycles:
         with pytest.raises(GraphError):
             exit_closure(g2, cycles(g1)[0])
 
+    @pytest.mark.parametrize(
+        "label",
+        [
+            "f.0-e.0",  # a rotation that starts past the least vertex
+            "x.0",  # no such bundle
+            "e.0-g.0-h.2", "e.0-g.0-h.3",  # slots at and past the multiplicity
+            "k.1",  # an infinite bundle has slot 0 only
+            "m.01", "m.-1", "m.", ".0", "", "m.\u0663",  # not canonical decimals
+            "e.0-h.0",  # c does not follow b
+            "e.0-g.0",  # c does not return to a
+            "e.0-f.0-e.0-f.0",  # a and b twice
+        ],
+    )
+    def test_malformed_labels_name_no_cycle(self, label):
+        g = Graph(["a", "b", "c"], [
+            Bundle("e", "a", "b"), Bundle("f", "b", "a"), Bundle("g", "b", "c"),
+            Bundle("h", "c", "a", 2), Bundle("k", "a", "a", OMEGA), Bundle("m", "a", "a", 12),
+        ])
+        for s in ["e.0-g.0-h.1", "k.0", "m.11"]:
+            assert find_cycle(g, s).label() == s
+        with pytest.raises(GraphError, match="no cycle labelled"):
+            find_cycle(g, label)
+
 
 def _named_graphs():
     """Every graph of the catalog in tests/helpers.py."""
@@ -438,6 +462,8 @@ class TestCyclesMatchTheEnumeration:
         want = helpers.reference_cycles(g)
         assert [c.label() for c in cycles(g)] == [c.label() for c in want]
         assert cycles(g) == want
+        for c in want:
+            assert find_cycle(g, c.label()) == c
         exclusive = helpers.reference_exclusive_cycles(g)
         assert [c.label() for c in exclusive_cycles(g)] == [c.label() for c in exclusive]
         assert exclusive_cycles(g) == exclusive
