@@ -41,8 +41,11 @@ OMEGA = _Omega()
 MAX_PAIRS = 1 << 16  # admissible pairs a lattice may have, bottom included
 MAX_GRAPH_SIZE = 1 << 13  # vertices plus bundles of a graph whose pair lattice is built
 _TOO_MANY_PAIRS = f"the admissible-pair lattice has more than {MAX_PAIRS} pairs"
-MAX_CYCLES = 1 << 12  # cycles `cycles` lists, and vertices its search may push
-_TOO_MANY_CYCLES = f"cannot list the cycles: more than {MAX_CYCLES} cycles or search steps"
+MAX_CYCLES = 1 << 12  # cycles `cycles` lists
+_TOO_MANY_CYCLES = (
+    f"cannot list the cycles: more than {MAX_CYCLES} cycles,"
+    f" or more than {MAX_CYCLES + 1} search steps per vertex and bundle"
+)
 
 
 class Bundle(NamedTuple):
@@ -694,8 +697,10 @@ class CycleClass:
 def _vertex_cycles(g: Graph):
     """Simple cycles as vertex tuples, least vertex first, in sorted order.  A
     cycle stays inside one strongly connected component, so the search from
-    each start vertex walks that component only."""
-    results, pushed = [], 0
+    each start vertex walks that component only.  It refuses past MAX_CYCLES
+    cycles or (|V| + |bundles|)(MAX_CYCLES + 1) pushes, the order of Johnson's
+    (1975) bound for that many, which it passes only where paths dead-end."""
+    results, steps = [], (len(g.vertices) + len(g.bundles)) * (MAX_CYCLES + 1)
     for comp in map(frozenset, _components(g)):
         for start in comp:
             path, on_path = [start], {start}
@@ -704,9 +709,11 @@ def _vertex_cycles(g: Graph):
                 for w in todo[-1]:
                     if w == start:
                         results.append(tuple(path))
+                        if len(results) > MAX_CYCLES:
+                            raise GraphError(_TOO_MANY_CYCLES)
                     elif w > start and w not in on_path:
-                        pushed += 1
-                        if pushed > MAX_CYCLES:
+                        steps -= 1
+                        if steps < 0:
                             raise GraphError(_TOO_MANY_CYCLES)
                         on_path.add(w)
                         path.append(w)

@@ -32,7 +32,7 @@ from .graph import (
     pair_lattice,
     _exit_targets,
 )
-from .laurent import LaurentIdeal, LaurentPoly
+from .laurent import MAX_EXPONENT_SPAN, LaurentIdeal, LaurentPoly
 from .rings import RingError, RingIdeal, RingSpec
 
 
@@ -488,6 +488,8 @@ def pair_json(pair: ClassifiedIdeal) -> str:
     from the pieces its context prepares once."""
     w = pair.ctx.writer
     vals = pair.f.vals
+    if any(len(d) > MAX_EXPONENT_SPAN + 1 for ideal in pair.g for d in ideal.basis):
+        raise RingError(f"cannot write the result: a cycle value spans more than {MAX_EXPONENT_SPAN} powers of x")
     try:
         f = ",\n".join([f'    "{k}": "({vals[i]})"' for k, i in zip(w.keys, w.order)])
         g = ",\n".join([

@@ -790,6 +790,16 @@ class TestCycleLabelsAndBudgets:
         assert (result.returncode, result.stdout) == (1, "")
         assert result.stderr.startswith("error:domain: ") and result.stderr.count("\n") == 1
 
+    def test_a_ring_of_120_vertices_lists_its_one_cycle(self, tmp_path):
+        names = [f"v{i:03d}" for i in range(120)]
+        text = "vertices " + ",".join(names) + ";\n"
+        text += "".join(f"edge e{i}: {v}->{names[i - 119]};\n" for i, v in enumerate(names))
+        result = _run_cli(["cycles", "--graph", _write(tmp_path, "g.graph", text)])
+        label = "-".join(f"e{i}.0" for i in range(120))
+        closure = ",".join(names)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == f"{label}  exclusive=yes  closure={{{closure}}}  exits={{}}\n"
+
     def test_a_non_exclusive_cycle_of_k12_is_read_off_its_label(self, tmp_path):
         gfile = _write(tmp_path, "g.graph", _complete_text(12))
         gen = {"kind": "cycle", "p": "x - 3", "c": "e0.0-e11.0"}
@@ -814,8 +824,8 @@ def _limit_memory():
 
 class TestNumberBudgets:
     """A polynomial spanning more than MAX_EXPONENT_SPAN powers of x is
-    refused when it is read, and a result holding an integer too long for
-    str() is refused before anything is written."""
+    refused when it is read, and a result holding one, or an integer too
+    long for str(), is refused before anything is written."""
 
     def test_a_wide_cycle_generator_is_one_domain_line(self, tmp_path):
         gfile = _write(tmp_path, "g.graph", TOEPLITZ_TEXT)
@@ -832,6 +842,21 @@ class TestNumberBudgets:
         result = _run_cli(["graded", "--graph", gfile, "--ring", "Z", pair], _limit_memory)
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr == "error:parse: polynomial 'x^1000000000 - 2' spans more than 1024 powers of x\n"
+
+    def test_a_product_past_the_span_budget_is_one_domain_line(self, runner, tmp_path):
+        gfile = _write(tmp_path, "g.graph", TOEPLITZ_TEXT)
+        pairs = []
+        for name, p in (("a", "x^600 + 3x^7 - 2"), ("b", "x^600 - 5x + 7")):
+            gens = _write(tmp_path, name + ".gens", json.dumps([{"kind": "cycle", "p": p, "c": "e.0"}]))
+            pairs.append(str(tmp_path / (name + ".json")))
+            made = runner.invoke(main, ["from-generators", "--graph", gfile, "--ring", "Z", "--out", pairs[-1], gens])
+            assert (made.exit_code, made.output) == (0, "")
+        out = tmp_path / "out.json"
+        args = ["lattice-op", "--graph", gfile, "--ring", "Z", "--out", str(out), "product", *pairs]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.output == "error:domain: cannot write the result: a cycle value spans more than 1024 powers of x\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "gen",
