@@ -42,10 +42,7 @@ MAX_PAIRS = 1 << 16  # admissible pairs a lattice may have, bottom included
 MAX_GRAPH_SIZE = 1 << 13  # vertices plus bundles of a graph whose pair lattice is built
 _TOO_MANY_PAIRS = f"the admissible-pair lattice has more than {MAX_PAIRS} pairs"
 MAX_CYCLES = 1 << 12  # cycles `cycles` lists
-_TOO_MANY_CYCLES = (
-    f"cannot list the cycles: more than {MAX_CYCLES} cycles,"
-    f" or more than {MAX_CYCLES + 1} search steps per vertex and bundle"
-)
+_TOO_MANY_CYCLES = f"cannot list the cycles: more than {MAX_CYCLES} cycles or {MAX_CYCLES + 1} steps per vertex and bundle"
 
 
 class Bundle(NamedTuple):
@@ -697,9 +694,9 @@ class CycleClass:
 def _vertex_cycles(g: Graph):
     """Simple cycles as vertex tuples, least vertex first, in sorted order.  A
     cycle stays inside one strongly connected component, so the search from
-    each start vertex walks that component only.  It refuses past MAX_CYCLES
-    cycles or (|V| + |bundles|)(MAX_CYCLES + 1) pushes, the order of Johnson's
-    (1975) bound for that many, which it passes only where paths dead-end."""
+    each start vertex walks that component only.  It refuses a push made past
+    MAX_CYCLES cycles or (|V| + |bundles|)(MAX_CYCLES + 1) pushes, the order
+    of Johnson's (1975) bound for that many, passed only where paths dead-end."""
     results, steps = [], (len(g.vertices) + len(g.bundles)) * (MAX_CYCLES + 1)
     for comp in map(frozenset, _components(g)):
         for start in comp:
@@ -709,11 +706,9 @@ def _vertex_cycles(g: Graph):
                 for w in todo[-1]:
                     if w == start:
                         results.append(tuple(path))
-                        if len(results) > MAX_CYCLES:
-                            raise GraphError(_TOO_MANY_CYCLES)
                     elif w > start and w not in on_path:
                         steps -= 1
-                        if steps < 0:
+                        if steps < 0 or len(results) > MAX_CYCLES:
                             raise GraphError(_TOO_MANY_CYCLES)
                         on_path.add(w)
                         path.append(w)
@@ -730,8 +725,7 @@ def cycles(g: Graph) -> list[CycleClass]:
     each choice of bundle and slot along a vertex cycle, counted first."""
     out = []
     for vcycle in _vertex_cycles(g):
-        pairs = zip(vcycle, vcycle[1:] + vcycle[:1])
-        bundles = [[b for b in g.out_bundles(v) if b.target == w] for v, w in pairs]
+        bundles = [[b for b in g.out_bundles(v) if b.target == w] for v, w in zip(vcycle, vcycle[1:] + vcycle[:1])]
         if len(out) + math.prod(sum(b.slots for b in bs) for bs in bundles) > MAX_CYCLES:
             raise GraphError(_TOO_MANY_CYCLES)
         choices = [[(b.source, b.name, s) for b in bs for s in range(b.slots)] for bs in bundles]
@@ -793,8 +787,7 @@ def find_cycle(g: Graph, label: str) -> CycleClass:
         steps.append((b.source, name, int(slot)))
         at = b.target
     else:
-        vs = [v for v, _, _ in steps]
-        if at == vs[0] == min(vs) and len(set(vs)) == len(vs):
+        if at == steps[0][0] == min(steps)[0] and len({v for v, _, _ in steps}) == len(steps):
             return CycleClass(tuple(steps))
     raise GraphError(f"no cycle labelled {label!r}")
 
