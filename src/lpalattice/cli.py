@@ -141,7 +141,7 @@ def load_ideal_tables(ctx, text: str):
         raise ParseFailure('pair file must be an object with an "f" table')
     if not isinstance(doc["f"], dict):
         _must_map(doc, "f")
-    index, vals, rest, gens = ctx.lattice.star_label_index(), [0] * len(ctx.star), {}, {}
+    index, vals, rest, gens = ctx.lattice.star_label_index(), [0] * ctx.size, {}, {}
     for label, literal in doc["f"].items():
         gen = gens.get(literal) if isinstance(literal, str) else _must_map(doc)
         if gen is None:  # each distinct literal is parsed once
@@ -434,7 +434,7 @@ def pairs(g, as_json, out, as_dot):
     if as_dot:
         _emit(_dot([p.label() for p in lat], [(a.label(), b.label()) for a, b in lat.hasse_edges()]), False, out)
         return
-    labels = [p.label() for p in lat]
+    labels = ["{}", *lat.star_labels()]
     _emit({"pairs": labels} if as_json else "\n".join(labels), as_json, out)
 
 

@@ -164,14 +164,6 @@ class FinitePathAlgebra:
         p = Path(v, ())
         return self.symbol(p, p)
 
-    def edge_element(self, bundle: str, slot: int = 0) -> dict:
-        b = next(x for x in self.graph.bundles if x.name == bundle)
-        return self.symbol(Path(b.source, ((bundle, slot),)), Path(b.target, ()))
-
-    def ghost_element(self, bundle: str, slot: int = 0) -> dict:
-        b = next(x for x in self.graph.bundles if x.name == bundle)
-        return self.symbol(Path(b.target, ()), Path(b.source, ((bundle, slot),)))
-
 
 def generated_ideal(alg: FinitePathAlgebra, elements) -> tuple:
     """Closure of some elements under addition and two-sided multiplication.

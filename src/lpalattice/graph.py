@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
@@ -390,80 +391,59 @@ def _down_mask(anchors: dict, h) -> int:
     return m
 
 
-def _count_down_sets(below) -> int:
-    """The number of down-sets, the empty one included, of a poset on
-    range(n) given as for _down_set_walk, walked in the same way but
-    keeping nothing per down-set; refuses once it passes MAX_PAIRS."""
-    count = 1
-    stack = [(0, 0)]  # (mask, first member that may be added)
+def _down_set_walk(below, admit=None, rank=None):
+    """The down-sets of a poset on range(n), given the strict down-set of
+    each member as a bit mask, where every member comes after those below
+    it.  Each is reached once, from itself minus its last member, so the
+    entries holding j are the roots of disjoint subtrees that together hold
+    every down-set with j.  Past MAX_PAIRS of them it refuses, and with
+    admit None it only counts them, keeping nothing per down-set.
+
+    Otherwise it lists the pair of each as parallel lists of the parent (an
+    earlier entry), the member j added, the mask, the label and two sort
+    keys, entry 0 being the empty down-set and the bottom.  The pair's H
+    and E, kept sorted, are its parent's plus what admit[j] = (vertices,
+    emitters, key, more) gives: the vertices and emitters listed, and those
+    of each (mask, vertices, key) in more whose mask lies in the down-set.
+    S is E less H.  The key of H sums its vertices' keys, and that of S
+    spells S in the characters rank gives.
+    """
+    empty = ((), (), 0, ())
+    rows = [(j, bj, 1 << j, *(admit[j] if admit else empty)) for j, bj in enumerate(below)]
+    count, parents, added, masks, labels, hkeys, skeys = 1, [0], [0], [0], ["{}"], [0], [""]
+    # (entry, its mask, first member that may be added, H, E, S, their keys)
+    stack = [(0, 0, 0, [], [], [], 0, "")]
     while stack:
-        mask, first = stack.pop()
-        for j in range(first, len(below)):
-            if below[j] & mask == below[j]:
+        entry, mask, first, h, e, s, hk, sk = stack.pop()
+        for j, bj, bit, vs, ws, vk, more in rows[first:]:
+            if bj & mask == bj:
                 if count == MAX_PAIRS:
                     raise GraphError(_TOO_MANY_PAIRS)
                 count += 1
-                stack.append((mask | 1 << j, j + 1))
-    return count
-
-
-def _down_set_walk(below, admit):
-    """The down-sets of a poset on range(n), given the strict down-set of
-    each member as a bit mask, where every member comes after those below
-    it, and the pair of each: parallel lists of the parent, the member j
-    added, the mask, the pair, its label, its sorted S and the sort key of
-    its H per entry, entry 0 being the empty down-set and the bottom.  An
-    entry's down-set is its parent's (an earlier entry) plus j.
-
-    The pair's H and E, kept sorted, are its parent's plus what admit[j] =
-    (vertices, emitters, key, more) gives: the vertices and emitters listed,
-    and the vertices of each (mask, vertices, key) in more whose mask lies
-    in the down-set.  S is E less H, and the key of H is the sum of the keys
-    of its vertices.
-
-    Each down-set is reached once, from itself minus its last member, so
-    the entries holding j are the roots of disjoint subtrees that together
-    hold every down-set with j.
-    """
-    rows = [(j, bj, 1 << j, *admit[j]) for j, bj in enumerate(below)]
-    parents, added, masks, pairs, labels, ss, keys = [0], [0], [0], [BOTTOM], ["{}"], [[]], [0]
-    # (entry, its mask, first member that may be added, H, E, key, its pair, S)
-    stack = [(0, 0, 0, [], [], 0, BOTTOM, [])]
-    while stack:
-        entry, mask, first, h, e, hk, pair, s = stack.pop()
-        for j, bj, bit, vs, ws, vk, more in rows[first:]:
-            if bj & mask == bj:
                 d = mask | bit
+                if admit is None:
+                    stack.append((0, d, j + 1, h, e, s, 0, ""))
+                    continue
                 hj, kj = (h + vs, hk + vk) if vs else (h, hk)
                 for m, us, uk in more:
                     if m & d == m:
                         hj, kj = hj + us, kj + uk
-                # a set that did not change keeps its frozenset
-                if hj is h:
-                    hs = pair.H
-                else:
+                if hj is not h:
                     hj.sort()
-                    hs = frozenset(hj)
-                ej = e
-                if ws:
-                    ej = e + ws
-                    ej.sort()
-                if ej is e and hs.isdisjoint(s):
-                    sj, sf = s, pair.S
-                else:
-                    sj = [w for w in ej if w not in hs]
-                    sf = frozenset(sj) if sj else EMPTY
-                pj = AdmissiblePair(hs, sf)
-                stack.append((len(pairs), d, j + 1, hj, ej, kj, pj, sj))
+                ej, sj, skj = (sorted(e + ws) if ws else e), s, sk
+                if ej is not e or hj is not h and s:
+                    held = set(hj)
+                    sj = [w for w in ej if w not in held]
+                    skj = "".join([rank[w] for w in sj])
+                stack.append((len(masks), d, j + 1, hj, ej, sj, kj, skj))
                 label = "{" + ",".join(hj) + "}"
                 labels.append(label + "|{" + ",".join(sj) + "}" if sj else label)
-                pairs.append(pj)
-                ss.append(sj)
-                keys.append(kj)
                 parents.append(entry)
                 added.append(j)
                 masks.append(d)
-    return parents, added, masks, pairs, labels, ss, keys
+                hkeys.append(kj)
+                skeys.append(skj)
+    return parents, added, masks, labels, hkeys, skeys
 
 
 def covering_pairs(n: int, leq) -> list:
@@ -525,13 +505,14 @@ class PairLattice:
             _down_mask(anchors, h) | 1 << j if ws else set_masks[where[vs[0]]]
             for j, (_, h, vs, ws) in enumerate(ji)
         ]
-        self._vertex_masks = {v: set_masks[k] for v, k in where.items()}
-        self._breaker_masks = {ws[0]: m for (_, _, _, ws), m in zip(ji, ji_masks) if ws}
+        self.vertex_masks = {v: set_masks[k] for v, k in where.items()}
+        self.breaker_masks = {ws[0]: m for (_, _, _, ws), m in zip(ji, ji_masks) if ws}
         self._below = [m & ~(1 << j) for j, m in enumerate(ji_masks)]
         # each member of J brings its own vertices or emitter; a set not in J
         # joins once its mask, which ends in the member added last, is in.
         # The i-th of n vertices in name order has the key 2^n - 2^(n-1-i), so
-        # the key of H orders the sets as (|H|, sorted H) does
+        # the key of H orders the sets as (|H|, sorted H) does, and emitters
+        # spelt in name order compare as sorted lists of their names do
         n = len(graph.vertices)
         vkey = {v: (1 << n) - (1 << (n - 1 - i)) for i, v in enumerate(sorted(graph.vertices))}
         admit = [(vs, ws, sum(vkey[v] for v in vs), []) for _, _, vs, ws in ji]
@@ -541,39 +522,63 @@ class PairLattice:
         # there are at most 2^|J| down-sets; when that could pass MAX_PAIRS,
         # they are counted before anything per pair is built
         if 1 << len(ji) > MAX_PAIRS:
-            _count_down_sets(self._below)
-        parents, added, masks, found, labels, ss, keys = _down_set_walk(self._below, admit)
+            _down_set_walk(self._below)
+        rank = {w: chr(i) for i, w in enumerate(sorted(self.breaker_masks))}
+        parents, added, masks, labels, hkeys, skeys = _down_set_walk(self._below, admit, rank)
         # ordered by (|H|, sorted H, sorted S): by S first, then stably by H
-        order = sorted(range(len(found)), key=ss.__getitem__)
-        order.sort(key=keys.__getitem__)
-        self.pairs = tuple([found[k] for k in order])
-        self._index = {p: i for i, p in enumerate(self.pairs)}
+        order = sorted(range(len(masks)), key=skeys.__getitem__)
+        order.sort(key=hkeys.__getitem__)
         self._masks = [masks[k] for k in order]
         self._by_mask = {m: i for i, m in enumerate(self._masks)}
         self.bottom = BOTTOM
-        self.top = AdmissiblePair(graph.vertices, frozenset())
-        self.star = self.pairs[1:]
+        self.top = AdmissiblePair(graph.vertices, EMPTY)
         self._star_labels = tuple([labels[k] for k in order[1:]])
         self._label_index = None  # built on first use
         self._ji_star = [self._by_mask[m] - 1 for m in ji_masks]
-        self.join_irreducibles = tuple([self.star[i] for i in self._ji_star])
-        star_of = [0] * len(found)  # walk entry -> star index; the bottom sorts first
+        star_of = [0] * len(masks)  # walk entry -> star index; the bottom sorts first
         for i, k in enumerate(order):
             star_of[k] = i - 1
-        # (star index, its parent's or None, star index of the join-irreducible
-        # added), in walk order: each pair is its parent joined with one member
-        # of J, and every parent comes before its children
-        ji_star = self._ji_star
-        self.down_set_tree = tuple([
-            (star_of[k], star_of[parents[k]] if parents[k] else None, ji_star[added[k]])
-            for k in range(1, len(found))
-        ])
+        # in walk order, each pair's star index, its parent's or None, and the
+        # star index of the join-irreducible added: each pair is its parent
+        # joined with one member of J, and every parent comes before its children
+        self.down_set_tree = (
+            star_of[1:],
+            [star_of[k] if k else None for k in parents[1:]],
+            [self._ji_star[j] for j in added[1:]],
+        )
+
+    # the pairs as AdmissiblePair tuples are built on first use, by the
+    # methods that take or return them
+    @property
+    def pairs(self) -> "_Pairs":
+        return _Pairs(self)
+
+    @cached_property
+    def _pairs(self) -> tuple:
+        return tuple(map(self.pair_at, self._masks))
+
+    @cached_property
+    def _index(self) -> dict:
+        return {p: i for i, p in enumerate(self._pairs)}
+
+    @cached_property
+    def star(self) -> tuple:
+        return self._pairs[1:]
+
+    @cached_property
+    def join_irreducibles(self) -> tuple:
+        return tuple([self.star[i] for i in self._ji_star])
+
+    def pair_at(self, d: int) -> AdmissiblePair:
+        """The pair whose down-set in J is the mask d, read off it."""
+        h = frozenset([v for v, m in self.vertex_masks.items() if m & d == m])
+        return AdmissiblePair(h, frozenset([w for w, m in self.breaker_masks.items() if m & d == m and w not in h]))
 
     def __len__(self):
-        return len(self.pairs)
+        return len(self._masks)
 
     def __iter__(self):
-        return iter(self.pairs)
+        return iter(self._pairs)
 
     def __contains__(self, pair):
         return pair in self._index
@@ -593,10 +598,10 @@ class PairLattice:
         return self._mask(b) & m == m
 
     def meet(self, a: AdmissiblePair, b: AdmissiblePair) -> AdmissiblePair:
-        return self.pairs[self._by_mask[self._mask(a) & self._mask(b)]]
+        return self._pairs[self._by_mask[self._mask(a) & self._mask(b)]]
 
     def join(self, a: AdmissiblePair, b: AdmissiblePair) -> AdmissiblePair:
-        return self.pairs[self._by_mask[self._mask(a) | self._mask(b)]]
+        return self._pairs[self._by_mask[self._mask(a) | self._mask(b)]]
 
     def sup(self, pairs) -> AdmissiblePair:
         """Supremum of any collection of pairs of this lattice; the empty
@@ -604,19 +609,23 @@ class PairLattice:
         d = 0
         for p in pairs:
             d |= self._mask(p)
-        return self.pairs[self._by_mask[d]]
+        return self._pairs[self._by_mask[d]]
 
     def least(self, vertices, breaker=None) -> AdmissiblePair:
         """The least pair whose H holds the given vertices and, if a vertex
         w is given, whose H | S holds w: for one vertex the pair of its
         hs-closure, and with w the least pair in which w breaks a set
         holding the vertices, unless no such pair exists and H holds w."""
+        return self._pairs[self.least_star_index(vertices, breaker) + 1]
+
+    def least_star_index(self, vertices, breaker=None) -> int:
+        """The star index of least(vertices, breaker), -1 for the bottom."""
         d = 0
         for v in vertices:
-            d |= self._vertex_masks[v]
+            d |= self.vertex_masks[v]
         if breaker is not None:
-            d |= self._breaker_masks.get(breaker) or self._vertex_masks[breaker]
-        return self.pairs[self._by_mask[d]]
+            d |= self.breaker_masks.get(breaker) or self.vertex_masks[breaker]
+        return self._by_mask[d] - 1
 
     def star_index(self, pair: AdmissiblePair) -> int:
         i = self._index[pair]
@@ -650,7 +659,7 @@ class PairLattice:
     def hasse_edges(self):
         """Covering relations, for drawing the lattice: b covers a exactly
         when the down-set of b is that of a plus one join-irreducible."""
-        ps, below, by_mask = self.pairs, self._below, self._by_mask
+        ps, below, by_mask = self._pairs, self._below, self._by_mask
         covers = []
         for i, m in enumerate(self._masks):
             for j, bj in enumerate(below):
@@ -658,6 +667,20 @@ class PairLattice:
                     covers.append((i, by_mask[m | 1 << j]))
         covers.sort()
         return [(ps[i], ps[j]) for i, j in covers]
+
+
+class _Pairs(Sequence):
+    """The pairs of a lattice in order: its length is read off the masks,
+    and the first pair read builds them all."""
+
+    def __init__(self, lattice: PairLattice):
+        self._lattice = lattice
+
+    def __len__(self):
+        return len(self._lattice)
+
+    def __getitem__(self, i):
+        return self._lattice._pairs[i]
 
 
 @lru_cache(maxsize=32)
@@ -770,7 +793,8 @@ def cycle_vertex_closure(g: Graph, c: CycleClass) -> frozenset:
 
 def exit_closure(g: Graph, c: CycleClass) -> frozenset:
     """Hereditary saturated closure of the ranges of the exits of c."""
-    check_cycle(g, c)
+    if find_cycle(g, c.label()) != c:
+        raise GraphError(f"{c.label()} is not a cycle of this graph")
     return hereditary_saturated_closure(g, _exit_targets(g, c))
 
 
@@ -792,20 +816,23 @@ def find_cycle(g: Graph, label: str) -> CycleClass:
     raise GraphError(f"no cycle labelled {label!r}")
 
 
-def check_cycle(g: Graph, c: CycleClass):
-    if find_cycle(g, c.label()) != c:
-        raise GraphError(f"{c.label()} is not a cycle of this graph")
-
-
 # -- global conditions -------------------------------------------------------
 
 
-def downward_directed(g: Graph, S) -> bool:
-    """Whether every two members of S flow to a common member of S."""
-    g.check_vertices(S)
-    S = set(S)
-    reach = {v: hereditary_closure(g, {v}) for v in S}
-    return all(S & reach[v] & reach[w] for v in S for w in S)
+def directed_complement(g: Graph, H, comps=None) -> bool:
+    """Whether the vertices outside a hereditary set H are downward directed.
+
+    A path that enters H never leaves it, so each strongly connected
+    component (of comps, the graph's by default) lies in H or outside it,
+    and the vertices outside H are directed exactly when at most one
+    component outside H has every edge out of it end in it or in H.
+    """
+    terminal = 0
+    for comp in _components(g) if comps is None else comps:
+        if comp[0] not in H:
+            inside = set(comp)
+            terminal += all(w in H or w in inside for v in comp for w in g.out_targets(v))
+    return terminal < 2
 
 
 def has_condition_k(g: Graph) -> bool:

@@ -21,15 +21,14 @@ from .graph import (
     Graph,
     GraphError,
     breaking_vertices,
-    check_cycle,
     covering_pairs,
-    cycle_vertex_closure,
-    downward_directed,
+    directed_complement,
     exclusive_cycles,
     find_cycle,
     has_condition_k,
     is_row_finite,
     pair_lattice,
+    _components,
     _exit_targets,
 )
 from .laurent import MAX_EXPONENT_SPAN, LaurentIdeal, LaurentPoly
@@ -40,6 +39,9 @@ from .rings import RingError, RingIdeal, RingSpec
 # values than this are refused before any table is built.  There are never
 # fewer ideals than pairs, so any lattice of up to 512 ideals is listed.
 MAX_GRADED_VALUES = 1 << 18
+# prime checks each distinct value of a pair against the graph; more distinct
+# values times vertices and bundles than this are refused before any check
+MAX_PRIME_WORK = 1 << 20
 
 
 class ClassificationError(ValueError):
@@ -53,14 +55,15 @@ class Context:
         self.graph = graph
         self.ring = ring
         self.lattice = pair_lattice(graph)
+        self.size = len(self.lattice) - 1  # the number of star pairs
         self.cycles = tuple(exclusive_cycles(graph))
         self.cycles_by_label = {c.label(): c for c in self.cycles}
         # the star index of each cycle's vertex-closure pair, and of its
         # exit-closure pair or None when it has no exit
         lat = self.lattice
-        self.cycle_closure_idx = [lat.star_index(lat.least(c.vertices())) for c in self.cycles]
+        self.cycle_closure_idx = [lat.least_star_index(c.vertices()) for c in self.cycles]
         exits = [_exit_targets(graph, c) for c in self.cycles]
-        self.cycle_exit_idx = [lat.star_index(lat.least(t)) if t else None for t in exits]
+        self.cycle_exit_idx = [lat.least_star_index(t) if t else None for t in exits]
         self.ji = lat.star_join_irreducibles()
         self.cycle_ji_below = tuple(map(self.ji_below, self.cycle_closure_idx))
         self.cycle_exit_ji_below = tuple(
@@ -84,14 +87,18 @@ class Context:
         distinct minimal breaking pair, in star order and by emitter, with
         its emitter and H."""
         lat = self.lattice
-        out = [(lat.star_index(lat.least([v])), v, None) for v in sorted(self.graph.vertices)]
-        seen = set()
-        for p in self.star:
-            for w in sorted(p.S):
-                minimal = _minimal_breaking_pair(self, w, p.H)
-                if minimal not in seen:
-                    seen.add(minimal)
-                    out.append((lat.star_index(minimal), w, minimal.H))
+        out = [(lat.least_star_index([v]), v, None) for v in sorted(self.graph.vertices)]
+        seen, breakers, vm = set(), sorted(lat.breaker_masks.items()), lat.vertex_masks
+        for i in range(self.size):
+            d = lat.star_mask(i)
+            # w is in S when its breaking mask lies in d and its vertex mask does
+            # not; the least pair breaking it at H holds its targets in H
+            for w, m in breakers:
+                if m & d == m and vm[w] & d != vm[w]:
+                    k = lat.least_star_index([t for t in self.graph.out_targets(w) if vm[t] & d == vm[t]], w)
+                    if k not in seen:
+                        seen.add(k)
+                        out.append((k, w, lat.pair_at(lat.star_mask(k)).H))
         return tuple(out)
 
     @cached_property
@@ -111,8 +118,8 @@ def _intersect_below(ctx: Context, on_ji) -> tuple[int, ...]:
     Walks the down-set tree, so each pair costs one intersection: its
     parent's value met with the value at the one join-irreducible more."""
     ring = ctx.ring
-    out = [0] * len(ctx.star)
-    for i, parent, q in ctx.lattice.down_set_tree:
+    out = [0] * ctx.size
+    for i, parent, q in zip(*ctx.lattice.down_set_tree):
         out[i] = on_ji[q] if parent is None else ring.gen_intersect(out[parent], on_ji[q])
     return tuple(out)
 
@@ -130,7 +137,7 @@ def _saturate_vals(ctx: Context, vals: list[int]) -> tuple[int, ...]:
     ring = ctx.ring
     up = list(vals)  # the sum of the values over the subtree of each pair
     down = [0] * len(vals)  # the sum of the values above each join-irreducible
-    for i, parent, q in reversed(ctx.lattice.down_set_tree):
+    for i, parent, q in zip(*map(reversed, ctx.lattice.down_set_tree)):
         v = up[i]
         if v:
             down[q] = ring.gen_sum(down[q], v)
@@ -146,11 +153,10 @@ def _law_violations(ctx: Context, vals) -> list[str]:
     intersection of its values at the join-irreducibles below that pair.
     """
     want = _intersect_below(ctx, vals)
-    star = ctx.star
     return [
-        f"value ({vals[i]}) at {star[i].label()} is not the intersection ({want[i]}) "
+        f"value ({vals[i]}) at {label} is not the intersection ({want[i]}) "
         f"of the values at the join-irreducible pairs below it"
-        for i in range(len(star)) if vals[i] != want[i]
+        for i, label in enumerate(ctx.lattice.star_labels()) if vals[i] != want[i]
     ]
 
 
@@ -164,7 +170,7 @@ class SaturatedFunction:
 
     def __init__(self, ctx: Context, vals):
         vals = tuple(ctx.ring.gen_normalize(v) for v in vals)
-        if len(vals) != len(ctx.star):
+        if len(vals) != ctx.size:
             raise ClassificationError("table does not cover the admissible pairs")
         bad = _law_violations(ctx, vals)
         if bad:
@@ -172,10 +178,6 @@ class SaturatedFunction:
         self.ctx = ctx
         self.vals = vals
         self.jv = tuple([vals[q] for q in ctx.ji])
-
-    @staticmethod
-    def from_table(ctx: Context, table) -> "SaturatedFunction":
-        return SaturatedFunction(ctx, _table_to_vals(ctx, table))
 
     @classmethod
     def _trusted(cls, ctx: Context, vals) -> "SaturatedFunction":
@@ -198,7 +200,7 @@ class SaturatedFunction:
 
     @cached_property
     def vals(self) -> tuple[int, ...]:
-        on_ji = [0] * len(self.ctx.star)
+        on_ji = [0] * self.ctx.size
         for q, v in zip(self.ctx.ji, self.jv):
             on_ji[q] = v
         return _intersect_below(self.ctx, on_ji)
@@ -219,9 +221,6 @@ class SaturatedFunction:
     def value(self, pair: AdmissiblePair) -> RingIdeal:
         return RingIdeal(self.ctx.ring, self.at(self.ctx.lattice.star_index(pair)))
 
-    def is_basic(self) -> bool:
-        return all(v in (0, 1) for v in self.vals)
-
     def __eq__(self, other):
         if not isinstance(other, SaturatedFunction) or self.jv != other.jv:
             return False
@@ -236,7 +235,7 @@ class SaturatedFunction:
         return h
 
     def __repr__(self):
-        parts = ", ".join(f"{p.label()}:({v})" for p, v in zip(self.ctx.star, self.vals))
+        parts = ", ".join(f"{p}:({v})" for p, v in zip(self.ctx.lattice.star_labels(), self.vals))
         return "{" + parts + "}"
 
 
@@ -244,7 +243,7 @@ def _table_to_vals(ctx: Context, table, vals=None) -> list[int]:
     """The star-indexed values of a table, added to vals if given."""
     lat, ring = ctx.lattice, ctx.ring
     labels = lat.star_label_index()
-    vals = [0] * len(ctx.star) if vals is None else vals
+    vals = [0] * ctx.size if vals is None else vals
     for pair, ideal in table.items():
         # a canonical label is looked up; anything else is parsed and checked
         i = labels.get(pair) if isinstance(pair, str) else None
@@ -257,7 +256,7 @@ def _table_to_vals(ctx: Context, table, vals=None) -> list[int]:
             i = lat.star_index(pair)
         if isinstance(ideal, RingIdeal):
             if ideal.ring is not ring and ideal.ring != ring:
-                raise RingError(f"value for {ctx.star[i].label()} lives in {ideal.ring}, not {ring}")
+                raise RingError(f"value for {lat.star_labels()[i]} lives in {ideal.ring}, not {ring}")
             gen = ideal.gen
         else:
             gen = ring.gen_normalize(ideal)
@@ -316,21 +315,6 @@ class ClassifiedIdeal:
         ring = f.ctx.ring
         g = [LaurentIdeal.extend(RingIdeal(ring, f.at(k))) for k in f.ctx.cycle_closure_idx]
         return ClassifiedIdeal(f, g)
-
-    def cycle_value(self, c: CycleClass) -> LaurentIdeal:
-        """The cycle's ideal of R[x, x^-1].
-
-        Only exclusive cycles carry free data; for any other cycle the
-        value is forced and is derived here as the extension of the value
-        at the cycle's vertex closure.
-        """
-        if c in self.ctx.cycles:
-            return self.g[self.ctx.cycles.index(c)]
-        check_cycle(self.ctx.graph, c)
-        top = AdmissiblePair(
-            cycle_vertex_closure(self.ctx.graph, c), frozenset()
-        )
-        return LaurentIdeal.extend(self.f.value(top))
 
     # -- lattice structure --------------------------------------------------
     def _check(self, other: "ClassifiedIdeal"):
@@ -531,12 +515,6 @@ class CyclePoly:
     c: CycleClass
 
 
-def _minimal_breaking_pair(ctx: Context, w: str, H) -> AdmissiblePair:
-    """Smallest admissible pair carrying w as a breaking vertex of H."""
-    inside = [b.target for b in ctx.graph.out_bundles(w) if b.target in H]
-    return ctx.lattice.least(inside, w)
-
-
 def atom_pair(ctx: Context, atom) -> ClassifiedIdeal:
     """The classification pair of the ideal generated by a single generator.
 
@@ -556,15 +534,15 @@ def atom_pair(ctx: Context, atom) -> ClassifiedIdeal:
     if isinstance(atom, ScaledVertex):
         if atom.v not in ctx.graph.vertices:
             raise GraphError(f"unknown vertex id {atom.v!r}")
-        pair = ctx.lattice.least([atom.v])
-        place(ctx.ji_below(ctx.lattice.star_index(pair)), ring.gen_from_elements([atom.r]))
+        place(ctx.ji_below(ctx.lattice.least_star_index([atom.v])), ring.gen_from_elements([atom.r]))
     elif isinstance(atom, ScaledBreaking):
         if atom.w not in breaking_vertices(ctx.graph, atom.H):
             raise ClassificationError(
                 f"{atom.w!r} is not a breaking vertex of {sorted(atom.H)}"
             )
-        pair = _minimal_breaking_pair(ctx, atom.w, atom.H)
-        place(ctx.ji_below(ctx.lattice.star_index(pair)), ring.gen_from_elements([atom.r]))
+        # the least pair carrying w as a breaking vertex of H
+        k = ctx.lattice.least_star_index([t for t in ctx.graph.out_targets(atom.w) if t in atom.H], atom.w)
+        place(ctx.ji_below(k), ring.gen_from_elements([atom.r]))
     elif isinstance(atom, CyclePoly):
         c = atom.c
         if c not in ctx.cycles:
@@ -627,9 +605,9 @@ def graded_lattice(graph: Graph, ring: RingSpec) -> list[SaturatedFunction]:
     """
     ctx = context(graph, ring)
     gens = ring.enumerate_gens()
-    star, ji = ctx.star, ctx.ji
-    limit = MAX_GRADED_VALUES // max(1, len(star))
-    covers = covering_pairs(len(ji), lambda a, b: ctx.lattice.leq(star[ji[a]], star[ji[b]]))
+    ji, below = ctx.ji, ctx.lattice._below
+    limit = MAX_GRADED_VALUES // max(1, ctx.size)
+    covers = covering_pairs(len(ji), lambda a, b: below[b] >> a & 1)
     lower = [[a for a, b in covers if b == k] for k in range(len(ji))]
     maps = [()]
     for k in range(len(ji)):
@@ -640,7 +618,7 @@ def graded_lattice(graph: Graph, ring: RingSpec) -> list[SaturatedFunction]:
         if len(maps) > limit:
             raise ClassificationError(
                 f"cannot enumerate: there are more than {limit} graded ideals, and "
-                f"{len(star)} values each would pass the {MAX_GRADED_VALUES}-value budget"
+                f"{ctx.size} values each would pass the {MAX_GRADED_VALUES}-value budget"
             )
     out = [SaturatedFunction._from_jv(ctx, m) for m in maps]
     return sorted(out, key=lambda f: f.vals)
@@ -690,30 +668,30 @@ def prime_report(pair: ClassifiedIdeal) -> PrimeReport:
         raise ClassificationError(
             "prime analysis is out of the supported scope: condition (K) fails"
         )
-    ring = ctx.ring
-    report = PrimeReport()
-    for p, v in zip(ctx.star, pair.f.vals):
-        if v != 1 and not ring.gen_is_prime(v):
-            report.value_failures.append((p.label(), v))
+    ring, g, vals = ctx.ring, ctx.graph, pair.f.vals
     # testing every ideal J of R reduces to finitely many: each J behaves
-    # like the intersection of the table values containing it, so the
-    # intersections of image values (plus the whole ring) cover all cases
-    probes = set(pair.f.vals) | {1}
-    while True:
-        more = {ring.gen_intersect(a, b) for a in probes for b in probes} - probes
-        if not more:
-            break
-        probes |= more
-    for gen in sorted(probes):
-        below = [
-            p
-            for p, v in zip(ctx.star, pair.f.vals)
-            if ring.gen_contains(v, gen)
-        ]
-        h = ctx.lattice.sup(below).H
-        complement = ctx.graph.vertices - h
-        ok = downward_directed(ctx.graph, complement)
-        report.directed_checks.append((gen, complement, ok))
+    # like the intersection of the table values containing it, and the law
+    # f(p) ∩ f(q) = f(p ∨ q) already closes the values and R under intersection
+    probes, size = sorted(set(vals) | {1}), len(g.vertices) + len(g.bundles)
+    if len(probes) * size > MAX_PRIME_WORK:
+        raise ClassificationError(
+            f"cannot check primeness: {len(probes)} distinct values on {size} vertices "
+            f"and bundles pass the {MAX_PRIME_WORK} budget"
+        )
+    report = PrimeReport()
+    for label, v in zip(ctx.lattice.star_labels(), vals):
+        if v != 1 and not ring.gen_is_prime(v):
+            report.value_failures.append((label, v))
+    # the pairs whose value holds gen form a down-set closed under joins, so
+    # their supremum is the pair whose down-set in J holds the members q
+    # with gen in f(q)
+    comps, checked = _components(g), {}
+    for gen in probes:
+        d = sum([1 << t for t, v in enumerate(pair.f.jv) if ring.gen_contains(v, gen)])
+        if d not in checked:
+            h = ctx.lattice.pair_at(d).H
+            checked[d] = (g.vertices - h, directed_complement(g, h, comps))
+        report.directed_checks.append((gen, *checked[d]))
     report.passes = not report.value_failures and all(
         ok for _, _, ok in report.directed_checks
     )

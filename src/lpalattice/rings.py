@@ -350,11 +350,6 @@ class RingIdeal:
     def is_unit(self) -> bool:
         return self.gen == 1
 
-    def is_prime(self) -> bool:
-        if self.is_unit:
-            return False
-        return self.ring.gen_is_prime(self.gen)
-
     def generator_element(self):
         return self.ring.gen_generator_element(self.gen)
 

@@ -12,7 +12,13 @@ the graph text format, and the cycles of a graph by enumerating every simple
 cycle, with exclusivity tested by closing the exits.  The meet of pairs by
 its set formula, the classification pair of one generator saturated over the
 full table, the JSON document of a classified ideal, and the ideals of an
-explicit algebra seeded at every basis index serve as references too.
+explicit algebra seeded at every basis index serve as references too, as do
+the prime report that scans every pair and closes its values under pairwise
+intersection and the directedness test that intersects every two reaches.
+
+The last section holds conveniences only the tests use: edge and ghost
+elements of an explicit algebra, the forced value of a non-exclusive cycle,
+a saturated function from a complete table, and the primality of a ring ideal.
 """
 
 import functools
@@ -23,6 +29,7 @@ from lpalattice import groebner
 from lpalattice import (
     OMEGA,
     AdmissiblePair,
+    ClassificationError,
     Bundle,
     CycleClass,
     Graph,
@@ -33,19 +40,23 @@ from lpalattice import (
     RingIdeal,
     ZZ,
     breaking_vertices,
+    cycle_vertex_closure,
+    has_condition_k,
     hereditary_closure,
     hereditary_saturated_closure,
+    is_row_finite,
 )
 from lpalattice.cli import ParseFailure
-from lpalattice.concrete import OracleError, generated_ideal
-from lpalattice.graph import _lambda_closure
+from lpalattice.concrete import OracleError, Path, generated_ideal
+from lpalattice.graph import _lambda_closure, find_cycle
 from lpalattice.ideals import (
     ClassifiedIdeal,
+    PrimeReport,
     SaturatedFunction,
     ScaledBreaking,
     ScaledVertex,
-    _minimal_breaking_pair,
     _saturate_vals,
+    _table_to_vals,
 )
 
 
@@ -785,7 +796,7 @@ def saturated_atom_pair(ctx, atom) -> ClassifiedIdeal:
         raw[ctx.lattice.star_index(ctx.lattice.least([atom.v]))] = ring.gen_from_elements([atom.r])
     elif isinstance(atom, ScaledBreaking):
         assert atom.w in breaking_vertices(ctx.graph, atom.H)
-        pair = _minimal_breaking_pair(ctx, atom.w, atom.H)
+        pair = ctx.lattice.least([b.target for b in ctx.graph.out_bundles(atom.w) if b.target in atom.H], atom.w)
         raw[ctx.lattice.star_index(pair)] = ring.gen_from_elements([atom.r])
     else:
         c = atom.c
@@ -895,3 +906,88 @@ def every_index_concrete_ideals(alg):
         if sums <= pool:
             return sorted(pool)
         pool |= sums
+
+
+# -- the prime report by scanning every pair ----------------------------------
+
+
+def downward_directed(g: Graph, S) -> bool:
+    """Whether every two members of S flow to a common member of S."""
+    g.check_vertices(S)
+    S = set(S)
+    reach = {v: hereditary_closure(g, {v}) for v in S}
+    return all(S & reach[v] & reach[w] for v in S for w in S)
+
+
+def prime_report(pair: ClassifiedIdeal) -> PrimeReport:
+    """The prime report as first written: the values closed under pairwise
+    intersection, each value's supremum taken over every pair whose value
+    holds it, and directedness from every two reaches."""
+    ctx = pair.ctx
+    if not is_row_finite(ctx.graph):
+        raise ClassificationError(
+            "prime analysis is out of the supported scope: the graph is not row-finite"
+        )
+    if not has_condition_k(ctx.graph):
+        raise ClassificationError(
+            "prime analysis is out of the supported scope: condition (K) fails"
+        )
+    ring = ctx.ring
+    report = PrimeReport()
+    for p, v in zip(ctx.star, pair.f.vals):
+        if v != 1 and not ring.gen_is_prime(v):
+            report.value_failures.append((p.label(), v))
+    probes = set(pair.f.vals) | {1}
+    while True:
+        more = {ring.gen_intersect(a, b) for a in probes for b in probes} - probes
+        if not more:
+            break
+        probes |= more
+    for gen in sorted(probes):
+        below = [p for p, v in zip(ctx.star, pair.f.vals) if ring.gen_contains(v, gen)]
+        complement = ctx.graph.vertices - ctx.lattice.sup(below).H
+        ok = downward_directed(ctx.graph, complement)
+        report.directed_checks.append((gen, complement, ok))
+    report.passes = not report.value_failures and all(ok for _, _, ok in report.directed_checks)
+    return report
+
+
+# -- conveniences only the tests use -------------------------------------------
+
+
+def edge_element(alg, bundle: str, slot: int = 0) -> dict:
+    b = next(x for x in alg.graph.bundles if x.name == bundle)
+    return alg.symbol(Path(b.source, ((bundle, slot),)), Path(b.target, ()))
+
+
+def ghost_element(alg, bundle: str, slot: int = 0) -> dict:
+    b = next(x for x in alg.graph.bundles if x.name == bundle)
+    return alg.symbol(Path(b.target, ()), Path(b.source, ((bundle, slot),)))
+
+
+def cycle_value(pair: ClassifiedIdeal, c: CycleClass) -> LaurentIdeal:
+    """The cycle's ideal of R[x, x^-1].
+
+    Only exclusive cycles carry free data; for any other cycle of the graph
+    the value is forced: the extension of the value at the cycle's vertex
+    closure.
+    """
+    ctx = pair.ctx
+    if c in ctx.cycles:
+        return pair.g[ctx.cycles.index(c)]
+    assert find_cycle(ctx.graph, c.label()) == c
+    top = AdmissiblePair(cycle_vertex_closure(ctx.graph, c), frozenset())
+    return LaurentIdeal.extend(pair.f.value(top))
+
+
+def from_table(ctx, table) -> SaturatedFunction:
+    """The saturated function with the given values, which must obey the law."""
+    return SaturatedFunction(ctx, _table_to_vals(ctx, table))
+
+
+def is_basic(f: SaturatedFunction) -> bool:
+    return all(v in (0, 1) for v in f.vals)
+
+
+def is_prime(ideal: RingIdeal) -> bool:
+    return not ideal.is_unit and ideal.ring.gen_is_prime(ideal.gen)

@@ -875,3 +875,60 @@ class TestNumberBudgets:
         assert result.exit_code == 1
         assert result.output == "error:domain: cannot write the result: it holds an integer too long to print\n"
         assert not out.exists()
+
+
+def _prime_graphs():
+    """The law-suite graphs and random row-finite graphs with condition (K)."""
+    rng = random.Random(43)
+    graphs = [g for _, g, _ in helpers.law_suite_graphs()]
+    while len(graphs) < 56:
+        g = helpers.random_graph(rng, max_v=6, max_b=8, allow_omega=False)
+        if lpalattice.has_condition_k(g):
+            graphs.append(g)
+    return graphs
+
+
+class TestPrimeOnJoinIrreducibles:
+    """prime reads each value's supremum off J and directedness off the
+    strongly connected components, and prints what the reference that scans
+    every pair and closes the values under intersection prints."""
+
+    def test_output_matches_the_reference(self, tmp_path, runner, monkeypatch):
+        from lpalattice import cli
+
+        rng = random.Random(47)
+        rings = [lpalattice.ZZ, lpalattice.IntegersMod(12), lpalattice.PrimeField(2)]
+        compared = failed = 0
+        for n, g in enumerate(_prime_graphs()):
+            gfile = _write(tmp_path, f"g{n}.graph", format_graph(g))
+            for ring in rings:
+                ctx = lpalattice.context(g, ring)
+                for k in range(3):
+                    pair = helpers.random_classified(ctx, rng)
+                    pfile = _write(tmp_path, f"p{n}-{k}.json", json.dumps(helpers.dump_ideal(pair)))
+                    for flags in ([], ["--json"]):
+                        args = ["prime", "--graph", gfile, "--ring", str(ring), *flags, pfile]
+                        got = runner.invoke(main, args)
+                        with monkeypatch.context() as m:
+                            m.setattr(cli, "prime_report", helpers.prime_report)
+                            want = runner.invoke(main, args)
+                        assert (got.exit_code, got.output) == (want.exit_code, want.output), args
+                        compared += 1
+                        failed += "fails necessary" in got.output or '"passes": false' in got.output
+        assert compared == 56 * 3 * 3 * 2 and 0 < failed < compared
+
+    def test_thirteen_isolated_vertices_answer(self, tmp_path):
+        # 8192 pairs, each with its own value: the reference takes about 45 s
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+        gfile = _write(tmp_path, "g.graph", "vertices " + ",".join(f"v{i}" for i in range(13)) + ";\n")
+        gens = [{"kind": "vertex", "r": str(p), "v": f"v{i}"} for i, p in enumerate(primes)]
+        gens_file = _write(tmp_path, "a.gens", json.dumps(gens))
+        pair = str(tmp_path / "a.json")
+        made = _run_cli(["from-generators", "--graph", gfile, "--ring", "Z", "--out", pair, gens_file])
+        assert (made.returncode, made.stderr) == (0, "")
+        done = _run_cli(["prime", "--graph", gfile, "--ring", "Z", pair])
+        lines = done.stdout.splitlines()
+        assert (done.returncode, done.stderr, lines[-1]) == (0, "", "fails necessary conditions")
+        # every value but the 13 primes fails, and each of the 8191 values
+        # and the whole ring is checked for directedness
+        assert len(lines) == (8191 - 13) + 8192 + 1

@@ -58,7 +58,7 @@ class TestRelations:
 
     def test_edge_relations(self):
         alg = FinitePathAlgebra(helpers.chain(2), IntegersMod(4))
-        e, estar = alg.edge_element("e0"), alg.ghost_element("e0")
+        e, estar = helpers.edge_element(alg, "e0"), helpers.ghost_element(alg, "e0")
         u, v = alg.vertex_element("v0"), alg.vertex_element("v1")
         # (E1), (E2)
         assert alg.multiply(u, e) == e == alg.multiply(e, v)
@@ -70,13 +70,13 @@ class TestRelations:
 
     def test_ck1_distinct_edges_annihilate(self):
         alg = FinitePathAlgebra(helpers.fork(), PrimeField(3))
-        a, bstar = alg.edge_element("a"), alg.ghost_element("b")
+        a, bstar = helpers.edge_element(alg, "a"), helpers.ghost_element(alg, "b")
         assert alg.multiply(bstar, a) == {}
 
     def test_matrix_units_for_the_chain(self):
         alg = FinitePathAlgebra(helpers.chain(2), IntegersMod(4))
-        e = alg.edge_element("e0")
-        estar = alg.ghost_element("e0")
+        e = helpers.edge_element(alg, "e0")
+        estar = helpers.ghost_element(alg, "e0")
         u = alg.vertex_element("v0")
         v = alg.vertex_element("v1")
         units = {(0, 0): u, (0, 1): e, (1, 0): estar, (1, 1): v}
@@ -100,7 +100,7 @@ class TestRelations:
         u = alg.vertex_element("u")
         total = {}
         for bundle in ("a", "b"):
-            e, estar = alg.edge_element(bundle), alg.ghost_element(bundle)
+            e, estar = helpers.edge_element(alg, bundle), helpers.ghost_element(alg, bundle)
             total = alg.add(total, alg.multiply(e, estar))
         assert total == u
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -14,7 +15,6 @@ from lpalattice import (
     context,
     cycle_vertex_closure,
     cycles,
-    downward_directed,
     exclusive_cycles,
     exit_closure,
     has_condition_k,
@@ -30,7 +30,9 @@ from lpalattice.graph import (
     PairLattice,
     _vertex_cycles,
     covering_pairs,
+    directed_complement,
     find_cycle,
+    is_hereditary,
 )
 
 import helpers
@@ -212,7 +214,7 @@ class TestPairLattice:
             star = lat.star
             ji = set(lat.star_join_irreducibles())
             seen = set()
-            for i, parent, q in lat.down_set_tree:
+            for i, parent, q in zip(*lat.down_set_tree):
                 assert q in ji and i not in seen, g
                 base = lat.bottom if parent is None else star[parent]
                 assert parent is None or parent in seen, g
@@ -245,7 +247,7 @@ class TestPairLattice:
         assert lat.leq(below, above)
         assert labels.index("{u}|{a,b}") < labels.index("{u}|{b}")
         lat = pair_lattice(helpers.uneven_breakers())
-        assert any(p is not None and p > i for i, p, _ in lat.down_set_tree)
+        assert any(p is not None and p > i for i, p, _ in zip(*lat.down_set_tree))
 
     def test_hasse_edges_are_the_covers_in_row_major_order(self):
         rng = random.Random(31)
@@ -506,10 +508,26 @@ class TestCyclesMatchTheEnumeration:
 class TestGlobalConditions:
     def test_downward_directed_examples(self):
         g = helpers.prime_counterexample()
-        assert downward_directed(g, fs("v", "w"))
-        assert not downward_directed(helpers.fork(), fs("v", "w"))
-        assert downward_directed(helpers.fork(), fs("v"))
-        assert downward_directed(g, frozenset())
+        assert helpers.downward_directed(g, fs("v", "w"))
+        assert not helpers.downward_directed(helpers.fork(), fs("v", "w"))
+        assert helpers.downward_directed(helpers.fork(), fs("v"))
+        assert helpers.downward_directed(g, frozenset())
+        assert directed_complement(g, frozenset()) and not directed_complement(helpers.fork(), frozenset())
+
+    def test_directed_complement_matches_the_pairwise_reaches(self):
+        # every hereditary set, the hereditary saturated ones among them
+        rng = random.Random(41)
+        graphs = [g for _, g, _ in helpers.law_suite_graphs()]
+        graphs += [helpers.random_graph(rng, max_v=6, max_b=9) for _ in range(400)]
+        seen = set()
+        for g in graphs:
+            vs = sorted(g.vertices)
+            for h in (frozenset(c) for r in range(len(vs) + 1) for c in itertools.combinations(vs, r)):
+                if is_hereditary(g, h):
+                    directed = directed_complement(g, h)
+                    assert directed == helpers.downward_directed(g, g.vertices - h), (g, h)
+                    seen.add((directed, h in {p.H for p in pair_lattice(g)}))
+        assert seen == {(True, True), (False, True), (True, False), (False, False)}
 
     def test_row_finite(self):
         assert is_row_finite(helpers.toeplitz())

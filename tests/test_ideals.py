@@ -27,7 +27,9 @@ from lpalattice import (
     cycles,
     from_generators,
     graded_lattice,
+    has_condition_k,
     hereditary_closure,
+    is_row_finite,
     parse_poly,
     prime_report,
     saturate_function,
@@ -35,7 +37,8 @@ from lpalattice import (
     validate_tables,
 )
 from lpalattice import ideals
-from lpalattice.ideals import _law_violations, _saturate_vals, atom_pair, pair_json
+from lpalattice.cli import load_ideal_tables
+from lpalattice.ideals import MAX_PRIME_WORK, _law_violations, _saturate_vals, atom_pair, pair_json
 
 import helpers
 
@@ -67,11 +70,11 @@ class TestSaturateFunction:
 
     def test_division_chain_is_valid(self):
         ctx = context(helpers.toeplitz(), ZZ)
-        SaturatedFunction.from_table(
+        helpers.from_table(
             ctx, {"{v}": RingIdeal(ZZ, 3), "{u,v}": RingIdeal(ZZ, 12)}
         )
         with pytest.raises(ClassificationError):
-            SaturatedFunction.from_table(
+            helpers.from_table(
                 ctx, {"{v}": RingIdeal(ZZ, 4), "{u,v}": RingIdeal(ZZ, 2)}
             )
 
@@ -305,7 +308,7 @@ class TestGrading:
         )
         c = cycles(ctx.graph)[0]
         assert c not in ctx.cycles
-        assert pair.cycle_value(c) == LaurentIdeal.extend(RingIdeal(ZZ, 6))
+        assert helpers.cycle_value(pair, c) == LaurentIdeal.extend(RingIdeal(ZZ, 6))
 
     def test_toeplitz_nongraded_example(self):
         ctx = context(helpers.toeplitz(), ZZ)
@@ -315,7 +318,7 @@ class TestGrading:
             {"e.0": LaurentIdeal.parse(ZZ, "<4, 2x+2>")},
         )
         assert not p.is_graded()
-        assert p.largest_graded().cycle_value(ctx.cycles[0]) == LaurentIdeal.parse(ZZ, "<4>")
+        assert helpers.cycle_value(p.largest_graded(), ctx.cycles[0]) == LaurentIdeal.parse(ZZ, "<4>")
 
 
 class TestGradedLattice:
@@ -353,7 +356,7 @@ class TestGradedLattice:
             for ring in (PrimeField(2), IntegersMod(6)):
                 ctx = context(graph, ring)
                 unit = ring.gen_normalize(1)
-                basic = [f for f in graded_lattice(graph, ring) if f.is_basic()]
+                basic = [f for f in graded_lattice(graph, ring) if helpers.is_basic(f)]
                 assert len(basic) == len(ctx.lattice.pairs)
                 tops = {}
                 for f in basic:
@@ -511,6 +514,33 @@ class TestGenerators:
         assert json.loads(text) == helpers.dump_ideal(pair)
         assert to_generators(pair) and calls == ["_intersect_below"]
 
+    def test_requests_stay_on_masks_and_labels(self):
+        # a breaking vertex, an exclusive cycle with an exit and isolated
+        # vertices: building, reading, writing and listing ideals, their
+        # generators and their prime report build no AdmissiblePair tuple
+        fork = helpers.omega_fork()
+        graph = Graph(
+            ["a0", "a1", "u", "v"] + sorted(fork.vertices),
+            [Bundle("e", "u", "u"), Bundle("f", "u", "v"), *fork.bundles],
+        )
+        ctx = context(graph, IntegersMod(6))
+        lat = ctx.lattice
+        assert lat.breaker_masks and len(ctx.cycles) == 1
+        atoms = [
+            ScaledVertex(2, "a1"), ScaledBreaking(3, "w", fs("a")),
+            CyclePoly(parse_poly(IntegersMod(6), "x - 2"), ctx.cycles[0]),
+        ]
+        pair = from_generators(ctx, atoms)
+        vals, rest, g_table = load_ideal_tables(ctx, pair_json(pair))
+        assert validate_tables(ctx, rest, g_table, vals) == pair
+        assert to_generators(pair) and graded_lattice(graph, PrimeField(2))
+        with pytest.raises(ClassificationError, match="not row-finite"):
+            prime_report(pair)
+        row_finite = context(Graph(["a0", "a1", "v"], [Bundle("f", "v", "a0")]), ZZ)
+        assert prime_report(from_generators(row_finite, [ScaledVertex(2, "a1")])).lines()
+        for lattice in (lat, row_finite.lattice):
+            assert not {"_pairs", "_index", "star"} & set(vars(lattice)), lattice.graph
+
     def test_generator_validity_errors(self):
         ctx = context(helpers.toeplitz(), ZZ)
         with pytest.raises(ClassificationError):
@@ -599,6 +629,36 @@ class TestPrimeReport:
         report = prime_report(pair)
         assert not report.passes
         assert any(not ok for _, _, ok in report.directed_checks)
+
+    def test_matches_the_pairwise_reference(self):
+        # the supremum of each value read off J and directedness read off
+        # the components give the report of the scan over every pair
+        rng = random.Random(53)
+        graphs = [g for _, g, _ in helpers.law_suite_graphs()]
+        graphs = [g for g in graphs if is_row_finite(g) and has_condition_k(g)]
+        while len(graphs) < 160:
+            g = helpers.random_graph(rng, max_v=6, max_b=8, allow_omega=False)
+            if has_condition_k(g):
+                graphs.append(g)
+        for g in graphs:
+            for ring in (ZZ, IntegersMod(12), PrimeField(2)):
+                ctx = context(g, ring)
+                for _ in range(4):
+                    pair = helpers.random_classified(ctx, rng)
+                    assert prime_report(pair) == helpers.prime_report(pair), (g, ring)
+
+    def test_budget_refuses_before_any_check(self):
+        # 11 vertices with two loops each and a 300-vertex chain: 4096 pairs,
+        # each with its own value, on 632 vertices and bundles
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+        bundles = [Bundle(f"{e}{i}", f"a{i}", f"a{i}") for i in range(11) for e in "lm"]
+        bundles += [Bundle(f"c{i}", f"c{i}", f"c{i + 1}") for i in range(299)]
+        graph = Graph([f"a{i}" for i in range(11)] + [f"c{i}" for i in range(300)], bundles)
+        ctx = context(graph, ZZ)
+        pair = from_generators(ctx, [ScaledVertex(p, f"a{i}") for i, p in enumerate(primes)])
+        assert len(ctx.lattice) == 4096 and len(set(pair.f.vals)) == 2048
+        with pytest.raises(ClassificationError, match=f"cannot check primeness: 2049 distinct .* {MAX_PRIME_WORK}"):
+            prime_report(pair)
 
     def test_scope_preconditions(self):
         with pytest.raises(ClassificationError):
