@@ -531,7 +531,7 @@ class PairLattice:
         self._masks = [masks[k] for k in order]
         self._by_mask = {m: i for i, m in enumerate(self._masks)}
         self.bottom = BOTTOM
-        self.top = AdmissiblePair(graph.vertices, EMPTY)
+        self.top = AdmissiblePair(graph.vertices, frozenset())
         self._star_labels = tuple([labels[k] for k in order[1:]])
         self._label_index = None  # built on first use
         self._ji_star = [self._by_mask[m] - 1 for m in ji_masks]

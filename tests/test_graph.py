@@ -202,6 +202,25 @@ class TestPairLattice:
             assert ji == helpers.brute_force_join_irreducibles(expected), g
         assert with_omega >= 100
 
+    def test_order_holds_for_any_vertex_names(self):
+        # names that sort before "," or are prefixes of one another: S is
+        # ordered as a sorted list of names, not as the label that joins them
+        names = ["a", "a!", "a b", "a,b", "ab", "b", "\u00e9", "", "0"]
+        rng = random.Random(59)
+        # four emitters breaking {s}: {s}|{a,b} comes before {s}|{a!}
+        emitters = ["a", "b", "a!", "a b"]
+        graphs = [Graph(["s", "t", *emitters], [
+            Bundle(f"{e}{k}", w, t, m) for k, w in enumerate(emitters) for e, t, m in [("i", "s", OMEGA), ("f", "t", 1)]
+        ])]
+        for _ in range(300):
+            g = helpers.random_graph(rng, max_v=6, max_b=9)
+            name = dict(zip(sorted(g.vertices), rng.sample(names, len(g.vertices))))
+            graphs.append(Graph(name.values(), [b._replace(source=name[b.source], target=name[b.target]) for b in g.bundles]))
+        for g in graphs:
+            lat = pair_lattice(g)
+            assert list(lat.pairs) == helpers.brute_force_pairs(g), g
+            assert list(lat.star_labels()) == [p.label() for p in lat.star], g
+
     def test_down_set_tree_joins_one_join_irreducible_to_an_earlier_pair(self):
         # every entry is its parent joined with one member of J, each pair
         # appears once, and parents come first in walk order though not
