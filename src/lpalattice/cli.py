@@ -431,10 +431,10 @@ def saturate(g, as_json, out, base, absorb):
 def pairs(g, as_json, out, as_dot):
     """List the admissible pairs of a graph."""
     lat = pair_lattice(g)
-    if as_dot:
-        _emit(_dot([p.label() for p in lat], [(a.label(), b.label()) for a, b in lat.hasse_edges()]), False, out)
-        return
     labels = ["{}", *lat.star_labels()]
+    if as_dot:
+        _emit(_dot(labels, [(labels[i], labels[j]) for i, j in lat.hasse_edges()]), False, out)
+        return
     _emit({"pairs": labels} if as_json else "\n".join(labels), as_json, out)
 
 

@@ -198,6 +198,7 @@ def _lambda_closure(g: Graph, base, absorb, start=None) -> frozenset:
 
 def breaking_vertices(g: Graph, H) -> frozenset:
     """Infinite emitters outside H with finitely many (but some) edges avoiding H."""
+    g.check_vertices(H)
     if not is_hereditary(g, H):
         raise GraphError("set is not hereditary")
     out = set()
@@ -268,7 +269,6 @@ class AdmissiblePair(NamedTuple):
 
 
 EMPTY = frozenset()
-BOTTOM = AdmissiblePair(EMPTY, EMPTY)
 
 
 def _components(g: Graph) -> list:
@@ -530,8 +530,6 @@ class PairLattice:
         order.sort(key=hkeys.__getitem__)
         self._masks = [masks[k] for k in order]
         self._by_mask = {m: i for i, m in enumerate(self._masks)}
-        self.bottom = BOTTOM
-        self.top = AdmissiblePair(graph.vertices, frozenset())
         self._star_labels = tuple([labels[k] for k in order[1:]])
         self._label_index = None  # built on first use
         self._ji_star = [self._by_mask[m] - 1 for m in ji_masks]
@@ -547,27 +545,10 @@ class PairLattice:
             [self._ji_star[j] for j in added[1:]],
         )
 
-    # the pairs as AdmissiblePair tuples are built on first use, by the
-    # methods that take or return them
     @property
     def pairs(self) -> "_Pairs":
+        """The pairs in order, each read off its mask when asked for."""
         return _Pairs(self)
-
-    @cached_property
-    def _pairs(self) -> tuple:
-        return tuple(map(self.pair_at, self._masks))
-
-    @cached_property
-    def _index(self) -> dict:
-        return {p: i for i, p in enumerate(self._pairs)}
-
-    @cached_property
-    def star(self) -> tuple:
-        return self._pairs[1:]
-
-    @cached_property
-    def join_irreducibles(self) -> tuple:
-        return tuple([self.star[i] for i in self._ji_star])
 
     def pair_at(self, d: int) -> AdmissiblePair:
         """The pair whose down-set in J is the mask d, read off it."""
@@ -577,49 +558,10 @@ class PairLattice:
     def __len__(self):
         return len(self._masks)
 
-    def __iter__(self):
-        return iter(self._pairs)
-
-    def __contains__(self, pair):
-        return pair in self._index
-
-    def check(self, pair: AdmissiblePair):
-        if pair not in self._index:
-            raise GraphError(f"{pair.label()} is not an admissible pair of this graph")
-
-    def _mask(self, pair: AdmissiblePair) -> int:
-        i = self._index.get(pair)
-        if i is None:
-            self.check(pair)
-        return self._masks[i]
-
-    def leq(self, a: AdmissiblePair, b: AdmissiblePair) -> bool:
-        m = self._mask(a)
-        return self._mask(b) & m == m
-
-    def meet(self, a: AdmissiblePair, b: AdmissiblePair) -> AdmissiblePair:
-        return self._pairs[self._by_mask[self._mask(a) & self._mask(b)]]
-
-    def join(self, a: AdmissiblePair, b: AdmissiblePair) -> AdmissiblePair:
-        return self._pairs[self._by_mask[self._mask(a) | self._mask(b)]]
-
-    def sup(self, pairs) -> AdmissiblePair:
-        """Supremum of any collection of pairs of this lattice; the empty
-        collection gives the bottom."""
-        d = 0
-        for p in pairs:
-            d |= self._mask(p)
-        return self._pairs[self._by_mask[d]]
-
-    def least(self, vertices, breaker=None) -> AdmissiblePair:
-        """The least pair whose H holds the given vertices and, if a vertex
-        w is given, whose H | S holds w: for one vertex the pair of its
-        hs-closure, and with w the least pair in which w breaks a set
-        holding the vertices, unless no such pair exists and H holds w."""
-        return self._pairs[self.least_star_index(vertices, breaker) + 1]
-
     def least_star_index(self, vertices, breaker=None) -> int:
-        """The star index of least(vertices, breaker), -1 for the bottom."""
+        """The star index of the least pair whose H holds the given vertices
+        and, if a vertex w is given, whose H | S holds w (w in S unless no
+        pair breaks w with them); -1 for the bottom."""
         d = 0
         for v in vertices:
             d |= self.vertex_masks[v]
@@ -628,9 +570,17 @@ class PairLattice:
         return self._by_mask[d] - 1
 
     def star_index(self, pair: AdmissiblePair) -> int:
-        i = self._index[pair]
-        if not i:
-            raise KeyError(pair)
+        """The star index of a pair of this lattice, -1 for the bottom: the
+        least pair holding its H and S, which must be the pair itself."""
+        vm, bm, d = self.vertex_masks, self.breaker_masks, 0
+        # an unknown vertex or a non-breaker sets every bit: no pair's mask
+        for v in pair.H:
+            d |= vm.get(v, -1)
+        for w in pair.S:
+            d |= bm.get(w, -1)
+        i = self._by_mask.get(d)
+        if i is None or self.pair_at(d) != pair:
+            raise GraphError(f"{pair.label()} is not an admissible pair of this graph")
         return i - 1
 
     def star_mask(self, i: int) -> int:
@@ -657,21 +607,22 @@ class PairLattice:
         return list(self._ji_star)
 
     def hasse_edges(self):
-        """Covering relations, for drawing the lattice: b covers a exactly
-        when the down-set of b is that of a plus one join-irreducible."""
-        ps, below, by_mask = self._pairs, self._below, self._by_mask
+        """Covering relations as index pairs (i, j) into pairs, sorted, for
+        drawing the lattice: pair j covers pair i exactly when its down-set
+        is that of i plus one join-irreducible."""
+        below, by_mask = self._below, self._by_mask
         covers = []
         for i, m in enumerate(self._masks):
             for j, bj in enumerate(below):
                 if not m >> j & 1 and bj & m == bj:
                     covers.append((i, by_mask[m | 1 << j]))
         covers.sort()
-        return [(ps[i], ps[j]) for i, j in covers]
+        return covers
 
 
 class _Pairs(Sequence):
     """The pairs of a lattice in order: its length is read off the masks,
-    and the first pair read builds them all."""
+    and each pair off its own mask when asked for, keeping none."""
 
     def __init__(self, lattice: PairLattice):
         self._lattice = lattice
@@ -680,7 +631,7 @@ class _Pairs(Sequence):
         return len(self._lattice)
 
     def __getitem__(self, i):
-        return self._lattice._pairs[i]
+        return self._lattice.pair_at(self._lattice._masks[i])
 
 
 @lru_cache(maxsize=32)

@@ -70,10 +70,6 @@ class Context:
             () if k is None else self.ji_below(k) for k in self.cycle_exit_idx
         )
 
-    @property
-    def star(self):
-        return self.lattice.star
-
     def ji_below(self, k: int) -> tuple[int, ...]:
         """Positions in ji of the join-irreducibles at or below star pair k:
         the bits of its down-set mask."""
@@ -219,7 +215,10 @@ class SaturatedFunction:
         return v
 
     def value(self, pair: AdmissiblePair) -> RingIdeal:
-        return RingIdeal(self.ctx.ring, self.at(self.ctx.lattice.star_index(pair)))
+        k = self.ctx.lattice.star_index(pair)
+        if k < 0:
+            raise ClassificationError("the bottom pair carries no value")
+        return RingIdeal(self.ctx.ring, self.at(k))
 
     def __eq__(self, other):
         if not isinstance(other, SaturatedFunction) or self.jv != other.jv:
@@ -248,12 +247,9 @@ def _table_to_vals(ctx: Context, table, vals=None) -> list[int]:
         # a canonical label is looked up; anything else is parsed and checked
         i = labels.get(pair) if isinstance(pair, str) else None
         if i is None:
-            if isinstance(pair, str):
-                pair = AdmissiblePair.parse(pair)
-            lat.check(pair)
-            if pair == lat.bottom:
+            i = lat.star_index(AdmissiblePair.parse(pair) if isinstance(pair, str) else pair)
+            if i < 0:
                 raise ClassificationError("the bottom pair carries no value")
-            i = lat.star_index(pair)
         if isinstance(ideal, RingIdeal):
             if ideal.ring is not ring and ideal.ring != ring:
                 raise RingError(f"value for {lat.star_labels()[i]} lives in {ideal.ring}, not {ring}")

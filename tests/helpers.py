@@ -339,6 +339,24 @@ def brute_force_join_irreducibles(pairs):
     return out
 
 
+def star_pairs(lat):
+    """The star pairs of a lattice, every pair but the bottom, in order."""
+    return tuple(lat.pairs)[1:]
+
+
+def pair_mask(lat, pair):
+    """The down-set in J of a pair of lat, as its bit mask (0 for the bottom)."""
+    return lat.star_mask(lat.star_index(pair))
+
+
+def mask_sup(lat, pairs):
+    """The supremum of some pairs of lat, read off the union of their masks."""
+    d = 0
+    for p in pairs:
+        d |= pair_mask(lat, p)
+    return lat.pair_at(d)
+
+
 @functools.lru_cache(maxsize=128)
 def pair_join_table(star):
     """join[i][j]: the index of the least upper bound of star[i] and star[j]
@@ -360,7 +378,7 @@ def pair_join_table(star):
 def pairwise_law_violations(ctx, vals):
     """Every (i, j) whose join k has vals[k] other than vals[i] meet vals[j]."""
     ring = ctx.ring
-    join = pair_join_table(ctx.star)
+    join = pair_join_table(star_pairs(ctx.lattice))
     return [
         (i, j)
         for i in range(len(vals))
@@ -373,7 +391,7 @@ def saturate_sweep(ctx, vals):
     """Iterate order-reversal and the pairwise supremum law to a fixpoint
     (it terminates by the ascending chain condition)."""
     ring = ctx.ring
-    star = ctx.star
+    star = star_pairs(ctx.lattice)
     join = pair_join_table(star)
     n = len(vals)
     vals = list(vals)
@@ -412,7 +430,7 @@ def subset_formula_saturation(ctx, raw):
     the way that each union really is an ideal.
     """
     ring = ctx.ring
-    star = ctx.star
+    star = star_pairs(ctx.lattice)
     n = len(star)
     join = pair_join_table(star)
     f0 = list(raw)
@@ -733,7 +751,7 @@ def random_classified(ctx, rng: random.Random) -> ClassifiedIdeal:
     """A pseudorandom valid classification pair for the given context."""
     ring = ctx.ring
     pool = list(ring.enumerate_gens()) if ring.is_finite else list(_Z_GEN_POOL)
-    raw = [rng.choice(pool) if rng.random() < 0.6 else 0 for _ in ctx.star]
+    raw = [rng.choice(pool) if rng.random() < 0.6 else 0 for _ in range(ctx.size)]
     extras = {
         i: random_poly(ctx, rng)
         for i in range(len(ctx.cycles))
@@ -790,14 +808,14 @@ def saturated_atom_pair(ctx, atom) -> ClassifiedIdeal:
     raw values at its pairs, saturated over every pair and then checked in
     full by SaturatedFunction and ClassifiedIdeal."""
     ring = ctx.ring
-    raw = [0] * len(ctx.star)
+    raw = [0] * ctx.size
     extra = {}
     if isinstance(atom, ScaledVertex):
-        raw[ctx.lattice.star_index(ctx.lattice.least([atom.v]))] = ring.gen_from_elements([atom.r])
+        raw[ctx.lattice.least_star_index([atom.v])] = ring.gen_from_elements([atom.r])
     elif isinstance(atom, ScaledBreaking):
         assert atom.w in breaking_vertices(ctx.graph, atom.H)
-        pair = ctx.lattice.least([b.target for b in ctx.graph.out_bundles(atom.w) if b.target in atom.H], atom.w)
-        raw[ctx.lattice.star_index(pair)] = ring.gen_from_elements([atom.r])
+        k = ctx.lattice.least_star_index([b.target for b in ctx.graph.out_bundles(atom.w) if b.target in atom.H], atom.w)
+        raw[k] = ring.gen_from_elements([atom.r])
     else:
         c = atom.c
         if c not in ctx.cycles:
@@ -840,7 +858,7 @@ def _reference_saturated(a, b, op, g):
     """op of the two tables on J plus each cycle's contraction at its
     closure pair, saturated over the full table: (table, cycle values)."""
     ctx, ring = a.ctx, a.ctx.ring
-    raw = [0] * len(ctx.star)
+    raw = [0] * ctx.size
     for q in ctx.ji:
         raw[q] = op(a.f.vals[q], b.f.vals[q])
     for i, gi in enumerate(g):
@@ -932,9 +950,9 @@ def prime_report(pair: ClassifiedIdeal) -> PrimeReport:
         raise ClassificationError(
             "prime analysis is out of the supported scope: condition (K) fails"
         )
-    ring = ctx.ring
+    ring, star = ctx.ring, star_pairs(ctx.lattice)
     report = PrimeReport()
-    for p, v in zip(ctx.star, pair.f.vals):
+    for p, v in zip(star, pair.f.vals):
         if v != 1 and not ring.gen_is_prime(v):
             report.value_failures.append((p.label(), v))
     probes = set(pair.f.vals) | {1}
@@ -944,8 +962,8 @@ def prime_report(pair: ClassifiedIdeal) -> PrimeReport:
             break
         probes |= more
     for gen in sorted(probes):
-        below = [p for p, v in zip(ctx.star, pair.f.vals) if ring.gen_contains(v, gen)]
-        complement = ctx.graph.vertices - ctx.lattice.sup(below).H
+        below = [p for p, v in zip(star, pair.f.vals) if ring.gen_contains(v, gen)]
+        complement = ctx.graph.vertices - closure_sup(ctx.graph, below).H
         ok = downward_directed(ctx.graph, complement)
         report.directed_checks.append((gen, complement, ok))
     report.passes = not report.value_failures and all(ok for _, _, ok in report.directed_checks)

@@ -382,6 +382,13 @@ class TestExitCodes:
         result = runner.invoke(main, ["closure", "--graph", gfile, "zz"])
         assert result.exit_code == 1
 
+    def test_unknown_vertex_in_a_breaking_generator_is_one_domain_line(self, runner, tmp_path):
+        gfile = _write(tmp_path, "g.graph", TWO_BREAKERS_TEXT)
+        gens = _write(tmp_path, "g.json", json.dumps([{"kind": "breaking", "r": "2", "w": "a", "H": ["zz"]}]))
+        result = runner.invoke(main, ["from-generators", "--graph", gfile, "--ring", "Z", gens])
+        assert result.exit_code == 1
+        assert result.output == "error:domain: unknown vertex id(s) ['zz']\n"
+
     def test_infinite_ring_enumeration_refused(self, runner, tmp_path):
         gfile = _write(tmp_path, "g.graph", "vertices u,v; edge e: u->v;")
         result = runner.invoke(main, ["enumerate", "--graph", gfile, "--ring", "Z"])
@@ -651,6 +658,36 @@ class TestGraphLayerWallClock:
 
 
 TWO_BREAKERS_TEXT = format_graph(helpers.two_breakers())
+TWO_BREAKERS_DOT = """\
+digraph lattice {
+  rankdir=BT;
+  "{}";
+  "{u}";
+  "{u}|{a}";
+  "{u}|{a,b}";
+  "{u}|{b}";
+  "{x}";
+  "{u,x}";
+  "{a,u,x}";
+  "{b,u,x}";
+  "{a,b,u,x}";
+  "{}" -> "{u}";
+  "{}" -> "{x}";
+  "{u}" -> "{u}|{a}";
+  "{u}" -> "{u}|{b}";
+  "{u}" -> "{u,x}";
+  "{u}|{a}" -> "{u}|{a,b}";
+  "{u}|{a}" -> "{a,u,x}";
+  "{u}|{a,b}" -> "{a,b,u,x}";
+  "{u}|{b}" -> "{u}|{a,b}";
+  "{u}|{b}" -> "{b,u,x}";
+  "{x}" -> "{u,x}";
+  "{u,x}" -> "{a,u,x}";
+  "{u,x}" -> "{b,u,x}";
+  "{a,u,x}" -> "{a,b,u,x}";
+  "{b,u,x}" -> "{a,b,u,x}";
+}
+"""
 
 
 def _respelled(doc, spelling):
@@ -699,6 +736,11 @@ class TestPairLabels:
             ("{a", "bad pair label '{a'"),
             ("{}", "the bottom pair carries no value"),
             ("{a}", "{a} is not an admissible pair of this graph"),
+            ("{zz}", "{zz} is not an admissible pair of this graph"),
+            ("{u}|{x}", "{u}|{x} is not an admissible pair of this graph"),
+            ("{u}|{u}", "{u}|{u} is not an admissible pair of this graph"),
+            ("{a,b,u,x}|{a}", "{a,b,u,x}|{a} is not an admissible pair of this graph"),
+            ("{}|{a}", "{}|{a} is not an admissible pair of this graph"),
         ],
     )
     def test_label_errors_are_one_domain_line(self, runner, tmp_path, label, line):
@@ -707,6 +749,12 @@ class TestPairLabels:
         result = runner.invoke(main, ["lattice-op", "--graph", gfile, "--ring", "Z", "join", pair, pair])
         assert result.exit_code == 1
         assert result.output == f"error:domain: invalid pair: {line}\n"
+
+    def test_pairs_dot_is_pinned(self, runner, tmp_path):
+        gfile = _write(tmp_path, "g.graph", TWO_BREAKERS_TEXT)
+        result = runner.invoke(main, ["pairs", "--dot", "--graph", gfile])
+        assert result.exit_code == 0
+        assert result.output == TWO_BREAKERS_DOT
 
 
 def _ladder_text(n):

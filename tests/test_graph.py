@@ -90,8 +90,9 @@ class TestSaturation:
         assert saturated_closure(g, fs("a", "b"), fs()) == fs("a", "b")
         # w itself is only swallowed with S = {w} once all its targets are in
         lat = pair_lattice(g)
-        joined = lat.sup([AdmissiblePair(fs("a"), fs("w")), AdmissiblePair(fs("b"), fs())])
-        assert joined == AdmissiblePair(fs("a", "b", "w"), fs())
+        a, b = AdmissiblePair(fs("a"), fs("w")), AdmissiblePair(fs("b"), fs())
+        joined = helpers.mask_sup(lat, [a, b])
+        assert joined == helpers.closure_sup(g, [a, b]) == AdmissiblePair(fs("a", "b", "w"), fs())
 
 
 class TestBreakingVertices:
@@ -106,38 +107,45 @@ class TestBreakingVertices:
         for _ in range(25):
             g = helpers.random_graph(rng, allow_omega=False)
             lat = pair_lattice(g)
-            for p in lat:
+            for p in lat.pairs:
                 assert breaking_vertices(g, p.H) == frozenset()
 
 
 class TestPairLattice:
     def test_toeplitz_has_exactly_three(self):
         lat = pair_lattice(helpers.toeplitz())
-        assert [p.label() for p in lat] == ["{}", "{v}", "{u,v}"]
+        assert [p.label() for p in lat.pairs] == ["{}", "{v}", "{u,v}"]
 
     def test_two_vertex_chain(self):
         lat = pair_lattice(helpers.chain(2))
-        assert [p.label() for p in lat] == ["{}", "{v0,v1}"]
+        assert [p.label() for p in lat.pairs] == ["{}", "{v0,v1}"]
 
     def test_single_vertex(self):
         lat = pair_lattice(helpers.single_vertex())
-        assert [p.label() for p in lat] == ["{}", "{v}"]
+        assert [p.label() for p in lat.pairs] == ["{}", "{v}"]
 
     def test_fork_sup_is_top(self):
-        lat = pair_lattice(helpers.fork())
+        g = helpers.fork()
+        lat = pair_lattice(g)
         a = AdmissiblePair(fs("v"), fs())
         b = AdmissiblePair(fs("w"), fs())
-        assert lat.sup([a, b]) == lat.top
+        top = AdmissiblePair(g.vertices, fs())
+        assert helpers.mask_sup(lat, [a, b]) == helpers.closure_sup(g, [a, b]) == top
+        assert helpers.pair_mask(lat, top) == (1 << len(lat.star_join_irreducibles())) - 1
 
     def test_sup_trivialities(self):
-        lat = pair_lattice(helpers.omega_fork())
-        assert lat.sup([]) == lat.bottom
-        for p in lat:
-            assert lat.sup([p]) == p
-        chain_pairs = [p for p in lat if lat.leq(p, lat.top)]
-        assert lat.sup(chain_pairs) == lat.top
+        g = helpers.omega_fork()
+        lat = pair_lattice(g)
+        bottom, top = AdmissiblePair(fs(), fs()), AdmissiblePair(g.vertices, fs())
+        assert helpers.mask_sup(lat, []) == helpers.closure_sup(g, []) == bottom
+        for p in lat.pairs:
+            assert helpers.mask_sup(lat, [p]) == p
+        chain_pairs = [p for p in lat.pairs if helpers.pair_leq(p, top)]
+        assert helpers.mask_sup(lat, chain_pairs) == helpers.closure_sup(g, chain_pairs) == top
 
     def test_sup_equals_folded_join(self):
+        # the union of masks is the supremum by closure, of all the pairs
+        # at once and folded two at a time
         rng = random.Random(3)
         for _ in range(20):
             g = helpers.random_graph(rng, max_v=4, max_b=6)
@@ -145,10 +153,13 @@ class TestPairLattice:
             pairs = [rng.choice(lat.pairs) for _ in range(rng.randint(1, 4))]
             folded = pairs[0]
             for p in pairs[1:]:
-                folded = lat.join(folded, p)
-            assert lat.sup(pairs) == folded
+                folded = helpers.closure_sup(g, [folded, p])
+            assert helpers.mask_sup(lat, pairs) == helpers.closure_sup(g, pairs) == folded
 
     def test_lattice_axioms_and_distributivity(self):
+        # the masks are closed under & and |, which are the set formula's
+        # meet and the closure supremum, subset is the order of the pairs,
+        # and those set-level operations obey the lattice laws
         rng = random.Random(11)
         checked = 0
         while checked < 12:
@@ -157,20 +168,22 @@ class TestPairLattice:
             if len(lat) > 32:
                 continue
             checked += 1
-            ps = lat.pairs
+            ps = list(lat.pairs)
+            mask = {p: helpers.pair_mask(lat, p) for p in ps}
+            meet, join = helpers.formula_meet, lambda a, b: helpers.closure_sup(g, [a, b])
             for a in ps:
-                assert lat.meet(a, a) == a and lat.join(a, a) == a
+                assert meet(a, a) == a and join(a, a) == a
                 for b in ps:
-                    assert lat.meet(a, b) == lat.meet(b, a)
-                    assert lat.join(a, b) == lat.join(b, a)
-                    assert lat.join(a, lat.meet(a, b)) == a
-                    assert lat.meet(a, lat.join(a, b)) == a
-                    assert lat.leq(a, b) == (lat.join(a, b) == b)
+                    assert lat.pair_at(mask[a] & mask[b]) == meet(a, b) == meet(b, a)
+                    assert lat.pair_at(mask[a] | mask[b]) == join(a, b) == join(b, a)
+                    assert join(a, meet(a, b)) == a
+                    assert meet(a, join(a, b)) == a
+                    assert helpers.pair_leq(a, b) == (mask[a] & mask[b] == mask[a]) == (join(a, b) == b)
             for a in ps:
                 for b in ps:
                     for c in ps:
-                        left = lat.meet(a, lat.join(b, c))
-                        right = lat.join(lat.meet(a, b), lat.meet(a, c))
+                        left = meet(a, join(b, c))
+                        right = join(meet(a, b), meet(a, c))
                         assert left == right
 
     def test_meet_on_masks_matches_the_set_formula(self):
@@ -181,9 +194,11 @@ class TestPairLattice:
         graphs += [g for _, g, _ in helpers.law_suite_graphs()]
         for g in graphs:
             lat = pair_lattice(g)
-            for a in lat:
-                for b in lat:
-                    assert lat.meet(a, b) == helpers.formula_meet(a, b), g
+            ps = list(lat.pairs)
+            masks = [helpers.pair_mask(lat, p) for p in ps]
+            for a, ma in zip(ps, masks):
+                for b, mb in zip(ps, masks):
+                    assert lat.pair_at(ma & mb) == helpers.formula_meet(a, b), g
 
     def test_down_sets_of_join_irreducibles_give_every_pair(self):
         # the pairs built from J equal both the closures of all vertex
@@ -197,8 +212,7 @@ class TestPairLattice:
             lat = pair_lattice(g)
             expected = helpers.brute_force_pairs(g)
             assert list(lat.pairs) == expected == helpers.subset_scan_pairs(g), g
-            ji = [lat.star[i] for i in lat.star_join_irreducibles()]
-            assert ji == list(lat.join_irreducibles)
+            ji = [expected[i + 1] for i in lat.star_join_irreducibles()]
             assert ji == helpers.brute_force_join_irreducibles(expected), g
         assert with_omega >= 100
 
@@ -219,7 +233,7 @@ class TestPairLattice:
         for g in graphs:
             lat = pair_lattice(g)
             assert list(lat.pairs) == helpers.brute_force_pairs(g), g
-            assert list(lat.star_labels()) == [p.label() for p in lat.star], g
+            assert list(lat.star_labels()) == [p.label() for p in helpers.star_pairs(lat)], g
 
     def test_down_set_tree_joins_one_join_irreducible_to_an_earlier_pair(self):
         # every entry is its parent joined with one member of J, each pair
@@ -230,12 +244,12 @@ class TestPairLattice:
         graphs += [helpers.random_graph(rng, max_v=6, max_b=8) for _ in range(120)]
         for g in graphs:
             lat = pair_lattice(g)
-            star = lat.star
+            star = helpers.star_pairs(lat)
             ji = set(lat.star_join_irreducibles())
             seen = set()
             for i, parent, q in zip(*lat.down_set_tree):
                 assert q in ji and i not in seen, g
-                base = lat.bottom if parent is None else star[parent]
+                base = AdmissiblePair(fs(), fs()) if parent is None else star[parent]
                 assert parent is None or parent in seen, g
                 assert helpers.closure_sup(g, [base, star[q]]) == star[i] != base, g
                 seen.add(i)
@@ -249,21 +263,22 @@ class TestPairLattice:
         graphs += [helpers.two_breakers(), helpers.uneven_breakers()]
         for g in graphs:
             lat = pair_lattice(g)
-            ps = lat.pairs
-            assert list(lat.star_labels()) == [p.label() for p in lat.star], g
+            ps = list(lat.pairs)
+            assert list(lat.star_labels()) == [p.label() for p in ps[1:]], g
+            masks = [helpers.pair_mask(lat, p) for p in ps]
             leq = [[helpers.pair_leq(a, b) for b in ps] for a in ps]
-            assert [[lat.leq(a, b) for b in ps] for a in ps] == leq, g
-            covers = covering_pairs(len(ps), lambda i, j: leq[i][j])
-            assert lat.hasse_edges() == [(ps[i], ps[j]) for i, j in covers], g
+            assert [[ma & mb == ma for mb in masks] for ma in masks] == leq, g
+            assert lat.hasse_edges() == covering_pairs(len(ps), lambda i, j: leq[i][j]), g
             for _ in range(8):
                 chosen = rng.sample(ps, rng.randint(0, min(4, len(ps))))
-                assert lat.sup(chosen) == helpers.closure_sup(g, chosen), g
+                assert helpers.mask_sup(lat, chosen) == helpers.closure_sup(g, chosen), g
 
     def test_star_order_is_not_a_linear_extension(self):
         lat = pair_lattice(helpers.two_breakers())
-        labels = [p.label() for p in lat.star]
+        labels = list(lat.star_labels())
         below, above = AdmissiblePair.parse("{u}|{b}"), AdmissiblePair.parse("{u}|{a,b}")
-        assert lat.leq(below, above)
+        m = helpers.pair_mask(lat, below)
+        assert helpers.pair_leq(below, above) and helpers.pair_mask(lat, above) & m == m
         assert labels.index("{u}|{a,b}") < labels.index("{u}|{b}")
         lat = pair_lattice(helpers.uneven_breakers())
         assert any(p is not None and p > i for i, p, _ in zip(*lat.down_set_tree))
@@ -272,11 +287,11 @@ class TestPairLattice:
         rng = random.Random(31)
         for _ in range(60):
             lat = pair_lattice(helpers.random_graph(rng, max_v=5, max_b=7))
-            ps = lat.pairs
+            ps = list(lat.pairs)
             expected = [
-                (a, b)
-                for a in ps
-                for b in ps
+                (i, j)
+                for i, a in enumerate(ps)
+                for j, b in enumerate(ps)
                 if a != b
                 and helpers.pair_leq(a, b)
                 and not any(
@@ -517,11 +532,11 @@ class TestCyclesMatchTheEnumeration:
             assert ctx.cycles == tuple(exclusive_cycles(g))
             for c, k, e in zip(ctx.cycles, ctx.cycle_closure_idx, ctx.cycle_exit_idx):
                 assert ctx.cycles_by_label[c.label()] is c
-                assert ctx.star[k] == AdmissiblePair(cycle_vertex_closure(g, c), frozenset())
+                assert ctx.lattice.pair_at(ctx.lattice.star_mask(k)) == AdmissiblePair(cycle_vertex_closure(g, c), frozenset())
                 down = exit_closure(g, c)
                 assert (e is None) == (not down)
                 if down:
-                    assert ctx.star[e] == AdmissiblePair(down, frozenset())
+                    assert ctx.lattice.pair_at(ctx.lattice.star_mask(e)) == AdmissiblePair(down, frozenset())
 
 
 class TestGlobalConditions:
@@ -545,7 +560,7 @@ class TestGlobalConditions:
                 if is_hereditary(g, h):
                     directed = directed_complement(g, h)
                     assert directed == helpers.downward_directed(g, g.vertices - h), (g, h)
-                    seen.add((directed, h in {p.H for p in pair_lattice(g)}))
+                    seen.add((directed, h in {p.H for p in pair_lattice(g).pairs}))
         assert seen == {(True, True), (False, True), (True, False), (False, False)}
 
     def test_row_finite(self):

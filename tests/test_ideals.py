@@ -15,8 +15,10 @@ from lpalattice import (
     CyclePoly,
     ClassifiedIdeal,
     Graph,
+    GraphError,
     IntegersMod,
     LaurentIdeal,
+    PairLattice,
     PrimeField,
     RingIdeal,
     ScaledBreaking,
@@ -62,6 +64,19 @@ class TestSaturateFunction:
         )
         assert f.value(AdmissiblePair(fs("u", "v", "w"), fs())) == RingIdeal(ZZ, 1)
 
+    def test_the_bottom_pair_has_no_value(self):
+        # star index -1 stands for the bottom; it must not read the top's value
+        ctx = context(helpers.fork(), ZZ)
+        f = saturate_function(ctx, {"{u,v,w}": RingIdeal(ZZ, 2)})
+        bottom = AdmissiblePair(fs(), fs())
+        assert ctx.lattice.star_index(bottom) == -1
+        with pytest.raises(ClassificationError, match="^the bottom pair carries no value$"):
+            f.value(bottom)
+        with pytest.raises(ClassificationError, match="^the bottom pair carries no value$"):
+            saturate_function(ctx, {bottom: RingIdeal(ZZ, 2)})
+        with pytest.raises(GraphError, match=r"^\{u\} is not an admissible pair of this graph$"):
+            f.value(AdmissiblePair(fs("u"), fs()))
+
     def test_already_saturated_unchanged(self):
         ctx = context(helpers.toeplitz(), ZZ)
         table = {"{v}": RingIdeal(ZZ, 2), "{u,v}": RingIdeal(ZZ, 4)}
@@ -93,7 +108,7 @@ class TestSaturateFunction:
             ctx = context(graph, ring)
             pool = list(ring.enumerate_gens()) if ring.is_finite else [0, 1, 2, 3, 4, 6, 12]
             for _ in range(80):
-                raw = [rng.choice(pool) for _ in ctx.star]
+                raw = [rng.choice(pool) for _ in range(ctx.size)]
                 assert _saturate_vals(ctx, raw) == helpers.saturate_sweep(ctx, raw)
 
     def test_matches_subset_formula(self):
@@ -103,7 +118,7 @@ class TestSaturateFunction:
                 ctx = context(graph, ring)
                 pool = list(ring.enumerate_gens())
                 for _ in range(40):
-                    raw = [rng.choice(pool) for _ in ctx.star]
+                    raw = [rng.choice(pool) for _ in range(ctx.size)]
                     assert _saturate_vals(ctx, raw) == helpers.subset_formula_saturation(ctx, raw)
 
     def test_cycle_closure_values_survive_saturation(self):
@@ -112,9 +127,9 @@ class TestSaturateFunction:
         rng = random.Random(71)
         for graph in (helpers.toeplitz(), helpers.two_cycle_with_exit(), helpers.prime_counterexample()):
             ctx = context(graph, ZZ)
-            star = ctx.star
+            star = helpers.star_pairs(ctx.lattice)
             for _ in range(50):
-                raw = [rng.choice([0, 1, 2, 3, 4, 6, 12]) for _ in ctx.star]
+                raw = [rng.choice([0, 1, 2, 3, 4, 6, 12]) for _ in range(ctx.size)]
                 # make it order-reversing first
                 rev = list(raw)
                 for i in range(len(rev)):
@@ -140,13 +155,13 @@ class TestLawCheck:
             pool = list(ring.enumerate_gens()) if ring.is_finite else [0, 1, 2, 3, 4, 6, 12]
             seen = {True: 0, False: 0}
             for _ in range(60):
-                raw = tuple(ring.gen_normalize(rng.choice(pool)) for _ in ctx.star)
+                raw = tuple(ring.gen_normalize(rng.choice(pool)) for _ in range(ctx.size))
                 for vals in (raw, _saturate_vals(ctx, raw)):
                     valid = not helpers.pairwise_law_violations(ctx, vals)
                     assert (not _law_violations(ctx, vals)) == valid, (name, vals)
                     seen[valid] += 1
             assert seen[True] > 0, name
-            if len(ctx.star) > 1:
+            if ctx.size > 1:
                 assert seen[False] > 0, name
 
     def test_violation_message(self):
@@ -177,7 +192,7 @@ class TestValidation:
             assert isinstance(
                 validate_tables(
                     ctx,
-                    dict(zip((p.label() for p in ctx.star), map(lambda v: RingIdeal(ring, v), pair.f.vals))),
+                    dict(zip(ctx.lattice.star_labels(), map(lambda v: RingIdeal(ring, v), pair.f.vals))),
                     {
                         c.label(): LaurentIdeal.extend(RingIdeal(ring, pair.f.vals[ctx.cycle_closure_idx[i]]))
                         for i, c in enumerate(ctx.cycles)
@@ -345,7 +360,7 @@ class TestGradedLattice:
             ctx = context(graph, ring)
             gens = ring.enumerate_gens()
             expected = 0
-            for combo in itertools.product(gens, repeat=len(ctx.star)):
+            for combo in itertools.product(gens, repeat=ctx.size):
                 if not helpers.pairwise_law_violations(ctx, combo):
                     expected += 1
             assert len(graded_lattice(graph, ring)) == expected
@@ -360,15 +375,15 @@ class TestGradedLattice:
                 assert len(basic) == len(ctx.lattice.pairs)
                 tops = {}
                 for f in basic:
-                    above = [p for p, v in zip(ctx.star, f.vals) if v == unit]
-                    tops[f] = ctx.lattice.sup(above)
+                    above = [p for p, v in zip(helpers.star_pairs(ctx.lattice), f.vals) if v == unit]
+                    tops[f] = helpers.closure_sup(graph, above)
                 assert set(tops.values()) == set(ctx.lattice.pairs)
                 for f in basic:
                     for g in basic:
                         f_le_g = all(
                             ring.gen_contains(y, x) for x, y in zip(f.vals, g.vals)
                         )
-                        assert f_le_g == ctx.lattice.leq(tops[f], tops[g])
+                        assert f_le_g == helpers.pair_leq(tops[f], tops[g])
 
     def test_refuses_infinite_rings(self):
         from lpalattice import RingError
@@ -470,7 +485,7 @@ class TestGenerators:
             verts = sorted(graph.vertices)
             atoms = [ScaledVertex(ring.normalize(r), v) for v in verts for r in (1, 2, 3)]
             sets = {frozenset()} | {hereditary_closure(graph, {v}) for v in verts}
-            sets |= {p.H for p in ctx.lattice}
+            sets |= {p.H for p in ctx.lattice.pairs}
             for h in sorted(sets, key=sorted):
                 atoms += [ScaledBreaking(ring.normalize(2), w, h)
                           for w in sorted(breaking_vertices(graph, h))]
@@ -514,10 +529,15 @@ class TestGenerators:
         assert json.loads(text) == helpers.dump_ideal(pair)
         assert to_generators(pair) and calls == ["_intersect_below"]
 
-    def test_requests_stay_on_masks_and_labels(self):
+    def test_requests_stay_on_masks_and_labels(self, monkeypatch):
         # a breaking vertex, an exclusive cycle with an exit and isolated
         # vertices: building, reading, writing and listing ideals, their
-        # generators and their prime report build no AdmissiblePair tuple
+        # generators and their prime report read a pair off its mask only
+        # for a generator candidate or a complement that prime checks, and
+        # a label spelt other than canonically costs one read, never all
+        reads = []
+        real = PairLattice.pair_at
+        monkeypatch.setattr(PairLattice, "pair_at", lambda self, d: reads.append(d) or real(self, d))
         fork = helpers.omega_fork()
         graph = Graph(
             ["a0", "a1", "u", "v"] + sorted(fork.vertices),
@@ -537,14 +557,26 @@ class TestGenerators:
         with pytest.raises(ClassificationError, match="not row-finite"):
             prime_report(pair)
         row_finite = context(Graph(["a0", "a1", "v"], [Bundle("f", "v", "a0")]), ZZ)
-        assert prime_report(from_generators(row_finite, [ScaledVertex(2, "a1")])).lines()
-        for lattice in (lat, row_finite.lattice):
-            assert not {"_pairs", "_index", "star"} & set(vars(lattice)), lattice.graph
+        report = prime_report(from_generators(row_finite, [ScaledVertex(2, "a1")]))
+        assert report.lines()
+        iso = context(helpers.isolated(15), ZZ)
+        pair = from_generators(iso, [ScaledVertex(2, "v0")])
+        text = pair_json(pair)
+        assert '"{v0}"' in text
+        vals, rest, g_table = load_ideal_tables(iso, text.replace('"{v0}"', '"{ v0 }"'))
+        assert rest and validate_tables(iso, rest, g_table, vals) == pair
+        n = len(reads)
+        checked = {frozenset(h) for _, h, _ in report.directed_checks}
+        assert n <= len(ctx.generator_candidates) + len(row_finite.generator_candidates) + len(checked) + len(rest)
 
     def test_generator_validity_errors(self):
         ctx = context(helpers.toeplitz(), ZZ)
         with pytest.raises(ClassificationError):
             from_generators(ctx, [ScaledBreaking(1, "u", frozenset())])
+        # an unknown vertex in H is named, as saturated_closure names it
+        ctx = context(helpers.two_breakers(), ZZ)
+        with pytest.raises(GraphError, match=r"^unknown vertex id\(s\) \['zz'\]$"):
+            from_generators(ctx, [ScaledBreaking(2, "a", fs("zz"))])
 
 
 class TestFieldTripleClassification:
@@ -575,8 +607,8 @@ class TestFieldTripleClassification:
                 for top_pair in ctx.lattice.pairs:
                     f_table = {
                         p.label(): RingIdeal(ring, 1)
-                        for p in ctx.star
-                        if ctx.lattice.leq(p, top_pair)
+                        for p in helpers.star_pairs(ctx.lattice)
+                        if helpers.pair_leq(p, top_pair)
                     }
                     for combo in itertools.product(options, repeat=len(ctx.cycles)):
                         g_table = {
