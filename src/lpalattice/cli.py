@@ -209,7 +209,8 @@ def load_generators(ctx, text: str):
                 )
             )
         else:
-            c = ctx.cycles_by_label.get(item["c"]) or find_cycle(ctx.graph, item["c"])
+            i = ctx.cycle_position.get(item["c"])
+            c = find_cycle(ctx.graph, item["c"]) if i is None else ctx.cycles[i]
             atoms.append(CyclePoly(parse_poly(ctx.ring, item["p"]), c))
     return atoms
 

@@ -57,7 +57,7 @@ class Context:
         self.lattice = pair_lattice(graph)
         self.size = len(self.lattice) - 1  # the number of star pairs
         self.cycles = tuple(exclusive_cycles(graph))
-        self.cycles_by_label = {c.label(): c for c in self.cycles}
+        self.cycle_position = {c.label(): i for i, c in enumerate(self.cycles)}
         # the star index of each cycle's vertex-closure pair, and of its
         # exit-closure pair or None when it has no exit
         lat = self.lattice
@@ -423,12 +423,14 @@ def validate_tables(ctx: Context, f_table, g_table, vals=None) -> "ClassifiedIde
     problems = _law_violations(ctx, vals)
     g = [None] * len(ctx.cycles)
     for c, ideal in g_table.items():
-        if not isinstance(c, CycleClass):
-            c = ctx.cycles_by_label.get(c) or find_cycle(ctx.graph, c)
-        if c not in ctx.cycles:
-            problems.append(f"cycle {c.label()} is not exclusive; its value is forced")
+        label = c.label() if isinstance(c, CycleClass) else c
+        i = ctx.cycle_position.get(label)
+        if i is None:
+            if not isinstance(c, CycleClass):
+                find_cycle(ctx.graph, label)  # raises for a label naming no cycle
+            problems.append(f"cycle {label} is not exclusive; its value is forced")
             continue
-        g[ctx.cycles.index(c)] = ideal
+        g[i] = ideal
     for i, gi in enumerate(g):
         if gi is None:
             problems.append(f"no value supplied for cycle {ctx.cycles[i].label()}")
@@ -541,12 +543,12 @@ def atom_pair(ctx: Context, atom) -> ClassifiedIdeal:
         place(ctx.ji_below(k), ring.gen_from_elements([atom.r]))
     elif isinstance(atom, CyclePoly):
         c = atom.c
-        if c not in ctx.cycles:
+        i = ctx.cycle_position.get(c.label())
+        if i is None:
             # non-exclusive cycles carry no free data: p(c) generates the same
             # ideal as its coefficients placed on the cycle's vertices
             coeff = RingIdeal.of(ring, *atom.p.coefficients())
             return atom_pair(ctx, ScaledVertex(coeff.generator_element(), c.base))
-        i = ctx.cycles.index(c)
         ip = LaurentIdeal.from_polys(ring, [atom.p])
         place(ctx.cycle_ji_below[i], ip.contract().gen)
         place(ctx.cycle_exit_ji_below[i], ip.coefficient_ideal().gen)

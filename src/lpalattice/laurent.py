@@ -167,40 +167,29 @@ def _f_trim(ring, v):
 
 
 def _f_divmod(ring, a, b):
-    a = _f_trim(ring, a)
     b = _f_trim(ring, b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     inv = ring.inverse(b[-1])
-    q = [ring.zero()] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    while len(r) >= len(b) and _f_trim(ring, r):
-        if ring.is_zero(r[-1]):
-            r.pop()
-            continue
+    r = _f_trim(ring, a)
+    q = [ring.zero()] * max(0, len(r) - len(b) + 1)
+    while len(r) >= len(b):
         k = len(r) - len(b)
-        f = ring.mul(r[-1], inv)
-        q[k] = f
-        for i, c in enumerate(b):
-            r[k + i] = ring.sub(r[k + i], ring.mul(f, c))
-        r.pop()
-    return q, _f_trim(ring, r)
+        f = q[k] = ring.mul(r.pop(), inv)
+        for i in range(len(b) - 1):
+            r[k + i] = ring.sub(r[k + i], ring.mul(f, b[i]))
+        while r and ring.is_zero(r[-1]):
+            r.pop()
+    return q, r
 
 
 def _f_gcd(ring, a, b):
-    a, b = _f_trim(ring, a), _f_trim(ring, b)
+    """The canonical gcd (see ``_f_normalize``).  Every remainder is
+    normalized too, which keeps Fraction coefficients from swelling."""
+    a, b = _f_normalize(ring, a), _f_normalize(ring, b)
     while b:
-        _, r = _f_divmod(ring, a, b)
-        a, b = b, r
+        a, b = b, _f_normalize(ring, _f_divmod(ring, a, b)[1])
     return a
-
-
-def _f_mul(ring, a, b):
-    out = [ring.zero()] * (len(a) + len(b) - 1) if a and b else []
-    for i, c in enumerate(a):
-        for j, d in enumerate(b):
-            out[i + j] = ring.add(out[i + j], ring.mul(c, d))
-    return out
 
 
 def _f_normalize(ring, v):
@@ -227,9 +216,28 @@ def _z_intersect(a: tuple, b: tuple) -> tuple:
     return groebner.gb_dense(list(groebner.intersect_dense(a, b)))
 
 
+# -- the two engines: a monic gcd over a field, a strong basis otherwise --
+
+
+def _basis(ring, denses) -> tuple:
+    """Canonical basis of the ideal that the dense tuples generate."""
+    if ring.is_field:
+        g = ()
+        for d in denses:
+            g = _f_gcd(ring, g, d)
+        return (g,) if g else ()
+    gens = {d for d in denses if d}
+    if ring.n:
+        gens.add((ring.n,))
+    return _z_saturate(tuple(sorted(gens)))
+
+
 @lru_cache(maxsize=1 << 16)
-def _z_member(f: tuple, basis: tuple) -> bool:
-    return groebner.member_dense(f, basis)
+def _member(ring, d: tuple, basis: tuple) -> bool:
+    """Whether the dense tuple d lies in the ideal with this canonical basis."""
+    if ring.is_field:
+        return not _f_divmod(ring, d, basis[0])[1] if basis else not d
+    return groebner.member_dense(d, basis)
 
 
 @dataclass(frozen=True)
@@ -237,7 +245,9 @@ class LaurentIdeal:
     """An ideal of R[x, x^-1] in canonical basis form.
 
     Two ideals are equal iff their bases are identical; every basis element
-    has a nonzero constant term.
+    has a nonzero constant term.  Over a field the basis is empty, ``(1)``
+    or one monic generator of degree at least 1, so the formulas that read
+    a strong basis over Z or Z/n read it as well.
     """
 
     ring: RingSpec
@@ -246,13 +256,7 @@ class LaurentIdeal:
     # -- construction ----------------------------------------------------
     @staticmethod
     def from_polys(ring: RingSpec, polys) -> "LaurentIdeal":
-        denses = [p.to_dense() for p in polys if not p.is_zero]
-        if ring.is_field:
-            g = []
-            for d in denses:
-                g = _f_gcd(ring, g, list(d))
-            return LaurentIdeal(ring, _field_basis(ring, g))
-        return LaurentIdeal(ring, _z_saturate(_lift(ring, denses)))
+        return LaurentIdeal(ring, _basis(ring, [p.to_dense() for p in polys]))
 
     @staticmethod
     def parse(ring: RingSpec, text: str) -> "LaurentIdeal":
@@ -290,8 +294,7 @@ class LaurentIdeal:
 
     @property
     def is_unit(self) -> bool:
-        gen = (self.ring.one(),) if self.ring.is_field else (1,)
-        return self.basis == (gen,)
+        return self.basis == ((1,),)
 
     def generators(self) -> list[LaurentPoly]:
         out = []
@@ -308,49 +311,32 @@ class LaurentIdeal:
     def __contains__(self, p: LaurentPoly) -> bool:
         if p.ring != self.ring:
             raise RingError("mismatched rings")
-        d = p.to_dense()
-        if self.ring.is_field:
-            if not self.basis:
-                return not d
-            _, r = _f_divmod(self.ring, list(d), list(self.basis[0]))
-            return not r
-        return _z_member(_lift_one(self.ring, d), self.basis)
+        return _member(self.ring, p.to_dense(), self.basis)
 
     def __le__(self, other: "LaurentIdeal") -> bool:
         self._check(other)
-        if self.ring.is_field:
-            return all(p in other for p in self.generators())
-        return all(_z_member(b, other.basis) for b in self.basis)
+        return all(_member(self.ring, b, other.basis) for b in self.basis)
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "LaurentIdeal") -> "LaurentIdeal":
         self._check(other)
-        if self.ring.is_field:
-            return LaurentIdeal.from_polys(self.ring, self.generators() + other.generators())
-        return LaurentIdeal(self.ring, _z_saturate(tuple(sorted(set(self.basis + other.basis)))))
+        return LaurentIdeal(self.ring, _basis(self.ring, self.basis + other.basis))
 
     def __mul__(self, other: "LaurentIdeal") -> "LaurentIdeal":
         self._check(other)
-        ring = self.ring
-        if ring.is_field:
-            if not self.basis or not other.basis:
-                return LaurentIdeal.zero(ring)
-            prod = _f_mul(ring, list(self.basis[0]), list(other.basis[0]))
-            return LaurentIdeal(ring, _field_basis(ring, prod))
         gens = [groebner.dense_mul(a, b) for a in self.basis for b in other.basis]
-        return LaurentIdeal(ring, _z_saturate(_lift(ring, gens, lifted=True)))
+        return LaurentIdeal(self.ring, _basis(self.ring, gens))
 
     def intersect(self, other: "LaurentIdeal") -> "LaurentIdeal":
         self._check(other)
         ring = self.ring
-        if ring.is_field:
-            if not self.basis or not other.basis:
-                return LaurentIdeal.zero(ring)
-            a, b = list(self.basis[0]), list(other.basis[0])
-            g = _f_gcd(ring, a, b)
-            q, _ = _f_divmod(ring, _f_mul(ring, a, b), g)
-            return LaurentIdeal(ring, _field_basis(ring, q))
-        return LaurentIdeal(ring, _z_intersect(self.basis, other.basis))
+        if not ring.is_field:
+            return LaurentIdeal(ring, _z_intersect(self.basis, other.basis))
+        if not (self.basis and other.basis):
+            return LaurentIdeal.zero(ring)
+        a, b = self.basis[0], other.basis[0]
+        q, _ = _f_divmod(ring, b, _f_gcd(ring, a, b))
+        return LaurentIdeal(ring, _basis(ring, [groebner.dense_mul(a, q)]))
 
     __and__ = intersect
 
@@ -363,46 +349,15 @@ class LaurentIdeal:
     # -- contraction, extension, grading -----------------------------------
     def contract(self) -> RingIdeal:
         """The ideal I /\\ R of the coefficient ring."""
-        ring = self.ring
-        if ring.is_field:
-            return RingIdeal(ring, 1 if self.is_unit else 0)
         for d in self.basis:
             if len(d) == 1:
-                return RingIdeal(ring, d[0])
-        return RingIdeal.zero(ring)
+                return RingIdeal(self.ring, d[0])
+        return RingIdeal.zero(self.ring)
 
     def coefficient_ideal(self) -> RingIdeal:
         """The smallest J <= R with I contained in J[x, x^-1]."""
-        ring = self.ring
-        if ring.is_field:
-            return RingIdeal(ring, 0 if not self.basis else 1)
-        coeffs = [c for d in self.basis for c in d]
-        return RingIdeal.of(ring, *coeffs)
+        return RingIdeal.of(self.ring, *(c for d in self.basis for c in d))
 
     def is_graded(self) -> bool:
         """Graded for the Z-grading of R[x, x^-1]; exactly the extensions."""
         return self == LaurentIdeal.extend(self.contract())
-
-
-def _field_basis(ring, dense) -> tuple:
-    v = _f_normalize(ring, dense)
-    return (v,) if v else ()
-
-
-def _lift_one(ring, dense) -> tuple:
-    v = [int(ring.normalize(c)) for c in dense]
-    while v and v[-1] == 0:
-        v.pop()
-    return tuple(v)
-
-
-def _lift(ring, denses, lifted=False) -> tuple:
-    """Integer generator tuple for the Z-side engine (modulus adjoined for Z/n)."""
-    out = set()
-    for d in denses:
-        v = tuple(int(c) for c in d) if lifted else _lift_one(ring, d)
-        if any(v):
-            out.add(v)
-    if ring.n:
-        out.add((ring.n,))
-    return tuple(sorted(out))

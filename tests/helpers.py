@@ -620,6 +620,75 @@ def divide_exact(ideal: LaurentIdeal, e: int) -> LaurentIdeal:
     return LaurentIdeal.from_polys(ZZ, polys)
 
 
+# -- the field engine by plain Euclid ---------------------------------------------
+# Dense coefficient lists over a field, lowest power first.  The remainders
+# are left as they fall, not made monic, so over Q their coefficients swell:
+# keep the inputs small.
+
+
+def _euclid_trim(ring, v):
+    v = list(v)
+    while v and ring.is_zero(v[-1]):
+        v.pop()
+    return v
+
+
+def euclid_divmod(ring, a, b):
+    a = _euclid_trim(ring, a)
+    b = _euclid_trim(ring, b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv = ring.inverse(b[-1])
+    q = [ring.zero()] * max(0, len(a) - len(b) + 1)
+    r = list(a)
+    while len(r) >= len(b) and _euclid_trim(ring, r):
+        if ring.is_zero(r[-1]):
+            r.pop()
+            continue
+        k = len(r) - len(b)
+        f = ring.mul(r[-1], inv)
+        q[k] = f
+        for i, c in enumerate(b):
+            r[k + i] = ring.sub(r[k + i], ring.mul(f, c))
+        r.pop()
+    return q, _euclid_trim(ring, r)
+
+
+def euclid_gcd(ring, a, b):
+    a, b = _euclid_trim(ring, a), _euclid_trim(ring, b)
+    while b:
+        _, r = euclid_divmod(ring, a, b)
+        a, b = b, r
+    return a
+
+
+def euclid_mul(ring, a, b):
+    out = [ring.zero()] * (len(a) + len(b) - 1) if a and b else []
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] = ring.add(out[i + j], ring.mul(c, d))
+    return out
+
+
+def euclid_basis(ring, dense) -> tuple:
+    """The canonical basis of the ideal of K[x, x^-1] one polynomial
+    generates: x factors stripped and made monic, or () for zero."""
+    v = _euclid_trim(ring, dense)
+    while v and ring.is_zero(v[0]):
+        v.pop(0)
+    if not v:
+        return ()
+    inv = ring.inverse(v[-1])
+    return (tuple(ring.mul(c, inv) for c in v),)
+
+
+def euclid_lcm(ring, a, b):
+    if not a or not b:
+        return []
+    q, _ = euclid_divmod(ring, euclid_mul(ring, a, b), euclid_gcd(ring, a, b))
+    return q
+
+
 # -- the x-colon by elimination -------------------------------------------------
 
 

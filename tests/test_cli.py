@@ -980,3 +980,57 @@ class TestPrimeOnJoinIrreducibles:
         # every value but the 13 primes fails, and each of the 8191 values
         # and the whole ring is checked for directedness
         assert len(lines) == (8191 - 13) + 8192 + 1
+
+
+class TestExclusiveCycleLookup:
+    """Each cycle named in a generators or pair file is found by one lookup
+    of its label, not by comparing it with every exclusive cycle."""
+
+    def test_cycle_comparisons_are_linear(self, monkeypatch):
+        from lpalattice import cli
+
+        # v_i loops on l_i and e_i: v_i -> v_{i+1}: n exclusive cycles
+        n = 200
+        text = "vertices " + ",".join(f"v{i}" for i in range(n + 1)) + ";\n"
+        text += "".join(f"edge l{i}: v{i}->v{i}; edge e{i}: v{i}->v{i + 1};\n" for i in range(n))
+        ctx = lpalattice.context(parse_graph(text), lpalattice.ZZ)
+        assert len(ctx.cycles) == n
+        # generators on the last cycles; the pair file names every cycle
+        gens = json.dumps([{"kind": "cycle", "p": "x - 2", "c": f"l{i}.0"} for i in range(n - 5, n)])
+        compared = []
+        eq = lpalattice.CycleClass.__eq__
+        monkeypatch.setattr(lpalattice.CycleClass, "__eq__", lambda a, b: compared.append(1) or eq(a, b))
+        pair = lpalattice.from_generators(ctx, cli.load_generators(ctx, gens))
+        made = len(compared)
+        vals, rest, g_table = cli.load_ideal_tables(ctx, cli.pair_json(pair))
+        assert len(g_table) == n
+        assert cli.validate_tables(ctx, rest, g_table, vals) == pair
+        # finding a cycle by comparison took about 2n comparisons per generator
+        # and n^2 for the pair file
+        assert made <= n and len(compared) - made <= n, (made, len(compared) - made)
+
+
+class TestLaurentOverTheRationals:
+    """The gcd over Q makes each remainder monic, so its coefficients stay
+    small: with the remainders left as they fall, the degree-200 join and
+    meet below ran past a minute."""
+
+    def test_degree_200_join_and_meet_answer(self, tmp_path):
+        rng = random.Random(200)
+        gfile = _write(tmp_path, "g.graph", TOEPLITZ_TEXT)
+        polys, pairs = [], []
+        for name, deg in (("a", 200), ("b", 199)):
+            polys.append(" + ".join(f"{rng.randint(1, 9)}x^{i}" for i in range(deg + 1)))
+            doc = _write(tmp_path, f"{name}.gens", json.dumps([{"kind": "cycle", "p": polys[-1], "c": "e.0"}]))
+            pairs.append(str(tmp_path / f"{name}.json"))
+            made = _run_cli(["from-generators", "--graph", gfile, "--ring", "Q", "--out", pairs[-1], doc])
+            assert (made.returncode, made.stderr) == (0, "")
+        a, b = (lpalattice.parse_poly(lpalattice.QQ, p) for p in polys)
+        want = {
+            "join": lpalattice.LaurentIdeal.unit(lpalattice.QQ),
+            "meet": lpalattice.LaurentIdeal.from_polys(lpalattice.QQ, [a * b]),
+        }
+        for op, ideal in want.items():
+            done = _run_cli(["lattice-op", "--graph", gfile, "--ring", "Q", op, *pairs])
+            assert (done.returncode, done.stderr) == (0, "")
+            assert json.loads(done.stdout)["g"] == {"e.0": str(ideal)}

@@ -531,7 +531,7 @@ class TestCyclesMatchTheEnumeration:
             ctx = context(g, ZZ)
             assert ctx.cycles == tuple(exclusive_cycles(g))
             for c, k, e in zip(ctx.cycles, ctx.cycle_closure_idx, ctx.cycle_exit_idx):
-                assert ctx.cycles_by_label[c.label()] is c
+                assert ctx.cycles[ctx.cycle_position[c.label()]] is c
                 assert ctx.lattice.pair_at(ctx.lattice.star_mask(k)) == AdmissiblePair(cycle_vertex_closure(g, c), frozenset())
                 down = exit_closure(g, c)
                 assert (e is None) == (not down)

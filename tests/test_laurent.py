@@ -90,6 +90,52 @@ class TestFieldIdeals:
         assert a + b == b
 
 
+class TestFieldEngineMatchesPlainEuclid:
+    """The monic-remainder gcd gives the bases the plain Euclid over the
+    field gives, for sums, products and meets as well."""
+
+    @staticmethod
+    def _poly(ring, rng, deg):
+        # a Laurent polynomial spanning at most deg + 1 powers of x
+        terms = {e: rng.randint(-9, 9) for e in range(rng.randint(0, deg) + 1)}
+        if ring == QQ:
+            terms = {e: Fraction(c, rng.randint(1, 6)) for e, c in terms.items()}
+        return LaurentPoly.from_terms(ring, terms).shift(rng.randint(-3, 3))
+
+    @staticmethod
+    def _reference(ring, polys):
+        g = []
+        for p in polys:
+            g = helpers.euclid_gcd(ring, g, list(p.to_dense()))
+        return helpers.euclid_basis(ring, g)
+
+    def test_bases_match_the_reference(self):
+        rng = random.Random(59)
+        proper_sums = proper_meets = 0
+        for ring in (PrimeField(2), PrimeField(7), QQ):
+            for _ in range(150):
+                # half the time both sides share a factor, so sums are proper
+                common = self._poly(ring, rng, 3) if rng.random() < 0.5 else LaurentPoly.constant(ring, ring.one())
+                gens = [
+                    [common * self._poly(ring, rng, 5) for _ in range(rng.choice([0, 1, 1, 2, 2]))]
+                    for _ in range(2)
+                ]
+                refs = [self._reference(ring, polys) for polys in gens]
+                a, b = (LaurentIdeal.from_polys(ring, polys) for polys in gens)
+                assert (a.basis, b.basis) == tuple(refs)
+                assert (a + b).basis == self._reference(ring, gens[0] + gens[1])
+                if not (refs[0] and refs[1]):
+                    assert (a * b).basis == a.intersect(b).basis == ()
+                    continue
+                ra, rb = refs[0][0], refs[1][0]
+                assert (a * b).basis == helpers.euclid_basis(ring, helpers.euclid_mul(ring, ra, rb))
+                assert a.intersect(b).basis == helpers.euclid_basis(ring, helpers.euclid_lcm(ring, ra, rb))
+                proper_sums += not (a + b).is_unit
+                # a meet of two proper ideals is a true lcm
+                proper_meets += not (a.is_unit or b.is_unit)
+        assert proper_sums >= 80 and proper_meets >= 100
+
+
 class TestIntegerIdeals:
     def test_constant_meets_linear(self):
         m = LaurentIdeal.parse(ZZ, "<2>").intersect(LaurentIdeal.parse(ZZ, "<x - 1>"))
