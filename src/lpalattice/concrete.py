@@ -190,25 +190,20 @@ def generated_ideal(alg: FinitePathAlgebra, elements) -> tuple:
 
 
 def enumerate_concrete_ideals(alg: FinitePathAlgebra) -> list[tuple]:
-    """Every two-sided ideal, in sorted order: single-generator ideals
-    closed under sums.  A seed depends only on its ring element and the
-    sink block of its basis index, so one index per block gives them all."""
+    """Every two-sided ideal, in sorted order.  Each ideal is a sum of
+    single-generator ideals, the seeds, so the pool is closed by adding one
+    seed at a time to every ideal found so far: O(N * seeds) sums for N
+    ideals.  A seed depends only on its ring element and the sink block of
+    its basis index, so one index per block gives them all."""
     ring = alg.ring
     per_block = {s: i for i, (s, _, _) in enumerate(alg.basis)}.values()
+    seeds = {
+        generated_ideal(alg, [alg.unit(i, r)])
+        for r in ring.elements() if not ring.is_zero(r) for i in per_block
+    }
     pool = {generated_ideal(alg, [])}
-    for r in ring.elements():
-        if not ring.is_zero(r):
-            pool.update(generated_ideal(alg, [alg.unit(i, r)]) for i in per_block)
-    frontier = list(pool)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(pool):
-                c = tuple(map(ring.gen_sum, a, b))
-                if c not in pool:
-                    pool.add(c)
-                    fresh.append(c)
-        frontier = fresh
+    for seed in seeds:
+        pool |= {tuple(map(ring.gen_sum, a, seed)) for a in pool}
     return sorted(pool)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii as _quote
+from operator import add, le, mul
 
 from .graph import (
     AdmissiblePair,
@@ -42,6 +43,8 @@ MAX_GRADED_VALUES = 1 << 18
 # prime checks each distinct value of a pair against the graph; more distinct
 # values times vertices and bundles than this are refused before any check
 MAX_PRIME_WORK = 1 << 20
+
+_new = object.__new__
 
 
 class ClassificationError(ValueError):
@@ -175,25 +178,6 @@ class SaturatedFunction:
         self.vals = vals
         self.jv = tuple([vals[q] for q in ctx.ji])
 
-    @classmethod
-    def _trusted(cls, ctx: Context, vals) -> "SaturatedFunction":
-        # for internal construction of tables that are saturated by theorem;
-        # the test suite revalidates op outputs through the public path
-        self = cls.__new__(cls)
-        self.ctx = ctx
-        self.vals = vals = tuple(vals)
-        self.jv = tuple([vals[q] for q in ctx.ji])
-        return self
-
-    @classmethod
-    def _from_jv(cls, ctx: Context, jv) -> "SaturatedFunction":
-        # jv must reverse the order of J; every such map extends to exactly
-        # one saturated function
-        self = cls.__new__(cls)
-        self.ctx = ctx
-        self.jv = tuple(jv)
-        return self
-
     @cached_property
     def vals(self) -> tuple[int, ...]:
         on_ji = [0] * self.ctx.size
@@ -284,26 +268,17 @@ class ClassifiedIdeal:
         self.f = f
         self.g = g
 
-    @classmethod
-    def _trusted(cls, f: SaturatedFunction, g) -> "ClassifiedIdeal":
-        self = cls.__new__(cls)
-        self.ctx = f.ctx
-        self.f = f
-        self.g = tuple(g)
-        return self
-
     # -- constructors -----------------------------------------------------
     # a constant function and the matching constant cycle values meet both
     # cycle constraints
     @staticmethod
     def bottom(ctx: Context) -> "ClassifiedIdeal":
-        f = SaturatedFunction._from_jv(ctx, (0,) * len(ctx.ji))
-        return ClassifiedIdeal._trusted(f, (LaurentIdeal.zero(ctx.ring),) * len(ctx.cycles))
+        return _pair(ctx, (0,) * len(ctx.ji), (LaurentIdeal.zero(ctx.ring),) * len(ctx.cycles))
 
     @staticmethod
     def top(ctx: Context) -> "ClassifiedIdeal":
-        f = SaturatedFunction._from_jv(ctx, (ctx.ring.gen_normalize(1),) * len(ctx.ji))
-        return ClassifiedIdeal._trusted(f, (LaurentIdeal.unit(ctx.ring),) * len(ctx.cycles))
+        one = ctx.ring.gen_normalize(1)
+        return _pair(ctx, (one,) * len(ctx.ji), (LaurentIdeal.unit(ctx.ring),) * len(ctx.cycles))
 
     @staticmethod
     def graded(f: SaturatedFunction) -> "ClassifiedIdeal":
@@ -313,48 +288,34 @@ class ClassifiedIdeal:
         return ClassifiedIdeal(f, g)
 
     # -- lattice structure --------------------------------------------------
-    def _check(self, other: "ClassifiedIdeal"):
+    # the operations take valid pairs to a valid pair, built unchecked by _pair
+    def leq(self, other: "ClassifiedIdeal") -> bool:
         if self.ctx is not other.ctx:
             raise ClassificationError("mismatched graph/ring context")
-
-    def leq(self, other: "ClassifiedIdeal") -> bool:
-        self._check(other)
-        if not all(map(self.ctx.ring.gen_contains, other.f.jv, self.f.jv)):
-            return False
-        return all(ga <= gb for ga, gb in zip(self.g, other.g))
+        return all(map(self.ctx.ring.gen_contains, other.f.jv, self.f.jv)) and all(map(le, self.g, other.g))
 
     __le__ = leq
 
     def meet(self, other: "ClassifiedIdeal") -> "ClassifiedIdeal":
-        self._check(other)
-        jv = map(self.ctx.ring.gen_intersect, self.f.jv, other.f.jv)
-        g = tuple(ga.intersect(gb) for ga, gb in zip(self.g, other.g))
-        return ClassifiedIdeal._trusted(SaturatedFunction._from_jv(self.ctx, jv), g)
+        ctx = self.ctx
+        if ctx is not other.ctx:
+            raise ClassificationError("mismatched graph/ring context")
+        jv = tuple(map(ctx.ring.gen_intersect, self.f.jv, other.f.jv))
+        return _pair(ctx, jv, tuple(map(LaurentIdeal.intersect, self.g, other.g)))
 
     def join(self, other: "ClassifiedIdeal") -> "ClassifiedIdeal":
-        self._check(other)
-        g = tuple(ga + gb for ga, gb in zip(self.g, other.g))
-        return self._saturated(other, self.ctx.ring.gen_sum, g)
+        ctx = self.ctx
+        if ctx is not other.ctx:
+            raise ClassificationError("mismatched graph/ring context")
+        jv, g = tuple(map(ctx.ring.gen_sum, self.f.jv, other.f.jv)), tuple(map(add, self.g, other.g))
+        return _pair(ctx, _closed(ctx, jv, g) if g else jv, g)
 
     def product(self, other: "ClassifiedIdeal") -> "ClassifiedIdeal":
-        self._check(other)
-        g = tuple(ga * gb for ga, gb in zip(self.g, other.g))
-        return self._saturated(other, self.ctx.ring.gen_product, g)
-
-    def _saturated(self, other, op, g) -> "ClassifiedIdeal":
-        """The smallest pair holding op of the two functions and the
-        contractions of g.  Both functions reverse the order of J and op is
-        monotone, so op of their values on J reverses it too and already
-        holds op's values at every pair above; each cycle's contraction is
-        then added at every member of J at or below its closure pair."""
-        ctx, ring = self.ctx, self.ctx.ring
-        jv = list(map(op, self.f.jv, other.f.jv))
-        for gi, below in zip(g, ctx.cycle_ji_below):
-            c = gi.contract().gen
-            if c:
-                for t in below:
-                    jv[t] = ring.gen_sum(jv[t], c)
-        return ClassifiedIdeal._trusted(SaturatedFunction._from_jv(ctx, jv), g)
+        ctx = self.ctx
+        if ctx is not other.ctx:
+            raise ClassificationError("mismatched graph/ring context")
+        jv, g = tuple(map(ctx.ring.gen_product, self.f.jv, other.f.jv)), tuple(map(mul, self.g, other.g))
+        return _pair(ctx, _closed(ctx, jv, g) if g else jv, g)
 
     # -- grading ------------------------------------------------------------
     def is_graded(self) -> bool:
@@ -381,6 +342,44 @@ class ClassifiedIdeal:
     def __repr__(self):
         gs = ", ".join(f"{c.label()}:{g}" for c, g in zip(self.ctx.cycles, self.g))
         return f"ClassifiedIdeal(f={self.f!r}, g={{{gs}}})"
+
+
+def _function(ctx: Context, jv: tuple) -> SaturatedFunction:
+    # jv must reverse the order of J; every such map extends to exactly one
+    # saturated function
+    f = _new(SaturatedFunction)
+    f.ctx = ctx
+    f.jv = jv
+    return f
+
+
+def _pair(ctx: Context, jv: tuple, g: tuple) -> ClassifiedIdeal:
+    # the pair whose function takes the values jv on J; it must meet both
+    # cycle constraints
+    f = _new(SaturatedFunction)
+    f.ctx = ctx
+    f.jv = jv
+    p = _new(ClassifiedIdeal)
+    p.ctx = ctx
+    p.f = f
+    p.g = g
+    return p
+
+
+def _closed(ctx: Context, jv, g: tuple) -> tuple:
+    """The values on J of the smallest pair holding the values jv and the
+    contractions of the cycle values g.  For a join or product jv is op of
+    two functions that reverse the order of J, and op is monotone, so jv
+    reverses it too and already holds op's values at every pair above; each
+    cycle's contraction is then added at every member of J at or below its
+    closure pair."""
+    jv, gen_sum = list(jv), ctx.ring.gen_sum
+    for gi, below in zip(g, ctx.cycle_ji_below):
+        c = gi.contract().gen
+        if c:
+            for t in below:
+                jv[t] = gen_sum(jv[t], c)
+    return tuple(jv)
 
 
 def _cycle_violations(ctx: Context, f: SaturatedFunction, g) -> list[str]:
@@ -436,11 +435,9 @@ def validate_tables(ctx: Context, f_table, g_table, vals=None) -> "ClassifiedIde
             problems.append(f"no value supplied for cycle {ctx.cycles[i].label()}")
     if problems:
         return problems
-    f = SaturatedFunction._trusted(ctx, vals)
-    problems = _cycle_violations(ctx, f, tuple(g))
-    if problems:
-        return problems
-    return ClassifiedIdeal._trusted(f, g)
+    pair = _pair(ctx, tuple([vals[q] for q in ctx.ji]), tuple(g))
+    pair.f.vals = vals
+    return _cycle_violations(ctx, pair.f, pair.g) or pair
 
 
 # -- output ------------------------------------------------------------------
@@ -513,62 +510,66 @@ class CyclePoly:
     c: CycleClass
 
 
-def atom_pair(ctx: Context, atom) -> ClassifiedIdeal:
-    """The classification pair of the ideal generated by a single generator.
+def from_generators(ctx: Context, atoms) -> ClassifiedIdeal:
+    """The pair classifying the ideal generated by the given atoms.
 
-    A generator puts its ring ideal at one pair (a cycle: its contraction
-    at the closure pair and its coefficient ideal at the exit-closure pair),
-    and the smallest saturated function holding it takes at each member of
-    J the sum of what lies at the pairs above, so the ideal goes to the
-    members of J below its pair and 0 elsewhere."""
-    ring = ctx.ring
+    A vertex or breaking generator puts its ring ideal at its least pair,
+    and the smallest saturated function holding it adds the ideal at the
+    members of J below that pair.  The polynomials on each exclusive cycle
+    generate one Laurent ideal, whose contraction goes below the cycle's
+    closure pair and its coefficient ideal below the exit-closure pair.  A
+    cycle's value is that ideal plus the extension of the value at its
+    closure pair, and one closure, as in a join, adds its contraction there.
+    So each atom and each cycle costs O(|J|) ring operations, plus one
+    Laurent ideal per cycle that has polynomials."""
+    ring, lat = ctx.ring, ctx.lattice
     jv = [0] * len(ctx.ji)
-    extra = {}
+    polys = {}
 
     def place(below, gen):
-        for t in below:
-            jv[t] = ring.gen_sum(jv[t], gen)
+        if gen:
+            for t in below:
+                jv[t] = ring.gen_sum(jv[t], gen)
 
-    if isinstance(atom, ScaledVertex):
-        if atom.v not in ctx.graph.vertices:
-            raise GraphError(f"unknown vertex id {atom.v!r}")
-        place(ctx.ji_below(ctx.lattice.least_star_index([atom.v])), ring.gen_from_elements([atom.r]))
-    elif isinstance(atom, ScaledBreaking):
-        if atom.w not in breaking_vertices(ctx.graph, atom.H):
-            raise ClassificationError(
-                f"{atom.w!r} is not a breaking vertex of {sorted(atom.H)}"
-            )
-        # the least pair carrying w as a breaking vertex of H
-        k = ctx.lattice.least_star_index([t for t in ctx.graph.out_targets(atom.w) if t in atom.H], atom.w)
-        place(ctx.ji_below(k), ring.gen_from_elements([atom.r]))
-    elif isinstance(atom, CyclePoly):
-        c = atom.c
-        i = ctx.cycle_position.get(c.label())
-        if i is None:
+    for atom in atoms:
+        if isinstance(atom, CyclePoly):
+            i = ctx.cycle_position.get(atom.c.label())
+            if i is not None:
+                polys.setdefault(i, []).append(atom.p)
+                continue
             # non-exclusive cycles carry no free data: p(c) generates the same
             # ideal as its coefficients placed on the cycle's vertices
-            coeff = RingIdeal.of(ring, *atom.p.coefficients())
-            return atom_pair(ctx, ScaledVertex(coeff.generator_element(), c.base))
-        ip = LaurentIdeal.from_polys(ring, [atom.p])
+            atom = ScaledVertex(RingIdeal.of(ring, *atom.p.coefficients()).generator_element(), atom.c.base)
+        if isinstance(atom, ScaledVertex):
+            if atom.v not in ctx.graph.vertices:
+                raise GraphError(f"unknown vertex id {atom.v!r}")
+            k = lat.least_star_index([atom.v])
+        elif isinstance(atom, ScaledBreaking):
+            if atom.w not in breaking_vertices(ctx.graph, atom.H):
+                raise ClassificationError(
+                    f"{atom.w!r} is not a breaking vertex of {sorted(atom.H)}"
+                )
+            # the least pair carrying w as a breaking vertex of H
+            k = lat.least_star_index([t for t in ctx.graph.out_targets(atom.w) if t in atom.H], atom.w)
+        else:
+            raise ClassificationError(f"unknown generator {atom!r}")
+        place(ctx.ji_below(k), ring.gen_from_elements([atom.r]))
+    extra = {i: LaurentIdeal.from_polys(ring, ps) for i, ps in polys.items()}
+    for i, ip in extra.items():
         place(ctx.cycle_ji_below[i], ip.contract().gen)
         place(ctx.cycle_exit_ji_below[i], ip.coefficient_ideal().gen)
-        extra[i] = ip
-    else:
-        raise ClassificationError(f"unknown generator {atom!r}")
-    f = SaturatedFunction._from_jv(ctx, jv)
+    f = _function(ctx, tuple(jv))
     g = []
     for i, k in enumerate(ctx.cycle_closure_idx):
         base = LaurentIdeal.extend(RingIdeal(ring, f.at(k)))
         g.append(extra[i] + base if i in extra else base)
-    return ClassifiedIdeal(f, g)
+    g = tuple(g)
+    return _pair(ctx, _closed(ctx, jv, g), g)
 
 
-def from_generators(ctx: Context, atoms) -> ClassifiedIdeal:
-    """The pair classifying the ideal generated by the given atoms."""
-    result = ClassifiedIdeal.bottom(ctx)
-    for atom in atoms:
-        result = result.join(atom_pair(ctx, atom))
-    return result
+def atom_pair(ctx: Context, atom) -> ClassifiedIdeal:
+    """The classification pair of the ideal generated by a single generator."""
+    return from_generators(ctx, [atom])
 
 
 def to_generators(pair: ClassifiedIdeal) -> list:
@@ -618,7 +619,7 @@ def graded_lattice(graph: Graph, ring: RingSpec) -> list[SaturatedFunction]:
                 f"cannot enumerate: there are more than {limit} graded ideals, and "
                 f"{ctx.size} values each would pass the {MAX_GRADED_VALUES}-value budget"
             )
-    out = [SaturatedFunction._from_jv(ctx, m) for m in maps]
+    out = [_function(ctx, m) for m in maps]
     return sorted(out, key=lambda f: f.vals)
 
 

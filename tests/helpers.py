@@ -4,7 +4,8 @@ The oracles here recompute expected values along routes independent of the
 library's own algorithms: subset enumeration for closures and admissible
 pairs, the order, joins and suprema of pairs from their definitions (the
 suprema by closing the union of their sets), the pairwise supremum law and
-its fixpoint sweep, join, meet and product on full tables, the literal
+its fixpoint sweep, join, meet and product on full tables, the ideal of
+a set of generators as the join of its generators' pairs, the literal
 union-over-subsets formula for saturation (element sets over finite rings),
 the x-colon by elimination in Z[x]^2, integer row reduction for Laurent
 ideal membership, a character-by-character scanner for the statements of
@@ -51,6 +52,7 @@ from lpalattice.concrete import OracleError, Path, generated_ideal
 from lpalattice.graph import _lambda_closure, find_cycle
 from lpalattice.ideals import (
     ClassifiedIdeal,
+    CyclePoly,
     PrimeReport,
     SaturatedFunction,
     ScaledBreaking,
@@ -903,6 +905,31 @@ def saturated_atom_pair(ctx, atom) -> ClassifiedIdeal:
         base = LaurentIdeal.extend(RingIdeal(ring, f.vals[ctx.cycle_closure_idx[i]]))
         g.append(extra[i] + base if i in extra else base)
     return ClassifiedIdeal(f, g)
+
+
+def fold_from_generators(ctx, atoms) -> ClassifiedIdeal:
+    """The pair of the ideal some generators generate: the bottom joined
+    with the full-table pair of each generator in turn."""
+    result = ClassifiedIdeal.bottom(ctx)
+    for atom in atoms:
+        result = result.join(saturated_atom_pair(ctx, atom))
+    return result
+
+
+def random_atoms(ctx, rng: random.Random) -> list:
+    """Pseudorandom generators of every kind, in random order: scaled
+    vertices, breaking vertices of the pairs' hereditary sets, and up to two
+    polynomials on each of the first six cycles."""
+    ring, graph = ctx.ring, ctx.graph
+    scalars = [ring.normalize(r) for r in (0, 1, 2, 3, 4, 6)]
+    atoms = [ScaledVertex(rng.choice(scalars), v) for v in sorted(graph.vertices) if rng.random() < 0.4]
+    for h in sorted({p.H for p in ctx.lattice.pairs}, key=sorted):
+        atoms += [ScaledBreaking(rng.choice(scalars), w, h)
+                  for w in sorted(breaking_vertices(graph, h)) if rng.random() < 0.3]
+    for c in reference_cycles(graph)[:6]:
+        atoms += [CyclePoly(random_poly(ctx, rng), c) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(atoms)
+    return atoms
 
 
 # -- full-table reference for the lattice operations --------------------------

@@ -23,7 +23,7 @@ from lpalattice.concrete import (
     enumerate_concrete_ideals,
     generated_ideal,
 )
-from lpalattice.ideals import ClassifiedIdeal, SaturatedFunction
+from lpalattice.ideals import ClassifiedIdeal
 
 import helpers
 
@@ -229,12 +229,34 @@ class TestCrosscheck:
         assert rep.ok and rep.lattice_size == MAX_CROSSCHECK_IDEALS
         assert len(calls) <= MAX_CROSSCHECK_IDEALS + 8
 
+    def test_every_intersection_is_compared(self, monkeypatch):
+        # a meet that answers with the join differs from the intersection at
+        # every two distinct ideals: 6 of the 10 pairs (p, q) with q no later
+        # than p among the 4 ideals of two sinks over F2
+        monkeypatch.setattr(ClassifiedIdeal, "meet", ClassifiedIdeal.join)
+        rep = crosscheck(helpers.isolated(2), PrimeField(2))
+        assert not rep.ok and len(rep.mismatches) == 6
+        assert all(m.startswith("intersection mismatch at ") for m in rep.mismatches)
+
+    @pytest.mark.parametrize("graph, ring, n", [
+        (helpers.isolated(2), PrimeField(2), 4),
+        (helpers.chain(2), IntegersMod(4), 3),
+        (helpers.fork(), IntegersMod(6), 16),
+    ])
+    def test_every_order_is_compared(self, monkeypatch, graph, ring, n):
+        # a negated order is wrong on each of the n * n ordered pairs
+        real = ClassifiedIdeal.leq
+        monkeypatch.setattr(ClassifiedIdeal, "leq", lambda a, b: not real(a, b))
+        rep = crosscheck(graph, ring)
+        assert rep.lattice_size == n and len(rep.mismatches) == n * n
+        assert all(m.startswith("order mismatch between ") for m in rep.mismatches)
+
     def test_result_outside_the_lattice_is_a_mismatch(self, monkeypatch, tmp_path):
         # a join whose values on J do not reverse the order of J is no
         # classified ideal: the report says so instead of raising
         def broken(a, b):
             # the unit ideal at the top pair, the zero ideal below it
-            return ClassifiedIdeal._trusted(SaturatedFunction._from_jv(a.ctx, (0, 1)), ())
+            return ideals._pair(a.ctx, (0, 1), ())
 
         monkeypatch.setattr(ClassifiedIdeal, "join", broken)
         rep = crosscheck(helpers.chain(2), PrimeField(2))

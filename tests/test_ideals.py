@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -301,8 +302,9 @@ class TestLatticeOps:
     def test_mismatched_contexts_rejected(self):
         a = ClassifiedIdeal.top(context(helpers.fork(), ZZ))
         b = ClassifiedIdeal.top(context(helpers.fork(), QQ))
-        with pytest.raises(ClassificationError):
-            a.meet(b)
+        for op in (ClassifiedIdeal.meet, ClassifiedIdeal.join, ClassifiedIdeal.product, ClassifiedIdeal.leq):
+            with pytest.raises(ClassificationError, match="^mismatched graph/ring context$"):
+                op(a, b)
 
 
 class TestGrading:
@@ -500,6 +502,52 @@ class TestGenerators:
             ("ScaledVertex", False), ("ScaledBreaking", False),
             ("CyclePoly", True), ("CyclePoly", False),
         }
+
+    def test_one_pass_matches_the_fold(self):
+        # from_generators places every atom on J at once and closes once; the
+        # reference joins the full-table pair of each atom in turn.  The one
+        # closure reads each cycle's value at its closure pair, a member of J
+        rng = random.Random(113)
+        graphs = [graph for _, graph, _ in helpers.law_suite_graphs()]
+        graphs += [helpers.random_graph(rng, max_v=6, max_b=6) for _ in range(150)]
+        cyclic = 0
+        for graph in graphs:
+            for ring in (ZZ, IntegersMod(12), PrimeField(7), QQ):
+                ctx = context(graph, ring)
+                assert set(ctx.cycle_closure_idx) <= set(ctx.ji), graph
+                cyclic += bool(ctx.cycles)
+                sets = [helpers.random_atoms(ctx, rng) for _ in range(2)]
+                for c in helpers.reference_cycles(graph)[:1]:
+                    # 2 on the cycle's base and x + 2 on the cycle generate x, a
+                    # unit, so the closure puts R at the cycle's closure pair
+                    two = ScaledVertex(ring.normalize(2), c.base)
+                    sets.append([two, CyclePoly(parse_poly(ring, "x + 2"), c)])
+                for atoms in sets:
+                    got = from_generators(ctx, atoms)
+                    assert got == helpers.fold_from_generators(ctx, atoms), (graph, ring, atoms)
+                    assert revalidated(got) == got, (graph, ring, atoms)
+                assert from_generators(ctx, []) == ClassifiedIdeal.bottom(ctx), graph
+        assert cyclic >= 150
+
+    def test_cycle_generators_cost_linear_time(self):
+        # a 200-vertex chain with a loop at every vertex and x - 2 on every
+        # loop; joining one atom at a time took seconds.  The coefficient
+        # ideal of x - 2, all of Z, lies below each loop's exit closure, which
+        # holds every later loop, so only the first loop keeps x - 2
+        n = 200
+        graph = Graph(
+            [f"v{i}" for i in range(n)],
+            [Bundle(f"l{i}", f"v{i}", f"v{i}") for i in range(n)]
+            + [Bundle(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(n - 1)],
+        )
+        ctx = context(graph, ZZ)
+        p = parse_poly(ZZ, "x - 2")
+        start = time.perf_counter()
+        pair = from_generators(ctx, [CyclePoly(p, c) for c in ctx.cycles])
+        assert time.perf_counter() - start < 0.5
+        first = ctx.cycle_position["l0.0"]
+        assert pair.g[first] == LaurentIdeal.from_polys(ZZ, [p])
+        assert all(g == LaurentIdeal.unit(ZZ) for i, g in enumerate(pair.g) if i != first)
 
     def test_work_stays_on_join_irreducibles(self, monkeypatch):
         # 10 isolated vertices, a loop with an exit and an infinite fork:
