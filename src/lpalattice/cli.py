@@ -128,17 +128,33 @@ def _must_map(doc, *keys):
             raise ParseFailure(f'pair file "{key}" must map labels to ideal literals')
 
 
+def _check_ring(ctx, spec):
+    """A pair file's "ring", read as --ring is, must be ctx's ring; one that
+    is not a string or names no ring makes the file unreadable."""
+    if not isinstance(spec, str):
+        raise ParseFailure('pair file "ring" must be a ring spec such as "Z/12"')
+    try:
+        ring = ring_constructor(spec)()
+    except RingError as exc:
+        raise ParseFailure(f'pair file "ring": {exc}') from exc
+    if ring != ctx.ring:
+        raise RingError(f"the pair file is over {ring}, not {ctx.ring}")
+
+
 def load_ideal_tables(ctx, text: str):
     """Read a pair file in one pass over its f table: the star-indexed
     values at its canonical labels, the values at its other labels, which
     validate_tables checks and adds, and its g table.  A table that maps a
-    label to anything but a string is reported before a bad literal."""
+    label to anything but a string is reported before a bad literal, and a
+    file over another ring is refused."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # past the digit or nesting limit too
         raise ParseFailure(f"bad pair file: {exc}") from exc
     if not isinstance(doc, dict) or "f" not in doc:
         raise ParseFailure('pair file must be an object with an "f" table')
+    if "ring" in doc:
+        _check_ring(ctx, doc["ring"])
     if not isinstance(doc["f"], dict):
         _must_map(doc, "f")
     index, vals, rest, gens = ctx.lattice.star_label_index(), [0] * ctx.size, {}, {}
@@ -191,7 +207,7 @@ def _generator_kind(item) -> str:
 def load_generators(ctx, text: str):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseFailure(f"bad generators file: {exc}") from exc
     if not isinstance(doc, list):
         raise ParseFailure("generators file must be a list")

@@ -52,9 +52,8 @@ def p_add(p: Poly, q: Poly) -> Poly:
 
 
 def p_scale_shift(p: Poly, c: int, shift: int) -> Poly:
-    """Multiply by c * x^shift; the component of each monomial is fixed."""
-    if c == 0:
-        return {}
+    """Multiply by c * x^shift for a nonzero c; the component of each
+    monomial is fixed."""
     return {(m[0], m[1] + shift): c * v for m, v in p.items()}
 
 
@@ -67,25 +66,23 @@ def _mono_divides(a: Mono, b: Mono) -> bool:
     return a[0] == b[0] and a[1] <= b[1]
 
 
-def reduce_poly(f: Poly, basis: list[Poly], keep_leading: bool = False) -> Poly:
+def reduce_poly(f: Poly, basis: list[Poly]) -> Poly:
     """Full normal form of f modulo basis.
 
     Coefficients are reduced with canonical Euclidean remainders
     (0 <= r < leading coefficient of the reducer); among the reducers that
     make progress the one with the smallest leading coefficient is used,
-    which is the canonical choice when the basis is inter-reduced.
+    which is the canonical choice when the basis is inter-reduced.  A
+    reducer's other terms land below the monomial it reduces, so monomials
+    leave `work` largest first and a finished one is never touched again.
     """
     lts = [(p_lt(b), b) for b in basis if b]
     work = dict(f)
     out: Poly = {}
-    guard = max(work) if (keep_leading and work) else None
     while work:
         m = max(work)
         c = work.pop(m)
         if c == 0:
-            continue
-        if keep_leading and m == guard:
-            out[m] = c
             continue
         best = None
         for (bm, bc), b in lts:
@@ -105,53 +102,31 @@ def reduce_poly(f: Poly, basis: list[Poly], keep_leading: bool = False) -> Poly:
             if m2 == bm:
                 continue
             k = (m2[0], m2[1] + shift)
-            if k in out:  # already-finished monomial gets corrected in place
-                s = out[k] - q * v
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+            s = work.get(k, 0) - q * v
+            if s:
+                work[k] = s
             else:
-                s = work.get(k, 0) - q * v
-                if s:
-                    work[k] = s
-                else:
-                    work.pop(k, None)
+                work.pop(k, None)
     return out
 
 
-def _s_poly(f: Poly, g: Poly) -> Poly:
-    (mf, cf), (mg, cg) = p_lt(f), p_lt(g)
-    d = max(mf[1], mg[1])
-    l = cf * cg // math.gcd(cf, cg)
-    a = p_scale_shift(f, l // cf, d - mf[1])
-    b = p_scale_shift(g, -(l // cg), d - mg[1])
-    return p_add(a, b)
-
-
-def _g_poly(f: Poly, g: Poly) -> Poly:
-    (mf, cf), (mg, cg) = p_lt(f), p_lt(g)
-    d = max(mf[1], mg[1])
-    _, u, v = xgcd(cf, cg)
-    a = p_scale_shift(f, u, d - mf[1])
-    b = p_scale_shift(g, v, d - mg[1])
-    return p_add(a, b)
-
-
 def _sign_norm(p: Poly) -> Poly:
-    if not p:
-        return p
-    _, c = p_lt(p)
-    if c < 0:
+    if p and p_lt(p)[1] < 0:
         return {m: -v for m, v in p.items()}
     return p
 
 
 def _pair_candidates(f: Poly, g: Poly) -> list[Poly]:
-    cf, cg = p_lt(f)[1], p_lt(g)[1]
-    out = [_s_poly(f, g)]
+    """The S-polynomial of f and g, then their gcd-polynomial when neither
+    leading coefficient divides the other."""
+    (mf, cf), (mg, cg) = p_lt(f), p_lt(g)
+    d = max(mf[1], mg[1])
+    sf, sg = d - mf[1], d - mg[1]
+    l = cf * cg // math.gcd(cf, cg)
+    out = [p_add(p_scale_shift(f, l // cf, sf), p_scale_shift(g, -(l // cg), sg))]
     if cf % cg != 0 and cg % cf != 0:
-        out.append(_g_poly(f, g))
+        _, u, v = xgcd(cf, cg)
+        out.append(p_add(p_scale_shift(f, u, sf), p_scale_shift(g, v, sg)))
     return out
 
 
@@ -165,44 +140,34 @@ def strong_groebner(gens: list[Poly]) -> list[Poly]:
     reduces to zero.
     """
     basis: list[Poly] = []
+    leads: list[tuple[Mono, int]] = []
     alive: list[bool] = []
-    pairs: list = []  # (lcm monomial, tiebreak, i, j)
+    pairs: list = []  # (lcm monomial, i, j), pushed in increasing (i, j)
     todo: list[Poly] = [p for g in gens if (p := _sign_norm(p_trim(g)))]
-    counter = 0
-
-    def push_pairs(i):
-        nonlocal counter
-        mi, _ = p_lt(basis[i])
-        for j in range(i):
-            if not alive[j]:
-                continue
-            mj, _ = p_lt(basis[j])
-            if mi[0] != mj[0]:  # leads in different components never pair
-                continue
-            lcm = (mi[0], max(mi[1], mj[1]))
-            counter += 1
-            heapq.heappush(pairs, (lcm, counter, i, j))
 
     def insert(h):
-        hm, hc = p_lt(h)
-        idx = len(basis)
-        basis.append(h)
-        alive.append(True)
-        for j in range(idx):
-            if not alive[j]:
+        # retire each alive element whose lead h strongly divides; pair h
+        # with every other alive element whose lead shares its component
+        (hk, hd), hc = lead = p_lt(h)
+        i = len(basis)
+        for j, ((bk, bd), bc) in enumerate(leads):
+            if not alive[j] or bk != hk:
                 continue
-            bm, bc = p_lt(basis[j])
-            if _mono_divides(hm, bm) and bc % hc == 0:
+            if hd <= bd and bc % hc == 0:
                 alive[j] = False
                 todo.append(basis[j])
-        push_pairs(idx)
+            else:
+                heapq.heappush(pairs, ((hk, max(hd, bd)), i, j))
+        basis.append(h)
+        leads.append(lead)
+        alive.append(True)
 
     while True:
         while todo or pairs:
             if todo:
                 cand = todo.pop()
             else:
-                _, _, i, j = heapq.heappop(pairs)
+                _, i, j = heapq.heappop(pairs)
                 if not (alive[i] and alive[j]):
                     continue
                 cands = _pair_candidates(basis[i], basis[j])
@@ -226,16 +191,18 @@ def strong_groebner(gens: list[Poly]) -> list[Poly]:
 
 
 def _interreduce(basis: list[Poly]) -> list[Poly]:
-    # tail-reduce for the canonical form.  No leading term of strong_groebner's
-    # basis is strongly reducible by a mate: each inserted element is fully
-    # reduced, so its leading coefficient lies strictly below that of every
-    # alive element whose leading monomial divides its own, and insert
-    # retires every alive element whose leading term the new one strongly
-    # divides
+    # tail-reduce for the canonical form: the terms below each lead are
+    # reduced by the mates, which never reach the lead.  No leading term of
+    # strong_groebner's basis is strongly reducible by a mate: each inserted
+    # element is fully reduced, so its leading coefficient lies strictly
+    # below that of every alive element whose leading monomial divides its
+    # own, and insert retires every alive element whose leading term the
+    # new one strongly divides
     out = []
     for i, b in enumerate(basis):
-        rest = basis[:i] + basis[i + 1:]
-        out.append(_sign_norm(reduce_poly(b, rest, keep_leading=True)))
+        m, c = p_lt(b)
+        tail = {k: v for k, v in b.items() if k != m}
+        out.append(_sign_norm({m: c, **reduce_poly(tail, basis[:i] + basis[i + 1:])}))
     out.sort(key=lambda p: (p_lt(p)[0], sorted(p.items())))
     return out
 
@@ -286,14 +253,17 @@ def dense_mul(a: Dense, b: Dense) -> Dense:
 
 
 def intersect_dense(a: tuple[Dense, ...], b: tuple[Dense, ...]) -> tuple[Dense, ...]:
-    """Generators of the intersection of two ideals of Z[x].
+    """Canonical basis of the intersection of two ideals of Z[x].
 
     Works in the module Z[x]^2 spanned by (f, 0) for f in a and (g, g)
     for g in b: the elements with vanishing first component are exactly
     the pairs (0, h) with h in the intersection.  The products (0, f*g)
     lie in that module, since a*b is inside the intersection, and seeding
     the elimination with them keeps its intermediate coefficients from
-    swelling; the reduced basis, and so the result, is unchanged.
+    swelling; the reduced basis, and so the result, is unchanged.  The
+    kept elements are the reduced strong basis of the intersection, which
+    is what gb_dense returns: an element with its lead in component 0 has
+    all its terms there, and no component-1 lead divides them.
     """
     gens: list[Poly] = []
     for f in a:

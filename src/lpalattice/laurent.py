@@ -38,10 +38,6 @@ class LaurentPoly:
         return LaurentPoly(ring, tuple(sorted(acc.items())))
 
     @staticmethod
-    def zero(ring: RingSpec) -> "LaurentPoly":
-        return LaurentPoly(ring, ())
-
-    @staticmethod
     def constant(ring: RingSpec, c) -> "LaurentPoly":
         return LaurentPoly.from_terms(ring, [(0, c)])
 
@@ -213,7 +209,7 @@ def _z_saturate(gens: tuple) -> tuple:
 
 @lru_cache(maxsize=1 << 16)
 def _z_intersect(a: tuple, b: tuple) -> tuple:
-    return groebner.gb_dense(list(groebner.intersect_dense(a, b)))
+    return groebner.intersect_dense(a, b)
 
 
 # -- the two engines: a monic gcd over a field, a strong basis otherwise --

@@ -313,10 +313,6 @@ class RingIdeal:
     def zero(ring: RingSpec) -> "RingIdeal":
         return RingIdeal(ring, 0)
 
-    @staticmethod
-    def unit(ring: RingSpec) -> "RingIdeal":
-        return RingIdeal(ring, 1)
-
     def _check(self, other: "RingIdeal"):
         if self.ring != other.ring:
             raise RingError(f"mismatched rings {self.ring} and {other.ring}")

@@ -484,6 +484,52 @@ class TestExitCodes:
         assert result.output.startswith(start)
         assert len(result.output.splitlines()) == 1
 
+    # the JSON decoder raises a plain ValueError past 4300 digits and a
+    # RecursionError past the nesting limit
+    @pytest.mark.parametrize(
+        "command, text, start",
+        [
+            (
+                "from-generators", '[{"kind": "vertex", "r": ' + "7" * 5000 + ', "v": "u"}]',
+                "error:parse: bad generators file: Exceeds the limit",
+            ),
+            ("graded", '{"f": {"{v}": ' + "7" * 5000 + "}}", "error:parse: bad pair file: Exceeds the limit"),
+            ("graded", "[" * 200000, "error:parse: bad pair file: maximum recursion depth exceeded"),
+            ("from-generators", "[" * 200000, "error:parse: bad generators file: maximum recursion depth exceeded"),
+        ],
+        ids=["generators-digits", "pair-digits", "pair-depth", "generators-depth"],
+    )
+    def test_json_past_the_digit_or_nesting_limit_is_one_parse_line(self, tmp_path, command, text, start):
+        gfile = _write(tmp_path, "g.graph", TOEPLITZ_TEXT)
+        result = _run_cli([command, "--graph", gfile, "--ring", "Z", _write(tmp_path, "doc.json", text)])
+        assert result.returncode == 2
+        assert result.stderr.startswith(start)
+        assert len(result.stderr.splitlines()) == 1 and result.stdout == ""
+
+    # a pair file's "ring" is read as --ring is, and must name the ring of --ring
+    @pytest.mark.parametrize(
+        "ring, spec, code, line",
+        [
+            ("F2", "Z/12", 1, "error:domain: the pair file is over Z/12, not F2"),
+            ("Q", "Z/12", 1, "error:domain: the pair file is over Z/12, not Q"),
+            ("Z", "Z/12", 1, "error:domain: the pair file is over Z/12, not Z"),
+            ("Z/12", 12, 2, 'error:parse: pair file "ring" must be a ring spec such as "Z/12"'),
+            ("Z/12", "Z/x", 2, "error:parse: pair file \"ring\": bad ring spec 'Z/x'"),
+            ("Z/12", "Z/1", 2, 'error:parse: pair file "ring": modulus must be >= 2, got 1'),
+            ("Z/12", " Z/12 ", 0, None),
+        ],
+        ids=["F2", "Q", "Z", "not-a-string", "no-such-spec", "refused", "same-ring"],
+    )
+    def test_a_pair_file_over_another_ring_is_refused(self, runner, tmp_path, ring, spec, code, line):
+        gfile = _write(tmp_path, "g.graph", TOEPLITZ_TEXT)
+        doc = {"f": {"{u,v}": "(4)", "{v}": "(1)"}, "g": {"e.0": "<4, 1 + x>"}, "ring": spec}
+        pair = _write(tmp_path, "p.json", json.dumps(doc))
+        result = runner.invoke(main, ["lattice-op", "--graph", gfile, "--ring", ring, "join", pair, pair])
+        assert result.exit_code == code
+        if line is None:
+            assert json.loads(result.output) == {**doc, "ring": "Z/12"}
+        else:
+            assert result.output == line + "\n"
 
 # each command's own options, on top of --graph, --out and --json, and
 # whether it takes --ring

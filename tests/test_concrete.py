@@ -19,6 +19,7 @@ from lpalattice.concrete import (
     MAX_CROSSCHECK_IDEALS,
     FinitePathAlgebra,
     OracleError,
+    Path,
     crosscheck,
     enumerate_concrete_ideals,
     generated_ideal,
@@ -93,6 +94,11 @@ class TestRelations:
             left = alg.multiply(alg.multiply(x, y), z)
             right = alg.multiply(x, alg.multiply(y, z))
             assert left == right
+
+    def test_symbol_needs_paths_with_one_endpoint(self):
+        alg = FinitePathAlgebra(helpers.fork(), IntegersMod(6))
+        with pytest.raises(OracleError, match="^paths must share their endpoint$"):
+            alg.symbol(Path("v", ()), Path("w", ()))
 
     def test_ck2_expansion_through_symbols(self):
         # a regular vertex equals the sum of ee* over its outgoing edges

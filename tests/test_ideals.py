@@ -13,6 +13,7 @@ from lpalattice import (
     AdmissiblePair,
     Bundle,
     ClassificationError,
+    Context,
     CyclePoly,
     ClassifiedIdeal,
     Graph,
@@ -225,6 +226,20 @@ class TestValidation:
         report = validate_tables(ctx, {"{v}": RingIdeal(ZZ, 1), "{u,v}": RingIdeal(ZZ, 1)}, {})
         assert isinstance(report, list)
 
+    def test_a_value_over_another_ring_is_reported(self):
+        ctx = context(helpers.toeplitz(), ZZ)
+        report = validate_tables(
+            ctx, {"{v}": RingIdeal(IntegersMod(12), 2)}, {"e.0": LaurentIdeal.unit(ZZ)}
+        )
+        assert report == ["value for {v} lives in Z/12, not Z"]
+
+    def test_a_short_or_mistyped_cycle_table_is_refused(self):
+        f = ClassifiedIdeal.top(context(helpers.toeplitz(), ZZ)).f
+        with pytest.raises(ClassificationError, match="^cycle table covers 0 cycles, expected 1$"):
+            ClassifiedIdeal(f, ())
+        with pytest.raises(ClassificationError, match=r"^value at cycle e\.0 is not an ideal of Z\[x,x\^-1\]$"):
+            ClassifiedIdeal(f, (RingIdeal(ZZ, 1),))
+
 
 class TestLatticeOps:
     def test_trivial_identities(self):
@@ -298,6 +313,21 @@ class TestLatticeOps:
                             assert got.f == full.f and hash(got.f) == hash(full.f), graph
                             assert got.f.vals == vals and got.g == g, graph
         assert cyclic >= 300
+
+    def test_pairs_compare_by_graph_ring_and_values(self):
+        ctx = context(helpers.toeplitz(), ZZ)
+        bottom, top = ClassifiedIdeal.bottom(ctx), ClassifiedIdeal.top(ctx)
+        assert bottom != top and bottom.f != top.f and bottom.f != bottom
+        # equal graphs and rings in two contexts built apart: equal pairs
+        other = Context(helpers.toeplitz(), ZZ)
+        assert other is not ctx
+        for a, b in ((top, ClassifiedIdeal.top(other)), (bottom, ClassifiedIdeal.bottom(other))):
+            assert a == b and hash(a) == hash(b)
+            assert a.f == b.f and hash(a.f) == hash(b.f)
+        # the same values over another ring: unequal
+        z12 = ClassifiedIdeal.bottom(context(helpers.toeplitz(), IntegersMod(12)))
+        assert z12.f.jv == bottom.f.jv
+        assert z12.f != bottom.f and z12 != bottom
 
     def test_mismatched_contexts_rejected(self):
         a = ClassifiedIdeal.top(context(helpers.fork(), ZZ))
@@ -625,6 +655,10 @@ class TestGenerators:
         ctx = context(helpers.two_breakers(), ZZ)
         with pytest.raises(GraphError, match=r"^unknown vertex id\(s\) \['zz'\]$"):
             from_generators(ctx, [ScaledBreaking(2, "a", fs("zz"))])
+        with pytest.raises(GraphError, match="^unknown vertex id 'zz'$"):
+            from_generators(ctx, [ScaledVertex(2, "zz")])
+        with pytest.raises(ClassificationError, match="^unknown generator 5$"):
+            from_generators(ctx, [5])
 
 
 class TestFieldTripleClassification:

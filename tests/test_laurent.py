@@ -250,10 +250,18 @@ class TestGroebnerEngine:
             basis = [groebner.dense_to_poly(d) for d in ideal.basis]
             for i, f in enumerate(basis):
                 for g in basis[:i]:
-                    assert groebner.is_member(groebner._s_poly(f, g), basis)
-                    cf, cg = groebner.p_lt(f)[1], groebner.p_lt(g)[1]
-                    if cf % cg and cg % cf:
-                        assert groebner.is_member(groebner._g_poly(f, g), basis)
+                    for cand in groebner._pair_candidates(f, g):
+                        assert groebner.is_member(cand, basis)
+
+    def test_intersection_is_already_a_canonical_basis(self):
+        # the intersection's kept elements need no second basis pass
+        rng = random.Random(53)
+        for ring in (ZZ, IntegersMod(12)):
+            for _ in range(60):
+                a = _random_ideal(ring, rng, max_deg=3, max_coeff=12).basis
+                b = _random_ideal(ring, rng, max_deg=3, max_coeff=12).basis
+                meet = groebner.intersect_dense(a, b)
+                assert meet == groebner.gb_dense(list(meet)), (a, b)
 
     def test_equality_iff_mutual_membership(self):
         rng = random.Random(41)
