@@ -519,6 +519,7 @@ def prime(g, ring, as_json, out, pair_file):
         _emit(
             {
                 "passes": report.passes,
+                "proper": report.proper,
                 "verdict": report.verdict,
                 "value_failures": [
                     {"pair": label, "value": f"({gen})"} for label, gen in report.value_failures

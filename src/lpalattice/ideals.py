@@ -43,6 +43,8 @@ MAX_GRADED_VALUES = 1 << 18
 # prime checks each distinct value of a pair against the graph; more distinct
 # values times vertices and bundles than this are refused before any check
 MAX_PRIME_WORK = 1 << 20
+# each cache of _gen_memo keeps this many most recently used argument pairs
+GEN_MEMO_SIZE = 256
 
 _new = object.__new__
 
@@ -52,11 +54,13 @@ class ClassificationError(ValueError):
 
 
 class Context:
-    """Shared derived data for one (graph, ring) classification problem."""
+    """Shared derived data for one (graph, ring) classification problem,
+    with memoised generator arithmetic of its ring."""
 
     def __init__(self, graph: Graph, ring: RingSpec):
         self.graph = graph
         self.ring = ring
+        self.gen_sum, self.gen_intersect, self.gen_product, self.gen_contains = _gen_memo(ring)
         self.lattice = pair_lattice(graph)
         self.size = len(self.lattice) - 1  # the number of star pairs
         self.cycles = tuple(exclusive_cycles(graph))
@@ -110,16 +114,25 @@ def context(graph: Graph, ring: RingSpec) -> Context:
     return Context(graph, ring)
 
 
+@lru_cache(maxsize=32)
+def _gen_memo(ring: RingSpec) -> tuple:
+    """Bounded caches of the ring's gen_sum, gen_intersect, gen_product and
+    gen_contains, shared by its contexts.  Calls meet few distinct
+    generators (over Z/n, the divisors of n), so nearly every one is a hit."""
+    memo = lru_cache(maxsize=GEN_MEMO_SIZE)
+    return memo(ring.gen_sum), memo(ring.gen_intersect), memo(ring.gen_product), memo(ring.gen_contains)
+
+
 def _intersect_below(ctx: Context, on_ji) -> tuple[int, ...]:
     """The table whose value at each pair is the intersection of the values
     on_ji[q] (indexed by star index) at the join-irreducibles q below it.
 
     Walks the down-set tree, so each pair costs one intersection: its
     parent's value met with the value at the one join-irreducible more."""
-    ring = ctx.ring
+    meet = ctx.gen_intersect
     out = [0] * ctx.size
     for i, parent, q in zip(*ctx.lattice.down_set_tree):
-        out[i] = on_ji[q] if parent is None else ring.gen_intersect(out[parent], on_ji[q])
+        out[i] = on_ji[q] if parent is None else meet(out[parent], on_ji[q])
     return tuple(out)
 
 
@@ -288,11 +301,15 @@ class ClassifiedIdeal:
         return ClassifiedIdeal(f, g)
 
     # -- lattice structure --------------------------------------------------
-    # the operations take valid pairs to a valid pair, built unchecked by _pair
+    # the operations take valid pairs to a valid pair, built unchecked by _pair;
+    # without exclusive cycles every g is ()
     def leq(self, other: "ClassifiedIdeal") -> bool:
-        if self.ctx is not other.ctx:
+        ctx = self.ctx
+        if ctx is not other.ctx:
             raise ClassificationError("mismatched graph/ring context")
-        return all(map(self.ctx.ring.gen_contains, other.f.jv, self.f.jv)) and all(map(le, self.g, other.g))
+        return all(map(ctx.gen_contains, other.f.jv, self.f.jv)) and (
+            not ctx.cycles or all(map(le, self.g, other.g))
+        )
 
     __le__ = leq
 
@@ -300,22 +317,29 @@ class ClassifiedIdeal:
         ctx = self.ctx
         if ctx is not other.ctx:
             raise ClassificationError("mismatched graph/ring context")
-        jv = tuple(map(ctx.ring.gen_intersect, self.f.jv, other.f.jv))
-        return _pair(ctx, jv, tuple(map(LaurentIdeal.intersect, self.g, other.g)))
+        jv = tuple(map(ctx.gen_intersect, self.f.jv, other.f.jv))
+        g = tuple(map(LaurentIdeal.intersect, self.g, other.g)) if ctx.cycles else ()
+        return _pair(ctx, jv, g)
 
     def join(self, other: "ClassifiedIdeal") -> "ClassifiedIdeal":
         ctx = self.ctx
         if ctx is not other.ctx:
             raise ClassificationError("mismatched graph/ring context")
-        jv, g = tuple(map(ctx.ring.gen_sum, self.f.jv, other.f.jv)), tuple(map(add, self.g, other.g))
-        return _pair(ctx, _closed(ctx, jv, g) if g else jv, g)
+        jv = tuple(map(ctx.gen_sum, self.f.jv, other.f.jv))
+        if not ctx.cycles:
+            return _pair(ctx, jv, ())
+        g = tuple(map(add, self.g, other.g))
+        return _pair(ctx, _closed(ctx, jv, g), g)
 
     def product(self, other: "ClassifiedIdeal") -> "ClassifiedIdeal":
         ctx = self.ctx
         if ctx is not other.ctx:
             raise ClassificationError("mismatched graph/ring context")
-        jv, g = tuple(map(ctx.ring.gen_product, self.f.jv, other.f.jv)), tuple(map(mul, self.g, other.g))
-        return _pair(ctx, _closed(ctx, jv, g) if g else jv, g)
+        jv = tuple(map(ctx.gen_product, self.f.jv, other.f.jv))
+        if not ctx.cycles:
+            return _pair(ctx, jv, ())
+        g = tuple(map(mul, self.g, other.g))
+        return _pair(ctx, _closed(ctx, jv, g), g)
 
     # -- grading ------------------------------------------------------------
     def is_graded(self) -> bool:
@@ -630,6 +654,7 @@ def graded_lattice(graph: Graph, ring: RingSpec) -> list[SaturatedFunction]:
 class PrimeReport:
     value_failures: list = field(default_factory=list)
     directed_checks: list = field(default_factory=list)  # (gen, complement, ok)
+    proper: bool = True
     passes: bool = True
 
     @property
@@ -648,6 +673,8 @@ class PrimeReport:
                 f"for the value ({gen}) the complement {{{','.join(sorted(comp)) or ''}}} "
                 f"{stat} downward directed"
             )
+        if not self.proper:
+            out.append("the ideal is the whole algebra, so it is not proper")
         out.append(self.verdict)
         return out
 
@@ -691,7 +718,10 @@ def prime_report(pair: ClassifiedIdeal) -> PrimeReport:
             h = ctx.lattice.pair_at(d).H
             checked[d] = (g.vertices - h, directed_complement(g, h, comps))
         report.directed_checks.append((gen, *checked[d]))
-    report.passes = not report.value_failures and all(
+    # a prime ideal is proper, and the pair holding the unit ideal on all of
+    # J is the whole algebra
+    report.proper = any(v != 1 for v in pair.f.jv)
+    report.passes = report.proper and not report.value_failures and all(
         ok for _, _, ok in report.directed_checks
     )
     return report

@@ -1062,7 +1062,11 @@ def prime_report(pair: ClassifiedIdeal) -> PrimeReport:
         complement = ctx.graph.vertices - closure_sup(ctx.graph, below).H
         ok = downward_directed(ctx.graph, complement)
         report.directed_checks.append((gen, complement, ok))
-    report.passes = not report.value_failures and all(ok for _, _, ok in report.directed_checks)
+    # a prime ideal is proper: the unit ideal at every pair is the whole algebra
+    report.proper = any(v != 1 for v in pair.f.vals)
+    report.passes = report.proper and not report.value_failures and all(
+        ok for _, _, ok in report.directed_checks
+    )
     return report
 
 

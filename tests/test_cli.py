@@ -199,6 +199,28 @@ class TestCommands:
         assert result.exit_code == 1
         assert result.output.startswith("error:domain: ") and result.output.count("\n") == 1
 
+    def test_prime_command_refuses_the_whole_algebra(self, runner, tmp_path):
+        # a prime ideal is proper; the unit ideal at the top pair is everything
+        gfile = _write(tmp_path, "g.graph", "vertices u,v; edge e: u->v;")
+        top = _write(tmp_path, "top.json", json.dumps({"f": {"{u,v}": "(1)"}}))
+        result = runner.invoke(main, ["prime", "--graph", gfile, "--ring", "Z", top])
+        assert result.exit_code == 0
+        assert result.output.splitlines()[-2:] == [
+            "the ideal is the whole algebra, so it is not proper",
+            "fails necessary conditions",
+        ]
+        result = runner.invoke(main, ["prime", "--graph", gfile, "--ring", "Z", top, "--json"])
+        data = json.loads(result.output)
+        assert (data["passes"], data["proper"], data["verdict"]) == (
+            False, False, "fails necessary conditions"
+        )
+        zero = _write(tmp_path, "zero.json", json.dumps({"f": {"{u,v}": "(0)"}}))
+        result = runner.invoke(main, ["prime", "--graph", gfile, "--ring", "Z", zero, "--json"])
+        data = json.loads(result.output)
+        assert (data["passes"], data["proper"]) == (True, True)
+        result = runner.invoke(main, ["prime", "--graph", gfile, "--ring", "Z", zero])
+        assert "not proper" not in result.output
+
     def test_cycles_on_a_large_loop_bundle_is_fast(self, runner, tmp_path):
         gfile = _write(tmp_path, "g.graph", "vertices v; bundle e: v->v * 2000;")
         started = time.perf_counter()

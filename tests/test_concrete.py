@@ -95,6 +95,18 @@ class TestRelations:
             right = alg.multiply(x, alg.multiply(y, z))
             assert left == right
 
+    def test_vertex_elements_are_expanded_once(self):
+        # the shared expansion of each vertex equals a fresh one, on every
+        # vertex of every acyclic graph of up to 4 vertices and 5 edges
+        graphs = helpers.acyclic_family(4, 5)
+        assert len(graphs) == 197
+        for graph in graphs:
+            alg = FinitePathAlgebra(graph, PrimeField(2))
+            for v in sorted(graph.vertices):
+                first = alg.vertex_element(v)
+                assert first == alg.symbol(Path(v, ()), Path(v, ()))
+                assert alg.vertex_element(v) is first
+
     def test_symbol_needs_paths_with_one_endpoint(self):
         alg = FinitePathAlgebra(helpers.fork(), IntegersMod(6))
         with pytest.raises(OracleError, match="^paths must share their endpoint$"):
@@ -243,6 +255,31 @@ class TestCrosscheck:
         rep = crosscheck(helpers.isolated(2), PrimeField(2))
         assert not rep.ok and len(rep.mismatches) == 6
         assert all(m.startswith("intersection mismatch at ") for m in rep.mismatches)
+
+    # every two distinct ideals have a sum larger than their intersection, and
+    # over F2 and Z/6 every ideal is idempotent, so a product is the
+    # intersection: each swap below is wrong on the N * (N - 1) / 2 pairs of
+    # distinct ideals among N, 6 for two sinks over F2 and 120 for the two
+    # sinks of the fork over Z/6
+    @pytest.mark.parametrize("graph, ring, n", [
+        (helpers.isolated(2), PrimeField(2), 6),
+        (helpers.fork(), IntegersMod(6), 120),
+    ])
+    def test_every_sum_is_compared(self, monkeypatch, graph, ring, n):
+        monkeypatch.setattr(ClassifiedIdeal, "join", ClassifiedIdeal.meet)
+        rep = crosscheck(graph, ring)
+        assert not rep.ok and len(rep.mismatches) == n
+        assert all(m.startswith("sum mismatch at ") for m in rep.mismatches)
+
+    @pytest.mark.parametrize("graph, ring, n", [
+        (helpers.isolated(2), PrimeField(2), 6),
+        (helpers.fork(), IntegersMod(6), 120),
+    ])
+    def test_every_product_is_compared(self, monkeypatch, graph, ring, n):
+        monkeypatch.setattr(ClassifiedIdeal, "product", ClassifiedIdeal.join)
+        rep = crosscheck(graph, ring)
+        assert not rep.ok and len(rep.mismatches) == n
+        assert all(m.startswith("product mismatch at ") for m in rep.mismatches)
 
     @pytest.mark.parametrize("graph, ring, n", [
         (helpers.isolated(2), PrimeField(2), 4),

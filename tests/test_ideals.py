@@ -35,6 +35,7 @@ from lpalattice import (
     hereditary_closure,
     is_row_finite,
     parse_poly,
+    parse_ring,
     prime_report,
     saturate_function,
     to_generators,
@@ -328,6 +329,26 @@ class TestLatticeOps:
         z12 = ClassifiedIdeal.bottom(context(helpers.toeplitz(), IntegersMod(12)))
         assert z12.f.jv == bottom.f.jv
         assert z12.f != bottom.f and z12 != bottom
+
+    def test_memoised_generator_arithmetic_matches_the_ring(self):
+        # the bounded caches a context carries answer as the ring's methods, on
+        # every pair of generators of the finite rings and of sampled ones
+        # over Z
+        rng = random.Random(59)
+        cases = [(IntegersMod(n), IntegersMod(n).enumerate_gens()) for n in [*range(2, 65), 720]]
+        cases += [(PrimeField(2), [0, 1]), (PrimeField(7), [0, 1]), (QQ, [0, 1])]
+        cases.append((ZZ, [0, 1] + [rng.randrange(1, 10**rng.randint(1, 30)) for _ in range(40)]))
+        for ring, gens in cases:
+            ctx = Context(helpers.fork(), ring)
+            # the contexts of equal rings share one memo
+            assert Context(helpers.chain(2), parse_ring(str(ring))).gen_sum is ctx.gen_sum
+            for name in ("gen_sum", "gen_intersect", "gen_product", "gen_contains"):
+                memo, plain = getattr(ctx, name), getattr(ring, name)
+                assert 0 < memo.cache_info().maxsize < float("inf")
+                for a in gens:
+                    for b in gens:
+                        # a miss, then a hit
+                        assert memo(a, b) == plain(a, b) == memo(a, b), (ring, name, a, b)
 
     def test_mismatched_contexts_rejected(self):
         a = ClassifiedIdeal.top(context(helpers.fork(), ZZ))
@@ -773,6 +794,20 @@ class TestPrimeReport:
         assert len(ctx.lattice) == 4096 and len(set(pair.f.vals)) == 2048
         with pytest.raises(ClassificationError, match=f"cannot check primeness: 2049 distinct .* {MAX_PRIME_WORK}"):
             prime_report(pair)
+
+    def test_the_whole_algebra_is_not_proper(self):
+        # a prime ideal is proper: the top pair fails though each of its
+        # values is the whole ring and its one complement is empty
+        for graph, ring in ((helpers.prime_counterexample(), ZZ), (helpers.fork(), IntegersMod(6))):
+            top = ClassifiedIdeal.top(context(graph, ring))
+            report = prime_report(top)
+            assert not report.proper and not report.passes and not report.value_failures
+            assert report.lines()[-2:] == [
+                "the ideal is the whole algebra, so it is not proper",
+                "fails necessary conditions",
+            ]
+            assert report == helpers.prime_report(top)
+            assert prime_report(ClassifiedIdeal.bottom(top.ctx)).proper
 
     def test_scope_preconditions(self):
         with pytest.raises(ClassificationError):
