@@ -200,13 +200,14 @@ def enumerate_concrete_ideals(alg: FinitePathAlgebra) -> list[tuple]:
     """Every two-sided ideal, in sorted order.  Each ideal is a sum of
     single-generator ideals, the seeds, so the pool is closed by adding one
     seed at a time to every ideal found so far: O(N * seeds) sums for N
-    ideals.  A seed depends only on its ring element and the sink block of
-    its basis index, so one index per block gives them all."""
+    ideals.  A seed depends only on the ideal its ring element generates
+    and the sink block of its basis index, so one generator of each nonzero
+    ideal of the ring and one index per block give them all."""
     ring = alg.ring
     per_block = {s: i for i, (s, _, _) in enumerate(alg.basis)}.values()
     seeds = {
-        generated_ideal(alg, [alg.unit(i, r)])
-        for r in ring.elements() if not ring.is_zero(r) for i in per_block
+        generated_ideal(alg, [alg.unit(i, ring.gen_generator_element(g))])
+        for g in ring.enumerate_gens() if g for i in per_block
     }
     pool = {generated_ideal(alg, [])}
     for seed in seeds:

@@ -62,10 +62,6 @@ def p_lt(p: Poly) -> tuple[Mono, int]:
     return m, p[m]
 
 
-def _mono_divides(a: Mono, b: Mono) -> bool:
-    return a[0] == b[0] and a[1] <= b[1]
-
-
 def reduce_poly(f: Poly, basis: list[Poly]) -> Poly:
     """Full normal form of f modulo basis.
 
@@ -76,7 +72,12 @@ def reduce_poly(f: Poly, basis: list[Poly]) -> Poly:
     reducer's other terms land below the monomial it reduces, so monomials
     leave `work` largest first and a finished one is never touched again.
     """
-    lts = [(p_lt(b), b) for b in basis if b]
+    return _reduce(f, [(p_lt(b), b) for b in basis if b])
+
+
+def _reduce(f: Poly, reducers: list) -> Poly:
+    # reduce_poly with each reducer given as ((lead monomial, lead
+    # coefficient), poly), in basis order so that ties break the same way
     work = dict(f)
     out: Poly = {}
     while work:
@@ -85,8 +86,8 @@ def reduce_poly(f: Poly, basis: list[Poly]) -> Poly:
         if c == 0:
             continue
         best = None
-        for (bm, bc), b in lts:
-            if _mono_divides(bm, m) and c // bc != 0:
+        for (bm, bc), b in reducers:
+            if bm[0] == m[0] and bm[1] <= m[1] and c // bc != 0:
                 if best is None or bc < best[0][1] or (bc == best[0][1] and bm > best[0][0]):
                     best = ((bm, bc), b)
         if best is None:
@@ -142,6 +143,7 @@ def strong_groebner(gens: list[Poly]) -> list[Poly]:
     basis: list[Poly] = []
     leads: list[tuple[Mono, int]] = []
     alive: list[bool] = []
+    reducers: list = []  # (lead, element) of the alive elements, in basis order
     pairs: list = []  # (lcm monomial, i, j), pushed in increasing (i, j)
     todo: list[Poly] = [p for g in gens if (p := _sign_norm(p_trim(g)))]
 
@@ -161,6 +163,7 @@ def strong_groebner(gens: list[Poly]) -> list[Poly]:
         basis.append(h)
         leads.append(lead)
         alive.append(True)
+        reducers[:] = [(l, b) for l, b, a in zip(leads, basis, alive) if a]
 
     while True:
         while todo or pairs:
@@ -173,20 +176,19 @@ def strong_groebner(gens: list[Poly]) -> list[Poly]:
                 cands = _pair_candidates(basis[i], basis[j])
                 todo.extend(cands[1:])
                 cand = cands[0]
-            h = _sign_norm(reduce_poly(cand, [b for b, a in zip(basis, alive) if a]))
+            h = _sign_norm(_reduce(cand, reducers))
             if h:
                 insert(h)
-        current = [b for b, a in zip(basis, alive) if a]
         leftovers = []
-        for i, f in enumerate(current):
-            for g in current[:i]:
-                if p_lt(f)[0][0] != p_lt(g)[0][0]:
+        for i, ((fm, _), f) in enumerate(reducers):
+            for (gm, _), g in reducers[:i]:
+                if fm[0] != gm[0]:
                     continue
                 for cand in _pair_candidates(f, g):
-                    if not is_member(cand, current):
+                    if _reduce(cand, reducers):
                         leftovers.append(cand)
         if not leftovers:
-            return _interreduce(current)
+            return _interreduce([b for _, b in reducers])
         todo.extend(leftovers)
 
 
@@ -197,14 +199,14 @@ def _interreduce(basis: list[Poly]) -> list[Poly]:
     # element is fully reduced, so its leading coefficient lies strictly
     # below that of every alive element whose leading monomial divides its
     # own, and insert retires every alive element whose leading term the
-    # new one strongly divides
+    # new one strongly divides.  Tail reduction keeps each lead monomial
+    reducers = [(p_lt(b), b) for b in basis]
     out = []
-    for i, b in enumerate(basis):
-        m, c = p_lt(b)
+    for i, ((m, c), b) in enumerate(reducers):
         tail = {k: v for k, v in b.items() if k != m}
-        out.append(_sign_norm({m: c, **reduce_poly(tail, basis[:i] + basis[i + 1:])}))
-    out.sort(key=lambda p: (p_lt(p)[0], sorted(p.items())))
-    return out
+        out.append((m, _sign_norm({m: c, **_reduce(tail, reducers[:i] + reducers[i + 1:])})))
+    out.sort(key=lambda t: (t[0], sorted(t[1].items())))
+    return [p for _, p in out]
 
 
 def is_member(f: Poly, basis: list[Poly]) -> bool:
@@ -278,19 +280,9 @@ def intersect_dense(a: tuple[Dense, ...], b: tuple[Dense, ...]) -> tuple[Dense, 
     return tuple(sorted(poly_to_dense(p) for p in kept))
 
 
-def colon_x_dense(basis: tuple[Dense, ...]) -> tuple[Dense, ...]:
-    """Canonical basis of (I : x) for the ideal I spanned by basis.
-
-    Let the generators g_i of I have constant terms a_i.  Writing each
-    multiplier as its constant plus x times the rest shows
-    I /\\ <x> = x*I + {sum c_i g_i : sum c_i a_i = 0, c_i in Z}, so (I : x)
-    is I plus those combinations divided by x.  Over Z the integer
-    syzygies of (a_i) are spanned by e_i for each a_i = 0 and by
-    (a_j/d) e_i - (a_i/d) e_j with d = gcd(a_i, a_j): localised at a prime,
-    every syzygy is a combination of the ones pairing each a_i with an a_j
-    of least valuation.  One basis computation in Z[x] finishes the job.
-    """
-    gens = [g for g in basis if any(g)]
+def _colon_quotients(gens: list[Dense]) -> list[Dense]:
+    """The syzygy combinations of the nonzero gens divided by x, which
+    added to the gens span (I : x); see `colon_x_dense`."""
     quotients = []
     for i, g in enumerate(gens):
         if g[0] == 0:
@@ -304,15 +296,35 @@ def colon_x_dense(basis: tuple[Dense, ...]) -> tuple[Dense, ...]:
             quotients.append(
                 tuple(u * p - v * q for p, q in zip_longest(g[1:], h[1:], fillvalue=0))
             )
-    return gb_dense(gens + quotients)
+    return quotients
+
+
+def colon_x_dense(basis: tuple[Dense, ...]) -> tuple[Dense, ...]:
+    """Canonical basis of (I : x) for the ideal I spanned by basis.
+
+    Let the generators g_i of I have constant terms a_i.  Writing each
+    multiplier as its constant plus x times the rest shows
+    I /\\ <x> = x*I + {sum c_i g_i : sum c_i a_i = 0, c_i in Z}, so (I : x)
+    is I plus those combinations divided by x.  Over Z the integer
+    syzygies of (a_i) are spanned by e_i for each a_i = 0 and by
+    (a_j/d) e_i - (a_i/d) e_j with d = gcd(a_i, a_j): localised at a prime,
+    every syzygy is a combination of the ones pairing each a_i with an a_j
+    of least valuation.  One basis computation in Z[x] finishes the job.
+    """
+    gens = [g for g in basis if any(g)]
+    return gb_dense(gens + _colon_quotients(gens))
 
 
 def saturate_x_dense(gens: list[Dense]) -> tuple[Dense, ...]:
-    """Canonical basis of the x-saturation of <gens>, by iterated colon."""
+    """Canonical basis of the x-saturation of <gens>, by iterated colon.
+
+    The current basis is a strong one, so reduction decides membership:
+    once every colon quotient reduces to zero, (I : x) = I and the loop
+    stops without another basis computation."""
     cur = gb_dense([g for g in gens if any(g)])
     while cur:
-        nxt = colon_x_dense(cur)
-        if nxt == cur:
+        reducers = [(p_lt(p), p) for p in map(dense_to_poly, cur)]
+        if not any(_reduce(dense_to_poly(q), reducers) for q in _colon_quotients(list(cur))):
             break
-        cur = nxt
+        cur = colon_x_dense(cur)
     return cur

@@ -236,6 +236,9 @@ def _member(ring, d: tuple, basis: tuple) -> bool:
     return groebner.member_dense(d, basis)
 
 
+PARSE_MEMO_SIZE = 1 << 12  # ideal literals that LaurentIdeal.parse remembers
+
+
 @dataclass(frozen=True)
 class LaurentIdeal:
     """An ideal of R[x, x^-1] in canonical basis form.
@@ -255,7 +258,10 @@ class LaurentIdeal:
         return LaurentIdeal(ring, _basis(ring, [p.to_dense() for p in polys]))
 
     @staticmethod
+    @lru_cache(maxsize=PARSE_MEMO_SIZE)
     def parse(ring: RingSpec, text: str) -> "LaurentIdeal":
+        """The ideal an ``<p, q, ...>`` literal spans; memoised per (ring,
+        text), since pair files are read again by every later request."""
         text = text.strip()
         if not (text.startswith("<") and text.endswith(">")):
             raise RingError(f"bad ideal literal {text!r}")

@@ -7,15 +7,17 @@ suprema by closing the union of their sets), the pairwise supremum law and
 its fixpoint sweep, join, meet and product on full tables, the ideal of
 a set of generators as the join of its generators' pairs, the literal
 union-over-subsets formula for saturation (element sets over finite rings),
-the x-colon by elimination in Z[x]^2, integer row reduction for Laurent
+the x-colon by elimination in Z[x]^2, the x-saturation by iterating the
+colon until it returns its input, integer row reduction for Laurent
 ideal membership, a character-by-character scanner for the statements of
 the graph text format, and the cycles of a graph by enumerating every simple
 cycle, with exclusivity tested by closing the exits.  The meet of pairs by
 its set formula, the classification pair of one generator saturated over the
 full table, the JSON document of a classified ideal, and the ideals of an
-explicit algebra seeded at every basis index serve as references too, as do
-the prime report that scans every pair and closes its values under pairwise
-intersection and the directedness test that intersects every two reaches.
+explicit algebra seeded at every basis index or at every ring element serve
+as references too, as do the prime report that scans every pair and closes
+its values under pairwise intersection and the directedness test that
+intersects every two reaches.
 
 The last section holds conveniences only the tests use: edge and ghost
 elements of an explicit algebra, the forced value of a non-exclusive cycle,
@@ -705,6 +707,18 @@ def colon_x_by_elimination(basis):
     return groebner.gb_dense([s for s in shifted if s])
 
 
+def saturate_by_colon_fixpoint(gens):
+    """The x-saturation of <gens> in Z[x] by taking (I : x) until a colon
+    step returns its input, one full basis computation per step."""
+    cur = groebner.gb_dense([g for g in gens if any(g)])
+    while cur:
+        nxt = groebner.colon_x_dense(cur)
+        if nxt == cur:
+            break
+        cur = nxt
+    return cur
+
+
 # -- integer row-reduction membership oracle for Laurent ideals ----------------
 
 
@@ -1020,6 +1034,22 @@ def every_index_concrete_ideals(alg):
         if sums <= pool:
             return sorted(pool)
         pool |= sums
+
+
+def element_seeded_concrete_ideals(alg):
+    """Every two-sided ideal of an explicit algebra, in sorted order, from
+    one seed per nonzero ring element and sink block, added to the pool one
+    seed at a time."""
+    ring = alg.ring
+    per_block = {s: i for i, (s, _, _) in enumerate(alg.basis)}.values()
+    seeds = {
+        generated_ideal(alg, [alg.unit(i, r)])
+        for r in ring.elements() if not ring.is_zero(r) for i in per_block
+    }
+    pool = {generated_ideal(alg, [])}
+    for seed in seeds:
+        pool |= {tuple(map(ring.gen_sum, a, seed)) for a in pool}
+    return sorted(pool)
 
 
 # -- the prime report by scanning every pair ----------------------------------

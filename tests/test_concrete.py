@@ -179,6 +179,15 @@ class TestIdealEnumeration:
                 checked += 1
         assert checked
 
+    def test_seeds_from_ring_ideals_match_seeds_from_elements(self):
+        family = helpers.acyclic_family(4, 5)
+        rings = (PrimeField(2), PrimeField(3), IntegersMod(4), IntegersMod(6), IntegersMod(12))
+        for ring in rings:
+            for graph in family:
+                alg = FinitePathAlgebra(graph, ring)
+                want = helpers.element_seeded_concrete_ideals(alg)
+                assert enumerate_concrete_ideals(alg) == want, (graph, ring)
+
 
 class TestPerSinkForm:
     """The per-sink generators against the algebra's own multiplication."""

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -20,6 +21,9 @@ from lpalattice import (
 from lpalattice import groebner
 
 import helpers
+
+# sha256 of the bases in TestEngineEquivalence.test_bases_of_the_engine_tests_are_unchanged
+ENGINE_TESTS_DIGEST = "65fb41e4ae9382ee54da33722c89d0d239b70293ddc4cd82e98d6b6b4693eaad"
 
 
 class TestLaurentPoly:
@@ -314,6 +318,129 @@ class TestGroebnerEngine:
         b = LaurentIdeal.parse(ZZ, "<4x^5+3>")
         assert a.intersect(b).basis == ((-12, 57, 0, 0, 0, -16, 76, 57, 0, 0, 0, 0, 76),)
         assert time.perf_counter() - started < 1.0
+
+
+def _random_dense(rng, max_len=5, max_coeff=12):
+    g = [rng.randint(-max_coeff, max_coeff) for _ in range(rng.randint(1, max_len))]
+    if rng.random() < 0.3:
+        g = [0] * rng.randint(1, 3) + g
+    while g and g[-1] == 0:
+        g.pop()
+    return tuple(g)
+
+
+class TestEngineEquivalence:
+    """The leads strong_groebner keeps per insertion, and the bases it returns."""
+
+    def test_kept_reducers_give_the_normal_form_of_reduce_poly(self, monkeypatch):
+        reduce = groebner._reduce
+        calls = []
+
+        def checked(f, reducers):
+            if calls and calls[-1] is None:  # the call inside reduce_poly
+                return reduce(f, reducers)
+            polys = [b for _, b in reducers]
+            leads = [lead for lead, _ in reducers]
+            assert leads == [groebner.p_lt(b) for b in polys]
+            # no kept lead strongly divides another: insert retired it
+            for i, ((ak, ad), ac) in enumerate(leads):
+                for j, ((bk, bd), bc) in enumerate(leads):
+                    assert i == j or ak != bk or ad > bd or bc % ac != 0, leads
+            calls.append(None)
+            want = groebner.reduce_poly(f, polys)
+            calls[-1] = len(polys)
+            assert reduce(f, reducers) == want
+            return want
+
+        monkeypatch.setattr(groebner, "_reduce", checked)
+        rng = random.Random(67)
+        for _ in range(150):
+            a = [d for d in (_random_dense(rng) for _ in range(rng.randint(1, 3))) if d]
+            b = [d for d in (_random_dense(rng) for _ in range(rng.randint(1, 3))) if d]
+            if rng.random() < 0.3:
+                a.append((rng.choice([4, 6, 12]),))
+            groebner.saturate_x_dense(a)
+            groebner.intersect_dense(groebner.gb_dense(a), groebner.gb_dense(b))
+        assert len(calls) > 1000 and max(calls) >= 4
+
+    def test_interreduce_is_idempotent(self):
+        rng = random.Random(71)
+        for _ in range(200):
+            gens = [_random_dense(rng) for _ in range(rng.randint(1, 4))]
+            basis = groebner.strong_groebner([groebner.dense_to_poly(g) for g in gens])
+            assert groebner._interreduce(basis) == basis
+            assert groebner._interreduce(basis[::-1]) == basis
+
+    def test_bases_of_the_engine_tests_are_unchanged(self):
+        # the bases that test_strong_basis_criterion and
+        # test_intersection_is_already_a_canonical_basis read, against a
+        # digest of the same run before the reducers kept their leads
+        out = []
+        rng = random.Random(37)
+        for _ in range(40):
+            out.append(_random_ideal(ZZ, rng, max_deg=3, max_coeff=10).basis)
+        rng = random.Random(53)
+        for ring in (ZZ, IntegersMod(12)):
+            for _ in range(60):
+                a = _random_ideal(ring, rng, max_deg=3, max_coeff=12).basis
+                b = _random_ideal(ring, rng, max_deg=3, max_coeff=12).basis
+                meet = groebner.intersect_dense(a, b)
+                out.append((a, b, meet, groebner.gb_dense(list(meet))))
+        digest = hashlib.sha256(repr(out).encode()).hexdigest()
+        assert digest == ENGINE_TESTS_DIGEST
+
+
+class TestSaturationMatchesTheColonFixpoint:
+    def test_membership_stop_matches_the_reference(self):
+        rng = random.Random(73)
+        chains = zero_constant = 0
+        for n in (0, 8, 12):
+            for _ in range(200):
+                gens = set()
+                for _ in range(rng.randint(1, 3)):
+                    g = _random_dense(rng, max_len=4, max_coeff=9)
+                    if g and rng.random() < 0.4:  # a factor x^k
+                        g = (0,) * rng.randint(1, 4) + g
+                    if g:
+                        gens.add(g)
+                if n:
+                    gens.add((n,))
+                gens = sorted(gens)
+                zero_constant += any(g[0] == 0 for g in gens)
+                want = helpers.saturate_by_colon_fixpoint(gens)
+                assert groebner.saturate_x_dense(gens) == want, gens
+                # a saturated basis is its own saturation
+                assert groebner.saturate_x_dense(list(want)) == want, want
+                if want and groebner.colon_x_dense(groebner.gb_dense(gens)) != want:
+                    chains += 1  # the reference took two colon steps or more
+        assert zero_constant >= 300 and chains >= 150, (zero_constant, chains)
+
+
+class TestParseMemo:
+    def test_memo_is_bounded(self):
+        maxsize = LaurentIdeal.parse.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 1 << 16
+
+    def test_same_text_same_ideal(self):
+        text = "<4, 2x + 2, x^3 - 7>"
+        first = LaurentIdeal.parse(ZZ, text)
+        assert LaurentIdeal.parse(ZZ, text) == first
+        assert first == LaurentIdeal.from_polys(
+            ZZ, [parse_poly(ZZ, p) for p in ("4", "2x + 2", "x^3 - 7")]
+        )
+
+    def test_the_ring_is_part_of_the_key(self):
+        text = "<8, 3x + 5>"
+        over_z, over_z12 = LaurentIdeal.parse(ZZ, text), LaurentIdeal.parse(IntegersMod(12), text)
+        assert over_z.ring == ZZ and over_z12.ring == IntegersMod(12)
+        assert over_z != over_z12
+        assert over_z.basis != over_z12.basis
+
+    def test_a_bad_literal_raises_every_time(self):
+        for text in ("<2y + 1>", "4, x"):
+            for _ in range(2):
+                with pytest.raises(RingError):
+                    LaurentIdeal.parse(ZZ, text)
 
 
 @st.composite
