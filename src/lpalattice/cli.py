@@ -12,6 +12,7 @@ import json
 import os
 import re
 import sys
+from functools import lru_cache
 
 from .concrete import MAX_CROSSCHECK_IDEALS, OracleError, crosscheck
 from .graph import (
@@ -52,6 +53,16 @@ class ParseFailure(ValueError):
     pass
 
 
+# Each input text is decoded once per process.  The graph memo keeps the
+# Graph of each of the most recent graph texts, so their requests share one
+# Graph and all that is built on it; the pair memo keeps the validated pair
+# of each of the most recent (context, pair file text) keys.  A text that
+# fails is not kept, and files are read on every request, so a rewritten
+# file is a new key.
+GRAPH_MEMO_SIZE = 4
+PAIR_MEMO_SIZE = 4
+
+
 # -- graph text format -------------------------------------------------------
 
 _VERTICES_RE = re.compile(r"vertices\s+([A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)")
@@ -90,6 +101,7 @@ def _statements(text: str):
         yield stmt, (line, col)
 
 
+@lru_cache(maxsize=GRAPH_MEMO_SIZE)
 def parse_graph(text: str) -> Graph:
     vertices = set()
     bundles = []
@@ -290,12 +302,17 @@ def _read(path) -> str:
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
 
 
-def _load_pair(ctx, pair_file) -> ClassifiedIdeal:
-    vals, rest, g_table = load_ideal_tables(ctx, _read(pair_file))
+@lru_cache(maxsize=PAIR_MEMO_SIZE)
+def _decode_pair(ctx, text: str) -> ClassifiedIdeal:
+    vals, rest, g_table = load_ideal_tables(ctx, text)
     result = validate_tables(ctx, rest, g_table, vals)
     if isinstance(result, list):
         raise ClassificationError("invalid pair: " + "; ".join(result))
     return result
+
+
+def _load_pair(ctx, pair_file) -> ClassifiedIdeal:
+    return _decode_pair(ctx, _read(pair_file))
 
 
 # -- command table and dispatch --------------------------------------------------

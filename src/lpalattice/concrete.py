@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import starmap
 from dataclasses import dataclass
 
-from .graph import Graph, _components, is_row_finite
+from .graph import Graph, is_row_finite
 from .ideals import (
     CyclePoly,
     ClassifiedIdeal,
@@ -54,7 +54,7 @@ class FinitePathAlgebra:
     """
 
     def __init__(self, graph: Graph, ring: RingSpec):
-        comps = _components(graph)  # successors first
+        comps = graph.components  # successors first
         if any(len(comp) > 1 or comp[0] in graph.out_targets(comp[0]) for comp in comps):
             raise OracleError("explicit model requires an acyclic graph")
         if not is_row_finite(graph):

@@ -107,6 +107,44 @@ class Graph:
     def _regular(self) -> set:
         return {v for v, out in self._out.items() if out and not any(b.is_infinite for b in out)}
 
+    @cached_property
+    def components(self) -> tuple:
+        """The strongly connected components, each a tuple of its vertices,
+        in the order in which Tarjan's algorithm (SIAM J. Comput. 1972)
+        closes them: every edge that leaves a component enters an earlier
+        one.  Built once per graph and shared, so callers only read it."""
+        index, low, depth = {}, {}, {}
+        stack, comps = [], []
+        for root in sorted(self.vertices):
+            if root in index:
+                continue
+            index[root] = low[root] = len(index)
+            depth[root] = 0
+            stack.append(root)
+            work = [(root, iter(self.out_targets(root)))]
+            while work:
+                v, targets = work[-1]
+                for w in targets:
+                    if w not in index:
+                        index[w] = low[w] = len(index)
+                        depth[w] = len(stack)
+                        stack.append(w)
+                        work.append((w, iter(self.out_targets(w))))
+                        break
+                    if w in depth and index[w] < low[v]:  # w is still on the stack
+                        low[v] = index[w]
+                else:
+                    work.pop()
+                    if work and low[v] < low[work[-1][0]]:
+                        low[work[-1][0]] = low[v]
+                    if low[v] == index[v]:
+                        comp = tuple(stack[depth[v]:])
+                        del stack[depth[v]:]
+                        for w in comp:
+                            del depth[w]
+                        comps.append(comp)
+        return tuple(comps)
+
     def __eq__(self, other):
         return isinstance(other, Graph) and self._key == other._key
 
@@ -269,43 +307,6 @@ class AdmissiblePair(NamedTuple):
 
 
 EMPTY = frozenset()
-
-
-def _components(g: Graph) -> list:
-    """The strongly connected components of g, each a list of its vertices,
-    in the order in which Tarjan's algorithm (SIAM J. Comput. 1972) closes
-    them: every edge that leaves a component enters an earlier one."""
-    index, low, depth = {}, {}, {}
-    stack, comps = [], []
-    for root in sorted(g.vertices):
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        depth[root] = 0
-        stack.append(root)
-        work = [(root, iter(g.out_targets(root)))]
-        while work:
-            v, targets = work[-1]
-            for w in targets:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    depth[w] = len(stack)
-                    stack.append(w)
-                    work.append((w, iter(g.out_targets(w))))
-                    break
-                if w in depth and index[w] < low[v]:  # w is still on the stack
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] == index[v]:
-                    comp = stack[depth[v]:]
-                    del stack[depth[v]:]
-                    for w in comp:
-                        del depth[w]
-                    comps.append(comp)
-    return comps
 
 
 def _union_closure(g: Graph, pieces, extra=()) -> frozenset:
@@ -481,7 +482,7 @@ class PairLattice:
         self.graph = graph
         if len(graph.vertices) + len(graph.bundles) > MAX_GRAPH_SIZE:
             raise GraphError(f"the graph has more than {MAX_GRAPH_SIZE} vertices and bundles")
-        comps = _components(graph)
+        comps = graph.components
         # the closure of a union of components with no edge leaving them meets
         # those components in that union only, so k of them give 2^k pairs
         comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
@@ -672,7 +673,7 @@ def _vertex_cycles(g: Graph):
     MAX_CYCLES cycles or (|V| + |bundles|)(MAX_CYCLES + 1) pushes, the order
     of Johnson's (1975) bound for that many, passed only where paths dead-end."""
     results, steps = [], (len(g.vertices) + len(g.bundles)) * (MAX_CYCLES + 1)
-    for comp in map(frozenset, _components(g)):
+    for comp in map(frozenset, g.components):
         for start in comp:
             path, on_path = [start], {start}
             todo = [iter(comp & g.out_targets(start))]
@@ -726,7 +727,7 @@ def exclusive_cycles(g: Graph) -> list[CycleClass]:
     exactly when it has as many bundles inside as vertices.
     """
     out = []
-    for comp in map(set, _components(g)):
+    for comp in map(set, g.components):
         inside = [b for v in comp for b in g.out_bundles(v) if b.target in comp]
         if len(inside) == len(comp) and all(b.multiplicity == 1 for b in inside):
             step = {b.source: b for b in inside}
@@ -770,16 +771,16 @@ def find_cycle(g: Graph, label: str) -> CycleClass:
 # -- global conditions -------------------------------------------------------
 
 
-def directed_complement(g: Graph, H, comps=None) -> bool:
+def directed_complement(g: Graph, H) -> bool:
     """Whether the vertices outside a hereditary set H are downward directed.
 
     A path that enters H never leaves it, so each strongly connected
-    component (of comps, the graph's by default) lies in H or outside it,
-    and the vertices outside H are directed exactly when at most one
-    component outside H has every edge out of it end in it or in H.
+    component lies in H or outside it, and the vertices outside H are
+    directed exactly when at most one component outside H has every edge
+    out of it end in it or in H.
     """
     terminal = 0
-    for comp in _components(g) if comps is None else comps:
+    for comp in g.components:
         if comp[0] not in H:
             inside = set(comp)
             terminal += all(w in H or w in inside for v in comp for w in g.out_targets(v))

@@ -29,7 +29,6 @@ from .graph import (
     has_condition_k,
     is_row_finite,
     pair_lattice,
-    _components,
     _exit_targets,
 )
 from .laurent import MAX_EXPONENT_SPAN, LaurentIdeal, LaurentPoly
@@ -165,6 +164,8 @@ def _law_violations(ctx: Context, vals) -> list[str]:
     intersection of its values at the join-irreducibles below that pair.
     """
     want = _intersect_below(ctx, vals)
+    if want == tuple(vals):
+        return []
     return [
         f"value ({vals[i]}) at {label} is not the intersection ({want[i]}) "
         f"of the values at the join-irreducible pairs below it"
@@ -711,12 +712,12 @@ def prime_report(pair: ClassifiedIdeal) -> PrimeReport:
     # the pairs whose value holds gen form a down-set closed under joins, so
     # their supremum is the pair whose down-set in J holds the members q
     # with gen in f(q)
-    comps, checked = _components(g), {}
+    checked = {}
     for gen in probes:
         d = sum([1 << t for t, v in enumerate(pair.f.jv) if ring.gen_contains(v, gen)])
         if d not in checked:
             h = ctx.lattice.pair_at(d).H
-            checked[d] = (g.vertices - h, directed_complement(g, h, comps))
+            checked[d] = (g.vertices - h, directed_complement(g, h))
         report.directed_checks.append((gen, *checked[d]))
     # a prime ideal is proper, and the pair holding the unit ideal on all of
     # J is the whole algebra

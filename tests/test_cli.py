@@ -1102,3 +1102,114 @@ class TestLaurentOverTheRationals:
             done = _run_cli(["lattice-op", "--graph", gfile, "--ring", "Q", op, *pairs])
             assert (done.returncode, done.stderr) == (0, "")
             assert json.loads(done.stdout)["g"] == {"e.0": str(ideal)}
+
+
+TWO_LOOPS_TEXT = "vertices v,w; edge e1: v->v; edge e2: v->v; edge f: v->w;"
+
+
+class TestInputMemos:
+    """The CLI decodes each graph text, and each pair file text in a context,
+    once per process; a rewritten file is a new key and a failure is not
+    kept."""
+
+    @pytest.fixture
+    def memos(self):
+        from lpalattice import cli
+
+        memos = (cli.parse_graph, cli._decode_pair)
+        for memo in memos:
+            memo.cache_clear()
+        yield memos
+        for memo in memos:
+            memo.cache_clear()
+
+    def test_a_rewritten_pair_file_gives_the_new_answer(self, runner, tmp_path, memos):
+        gfile = _write(tmp_path, "g.graph", TWO_LOOPS_TEXT)
+        left = _write(tmp_path, "a.json", json.dumps({"f": {"{w}": "(6)", "{v,w}": "(0)"}}))
+        right = _write(tmp_path, "b.json", json.dumps({"f": {"{w}": "(4)", "{v,w}": "(0)"}}))
+        args = ["lattice-op", "--graph", gfile, "--ring", "Z", "join", left, right]
+        first = runner.invoke(main, args)
+        assert json.loads(first.output)["f"] == {"{w}": "(2)", "{v,w}": "(0)"}
+        _write(tmp_path, "b.json", json.dumps({"f": {"{w}": "(3)", "{v,w}": "(9)"}}))
+        second = runner.invoke(main, args)
+        assert second.exit_code == 0
+        assert json.loads(second.output)["f"] == {"{w}": "(3)", "{v,w}": "(9)"}
+
+    @pytest.mark.parametrize("role", ["pair", "graph"])
+    def test_a_failure_is_not_kept(self, runner, tmp_path, memos, role):
+        good_graph = _write(tmp_path, "g.graph", TOEPLITZ_TEXT)
+        bad_graph = _write(tmp_path, "bad.graph", "vertices u;\n  edgy e: u->u;")
+        pair = _write(
+            tmp_path, "p.json", json.dumps({"f": {"{v}": "(4)", "{u,v}": "(2)"}, "g": {"e.0": "<2>"}})
+        )
+        gfile = bad_graph if role == "graph" else good_graph
+        args = ["graded", "--graph", gfile, "--ring", "Z", pair]
+        results = [runner.invoke(main, args) for _ in range(2)]
+        code, start = (2, "error:parse: line 2") if role == "graph" else (1, "error:domain: invalid pair")
+        for result in results:
+            assert result.exit_code == code
+            assert result.output.startswith(start) and len(result.output.splitlines()) == 1
+        assert results[0].output == results[1].output
+        parse_graph_memo, pair_memo = memos
+        assert pair_memo.cache_info().currsize == 0
+        assert parse_graph_memo.cache_info().currsize == (role == "pair")
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["lattice-op", "join"],
+            ["lattice-op", "meet"],
+            ["lattice-op", "product"],
+            ["graded"],
+            ["largest-graded"],
+            ["prime"],
+            ["generators"],
+        ],
+        ids=lambda c: "-".join(c),
+    )
+    def test_a_memo_hit_prints_what_a_fresh_decode_prints(self, runner, tmp_path, memos, command):
+        if command == ["prime"]:  # prime asks for condition (K)
+            gfile = _write(tmp_path, "g.graph", TWO_LOOPS_TEXT)
+            docs = [{"f": {"{w}": "(2)", "{v,w}": "(0)"}}]
+        else:
+            gfile = _write(tmp_path, "g.graph", TOEPLITZ_TEXT)
+            docs = [
+                {"f": {"{v}": "(2)", "{u,v}": "(4)"}, "g": {"e.0": "<4, 2x+2>"}},
+                {"f": {"{v}": "(3)", "{u,v}": "(9)"}, "g": {"e.0": "<9, 3x - 3>"}},
+            ]
+        files = [_write(tmp_path, f"p{i}.json", json.dumps(doc)) for i, doc in enumerate(docs)]
+        pair_files = files if command[0] == "lattice-op" else files[:1]
+        args = [command[0], "--graph", gfile, "--ring", "Z", *command[1:], *pair_files]
+        parse_graph_memo, pair_memo = memos
+        first = runner.invoke(main, args)
+        assert first.exit_code == 0, first.output
+        hits = parse_graph_memo.cache_info().hits, pair_memo.cache_info().hits
+        hit = runner.invoke(main, args)
+        assert parse_graph_memo.cache_info().hits > hits[0]
+        assert pair_memo.cache_info().hits > hits[1]
+        for memo in memos:
+            memo.cache_clear()
+        fresh = runner.invoke(main, args)
+        assert pair_memo.cache_info().hits == 0
+        assert (hit.exit_code, hit.stdout) == (fresh.exit_code, fresh.stdout) == (0, first.stdout)
+
+    def test_a_graph_text_gives_one_graph(self, memos):
+        assert parse_graph(TOEPLITZ_TEXT) is parse_graph(TOEPLITZ_TEXT)
+        assert parse_graph(TOEPLITZ_TEXT + " ") is not parse_graph(TOEPLITZ_TEXT)
+
+    def test_the_memos_keep_at_most_their_size(self, memos):
+        from lpalattice import cli
+
+        parse_graph_memo, pair_memo = memos
+        ctx = lpalattice.context(parse_graph(TOEPLITZ_TEXT), lpalattice.ZZ)
+        for i in range(cli.GRAPH_MEMO_SIZE + 3):
+            parse_graph(f"vertices v{i};")
+        for i in range(cli.PAIR_MEMO_SIZE + 3):
+            pair = pair_memo(ctx, json.dumps({"f": {"{v}": f"({i})", "{u,v}": f"({i})"}, "g": {"e.0": f"<{i}>"}}))
+            assert pair.f.at(0) == i
+        assert parse_graph_memo.cache_info().currsize <= parse_graph_memo.cache_info().maxsize
+        assert pair_memo.cache_info().currsize <= pair_memo.cache_info().maxsize
+        assert (parse_graph_memo.cache_info().maxsize, pair_memo.cache_info().maxsize) == (
+            cli.GRAPH_MEMO_SIZE,
+            cli.PAIR_MEMO_SIZE,
+        )
