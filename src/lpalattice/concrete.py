@@ -10,8 +10,10 @@ lattice, so agreement between the two is a genuine cross-check.
 
 from __future__ import annotations
 
-from itertools import starmap
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
+from operator import and_, attrgetter
 
 from .graph import Graph, is_row_finite
 from .ideals import (
@@ -28,6 +30,9 @@ MAX_ENUMERATION_WORK = 2_000_000
 # crosscheck compares every pair of ideals, so its work is quadratic in their
 # number; 256 admits four sinks over a ring with four ideals, such as Z/6
 MAX_CROSSCHECK_IDEALS = 256
+# graphs whose paths and basis are kept; a crosscheck over several rings of
+# one graph builds them once
+PATH_BASIS_MEMO_SIZE = 4
 
 
 class OracleError(ValueError):
@@ -43,14 +48,70 @@ class Path:
         return len(self.edges)
 
 
+class PathBasis:
+    """The ring-free part of the explicit algebra of a finite acyclic graph.
+
+    It holds every path from each vertex, mapped to the vertex it ends at
+    (``paths_from``); the basis of pairs of sink-terminated paths with one
+    endpoint, ordered by sink, and its index; and, for each vertex v, the
+    basis indices of the element v (``support``, each entry 1) and the
+    positions in ``sinks`` of the blocks they lie in (``blocks``, the sinks
+    that v reaches).  ``path_basis`` builds it once per graph and every
+    ring's algebra shares it, so callers only read it.
+    """
+
+    def __init__(self, graph: Graph):
+        self.sinks = sorted(v for v in graph.vertices if graph.is_sink(v))
+        self.paths_from = {}
+        for v in graph.vertices:
+            self._collect_paths(graph, v)
+        position = {s: k for k, s in enumerate(self.sinks)}
+        sink_paths = {s: [] for s in self.sinks}
+        for paths in self.paths_from.values():
+            for p, end in paths.items():
+                if end in position:
+                    sink_paths[end].append(p)
+        self.basis = []
+        for s in self.sinks:
+            ends = sorted(sink_paths[s], key=lambda p: (len(p), p.source, p.edges))
+            self.basis.extend((s, a, b) for a in ends for b in ends)
+        self.index = {(a, b): i for i, (s, a, b) in enumerate(self.basis)}
+        self.support, self.blocks = {}, {}
+        for v, paths in self.paths_from.items():
+            ends = [(p, end) for p, end in paths.items() if end in position]
+            self.support[v] = tuple(self.index[p, p] for p, _ in ends)
+            self.blocks[v] = tuple(sorted({position[end] for _, end in ends}))
+
+    def _collect_paths(self, graph, v):
+        """Every path starting at v, mapped to the vertex it ends at."""
+        if v in self.paths_from:
+            return self.paths_from[v]
+        out = {Path(v, ()): v}
+        for b in graph.out_bundles(v):
+            tails = self._collect_paths(graph, b.target)
+            for slot in range(b.multiplicity):
+                for t, end in tails.items():
+                    out[Path(v, ((b.name, slot),) + t.edges)] = end
+        self.paths_from[v] = out
+        return out
+
+
+@lru_cache(maxsize=PATH_BASIS_MEMO_SIZE)
+def path_basis(graph: Graph) -> PathBasis:
+    """The graph's ring-free algebra part, shared by the rings of one graph."""
+    return PathBasis(graph)
+
+
 class FinitePathAlgebra:
     """The Leavitt path algebra of a finite acyclic graph over a finite ring.
 
     Elements are sparse dicts basis-index -> nonzero ring element.  The
     basis consists of pairs of sink-terminated paths; the defining
     relations reduce every symbol to this form (regular vertices are
-    expanded along all outgoing edges).  Each vertex element is expanded
-    once, on first use, and shared: callers must not modify it.
+    expanded along all outgoing edges).  The paths and the basis, ``paths``,
+    are shared by every algebra of the graph, and are looked up only once
+    the ring's work budget admits the algebra.  Each vertex element is
+    built once, on first use, and shared: callers must not modify it.
     """
 
     def __init__(self, graph: Graph, ring: RingSpec):
@@ -61,114 +122,36 @@ class FinitePathAlgebra:
             raise OracleError("explicit model requires finite multiplicities")
         if not ring.is_finite:
             raise OracleError("explicit model requires a finite coefficient ring")
-        self.graph = graph
-        self.ring = ring
-        self.sinks = sorted(v for v in graph.vertices if graph.is_sink(v))
         counts = {}  # v -> {sink: number of paths from v to it}
+        ending = {}  # sink -> number of paths ending at it
         for (v,) in comps:
             counts[v] = n = {v: 1} if graph.is_sink(v) else {}
             for b in graph.out_bundles(v):
                 for s, k in counts[b.target].items():
                     n[s] = n.get(s, 0) + b.multiplicity * k
-        dim = sum(sum(counts[v].get(s, 0) for v in graph.vertices) ** 2 for s in self.sinks)
+            for s, k in n.items():
+                ending[s] = ending.get(s, 0) + k
+        dim = sum(k * k for k in ending.values())
         if len(ring.elements()) * dim * dim > MAX_ENUMERATION_WORK:
             raise OracleError("algebra too large for ideal enumeration")
-        self._paths_from = {}
-        for v in graph.vertices:
-            self._collect_paths(v)
-        self.sink_paths = {
-            s: sorted(
-                (p for v in graph.vertices for p, end in self._paths_from[v].items() if end == s),
-                key=lambda p: (len(p), p.source, p.edges),
-            )
-            for s in self.sinks
-        }
-        self.basis = []
-        for s in self.sinks:
-            for a in self.sink_paths[s]:
-                for b in self.sink_paths[s]:
-                    self.basis.append((s, a, b))
+        self.graph = graph
+        self.ring = ring
+        self.paths = path_basis(graph)
+        self.sinks = self.paths.sinks
+        self.basis = self.paths.basis
         self.dim = len(self.basis)
-        self._index = {(a, b): i for i, (s, a, b) in enumerate(self.basis)}
         self._vertex_elements = {}
-
-    def _target(self, p: Path) -> str:
-        return self._paths_from[p.source][p]
-
-    def _collect_paths(self, v):
-        """Every path starting at v, mapped to the vertex it ends at."""
-        if v in self._paths_from:
-            return self._paths_from[v]
-        out = {Path(v, ()): v}
-        for b in self.graph.out_bundles(v):
-            tails = self._collect_paths(b.target)
-            for slot in range(b.multiplicity):
-                for t, end in tails.items():
-                    out[Path(v, ((b.name, slot),) + t.edges)] = end
-        self._paths_from[v] = out
-        return out
 
     # -- elements ---------------------------------------------------------
     def unit(self, i: int, coeff=1) -> dict:
         c = self.ring.normalize(coeff)
         return {i: c} if c else {}
 
-    def add(self, x: dict, y: dict) -> dict:
-        out = dict(x)
-        for i, c in y.items():
-            s = self.ring.add(out.get(i, 0), c)
-            if self.ring.is_zero(s):
-                out.pop(i, None)
-            else:
-                out[i] = s
-        return out
-
-    def scale(self, r, x: dict) -> dict:
-        out = {}
-        for i, c in x.items():
-            s = self.ring.mul(r, c)
-            if not self.ring.is_zero(s):
-                out[i] = s
-        return out
-
-    def multiply(self, x: dict, y: dict) -> dict:
-        """Bilinear product; basis symbols multiply as per-sink matrix units."""
-        by_left = {}
-        for j, c in y.items():
-            _, cpath, dpath = self.basis[j]
-            by_left.setdefault(cpath, []).append((dpath, c))
-        out = {}
-        for i, cx in x.items():
-            _, apath, bpath = self.basis[i]
-            for dpath, cy in by_left.get(bpath, ()):
-                k = self._index[(apath, dpath)]
-                s = self.ring.add(out.get(k, 0), self.ring.mul(cx, cy))
-                if self.ring.is_zero(s):
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return out
-
-    def symbol(self, alpha: Path, beta: Path) -> dict:
-        """The element alpha*beta^rev, expanded onto the sink basis."""
-        w = self._target(alpha)
-        if w != self._target(beta):
-            raise OracleError("paths must share their endpoint")
-        out = {}
-        for gamma, s in self._paths_from[w].items():
-            if not self.graph.is_sink(s):
-                continue
-            a = Path(alpha.source, alpha.edges + gamma.edges)
-            b = Path(beta.source, beta.edges + gamma.edges)
-            out[self._index[(a, b)]] = self.ring.one()
-        return out
-
     def vertex_element(self, v: str) -> dict:
         """The vertex v as an element; the dict is shared and read-only."""
         out = self._vertex_elements.get(v)
         if out is None:
-            p = Path(v, ())
-            out = self._vertex_elements[v] = self.symbol(p, p)
+            out = self._vertex_elements[v] = dict.fromkeys(self.paths.support[v], self.ring.one())
         return out
 
 
@@ -216,13 +199,26 @@ def enumerate_concrete_ideals(alg: FinitePathAlgebra) -> list[tuple]:
 
 
 def _generator_image(alg: FinitePathAlgebra, pair: ClassifiedIdeal) -> tuple:
-    elements = []
+    # every entry of the element v is 1, so r*v generates (r) in each sink
+    # block where v has an entry and nothing elsewhere
+    ring, blocks = alg.ring, alg.paths.blocks
+    image = [0] * len(alg.sinks)
     for atom in to_generators(pair):
         if isinstance(atom, ScaledVertex):
-            elements.append(alg.scale(atom.r, alg.vertex_element(atom.v)))
+            g = ring.gen_from_elements([atom.r])
+            for k in blocks[atom.v]:
+                image[k] = ring.gen_sum(image[k], g)
         elif isinstance(atom, (ScaledBreaking, CyclePoly)):
             raise OracleError("acyclic row-finite graphs admit only vertex generators")
-    return generated_ideal(alg, elements)
+    return tuple(image)
+
+
+def _rows(entry, gens, columns) -> list:
+    """rows[k][a][q] = entry(a, g) for the value g of the q-th image at the
+    k-th sink: a table of entry(a, -) over the ideals of the ring, read along
+    that sink's column of images."""
+    tables = [dict(zip(gens, map(entry, repeat(a), gens))).__getitem__ for a in gens]
+    return [{a: list(map(t, column)) for a, t in zip(gens, tables)} for column in columns]
 
 
 @dataclass
@@ -253,9 +249,12 @@ def crosscheck(graph: Graph, ring: RingSpec) -> CrosscheckReport:
     Verifies the bijection through generator images, the order both ways,
     and that join/meet/product agree with concrete sum/intersection/product
     on every pair of ideals: N * N order tests and 3 * N * (N + 1) / 2
-    operations for N ideals.  The ring is finite, so its generator
-    arithmetic is tabulated once over its ideals and the concrete side of
-    each comparison is read from the tables.
+    operations for N ideals.  The comparisons run a row at a time: the
+    library's results for one ideal p against every q come from one map
+    over the row, and the concrete row is assembled from per-sink rows of
+    the ring's generator arithmetic (see _rows).  Messages are built only
+    for a row that differs, in the order of the pairs and, within a pair,
+    sum, intersection, product.
     """
     alg = FinitePathAlgebra(graph, ring)
     gens = ring.enumerate_gens()
@@ -264,17 +263,13 @@ def crosscheck(graph: Graph, ring: RingSpec) -> CrosscheckReport:
         raise OracleError(
             f"crosscheck would compare {count} ideals, more than {MAX_CROSSCHECK_IDEALS}"
         )
-    every = [(a, b) for a in gens for b in gens]
-
-    def table(op):
-        return dict(zip(every, starmap(op, every))).__getitem__
-
     pairs = [ClassifiedIdeal.graded(f) for f in graded_lattice(graph, ring)]
     concrete = set(enumerate_concrete_ideals(alg))
     mismatches = []
+    images = [_generator_image(alg, p) for p in pairs]
     # acyclic graphs carry no cycle data, so each pair is fixed by f.jv
-    image = {p.f.jv: _generator_image(alg, p) for p in pairs}
-    images = [image[p.f.jv] for p in pairs]
+    jv = attrgetter("f.jv")
+    image = dict(zip(map(jv, pairs), images))
     forms = set(images)
     if len(forms) != len(pairs):
         mismatches.append("generator images are not pairwise distinct")
@@ -284,23 +279,34 @@ def crosscheck(graph: Graph, ring: RingSpec) -> CrosscheckReport:
     extra = forms - concrete
     if extra:
         mismatches.append(f"{len(extra)} classified ideal(s) missing from the algebra")
-    contains = table(ring.gen_contains)
+    columns = tuple(zip(*images))
+    order = _rows(lambda a, g: ring.gen_contains(g, a), gens, columns)
     for p, ip in zip(pairs, images):
-        leq = p.leq
-        for q, iq in zip(pairs, images):
-            if leq(q) != all(map(contains, zip(iq, ip))):
-                mismatches.append(f"order mismatch between {p!r} and {q!r}")
+        # q <= p in the algebra when each block of q lies in that of p
+        want = [True] * len(pairs)
+        for rows, a in zip(order, ip):
+            want = list(map(and_, want, rows[a]))
+        got = list(map(p.leq, pairs))
+        if got != want:
+            for q, g, w in zip(pairs, got, want):
+                if g != w:
+                    mismatches.append(f"order mismatch between {p!r} and {q!r}")
     names = ("sum", "intersection", "product")
-    c_ops = tuple(map(table, (ring.gen_sum, ring.gen_intersect, ring.gen_product)))
+    readers = [_rows(op, gens, columns) for op in (ring.gen_sum, ring.gen_intersect, ring.gen_product)]
     for i, (p, ip) in enumerate(zip(pairs, images)):
-        ops = tuple(zip(names, (p.join, p.meet, p.product), c_ops))
-        for q, iq in zip(pairs[: i + 1], images):
-            keys = tuple(zip(ip, iq))
-            for name, d_op, c_op in ops:
-                want = tuple(map(c_op, keys))
-                got = image.get(d_op(q).f.jv)
-                if got is None:
-                    mismatches.append(f"{name} result at {p!r}, {q!r} is not a classified ideal")
-                elif got != want:
-                    mismatches.append(f"{name} mismatch at {p!r}, {q!r}: {got} != {want}")
+        qs = pairs[: i + 1]
+        got = [list(map(image.get, map(jv, map(op, qs)))) for op in (p.join, p.meet, p.product)]
+        # the concrete results read off one row per sink; an image without
+        # sinks is ()
+        want = [
+            list(zip(*[rows[a][: i + 1] for rows, a in zip(reader, ip)])) if ip else [()] * (i + 1)
+            for reader in readers
+        ]
+        if got != want:
+            for j, q in enumerate(qs):
+                for name, g, w in zip(names, got, want):
+                    if g[j] is None:
+                        mismatches.append(f"{name} result at {p!r}, {q!r} is not a classified ideal")
+                    elif g[j] != w[j]:
+                        mismatches.append(f"{name} mismatch at {p!r}, {q!r}: {g[j]} != {w[j]}")
     return CrosscheckReport(graph, ring, len(pairs), len(concrete), mismatches)

@@ -15,12 +15,15 @@ cycle, with exclusivity tested by closing the exits.  The meet of pairs by
 its set formula, the classification pair of one generator saturated over the
 full table, the JSON document of a classified ideal, and the ideals of an
 explicit algebra seeded at every basis index or at every ring element serve
-as references too, as do the prime report that scans every pair and closes
+as references too, as do the generator image of a classified ideal closed
+from its scaled vertex elements, the crosscheck that compares one pair at a
+time, and the prime report that scans every pair and closes
 its values under pairwise intersection and the directedness test that
 intersects every two reaches.
 
-The last section holds conveniences only the tests use: edge and ghost
-elements of an explicit algebra, the forced value of a non-exclusive cycle,
+The last sections hold conveniences only the tests use: the element
+arithmetic of an explicit algebra (symbols, sums, scaling and products),
+edge and ghost elements, the forced value of a non-exclusive cycle,
 a saturated function from a complete table, and the primality of a ring ideal.
 """
 
@@ -50,7 +53,15 @@ from lpalattice import (
     is_row_finite,
 )
 from lpalattice.cli import ParseFailure
-from lpalattice.concrete import OracleError, Path, generated_ideal
+from lpalattice.concrete import (
+    MAX_CROSSCHECK_IDEALS,
+    CrosscheckReport,
+    FinitePathAlgebra,
+    OracleError,
+    Path,
+    enumerate_concrete_ideals,
+    generated_ideal,
+)
 from lpalattice.graph import _lambda_closure, find_cycle
 from lpalattice.ideals import (
     ClassifiedIdeal,
@@ -61,6 +72,8 @@ from lpalattice.ideals import (
     ScaledVertex,
     _saturate_vals,
     _table_to_vals,
+    graded_lattice,
+    to_generators,
 )
 
 
@@ -1052,6 +1065,72 @@ def element_seeded_concrete_ideals(alg):
     return sorted(pool)
 
 
+# -- the crosscheck one pair at a time ----------------------------------------
+
+
+def element_generator_image(alg, pair: ClassifiedIdeal) -> tuple:
+    """The ideal of the algebra that the pair's generators generate, closed
+    from each generator r*v written out as r times the element v."""
+    elements = []
+    for atom in to_generators(pair):
+        if isinstance(atom, ScaledVertex):
+            elements.append(scale(alg, atom.r, alg.vertex_element(atom.v)))
+        elif isinstance(atom, (ScaledBreaking, CyclePoly)):
+            raise OracleError("acyclic row-finite graphs admit only vertex generators")
+    return generated_ideal(alg, elements)
+
+
+def pairwise_crosscheck(graph: Graph, ring) -> CrosscheckReport:
+    """The crosscheck with one comparison per pair of ideals, each read from
+    tables of the ring's generator arithmetic over its ideals."""
+    alg = FinitePathAlgebra(graph, ring)
+    gens = ring.enumerate_gens()
+    count = len(gens) ** len(alg.sinks)
+    if count > MAX_CROSSCHECK_IDEALS:
+        raise OracleError(
+            f"crosscheck would compare {count} ideals, more than {MAX_CROSSCHECK_IDEALS}"
+        )
+    every = [(a, b) for a in gens for b in gens]
+
+    def table(op):
+        return dict(zip(every, itertools.starmap(op, every))).__getitem__
+
+    pairs = [ClassifiedIdeal.graded(f) for f in graded_lattice(graph, ring)]
+    concrete = set(enumerate_concrete_ideals(alg))
+    mismatches = []
+    image = {p.f.jv: element_generator_image(alg, p) for p in pairs}
+    images = [image[p.f.jv] for p in pairs]
+    forms = set(images)
+    if len(forms) != len(pairs):
+        mismatches.append("generator images are not pairwise distinct")
+    missing = concrete - forms
+    if missing:
+        mismatches.append(f"{len(missing)} concrete ideal(s) have no classification")
+    extra = forms - concrete
+    if extra:
+        mismatches.append(f"{len(extra)} classified ideal(s) missing from the algebra")
+    contains = table(ring.gen_contains)
+    for p, ip in zip(pairs, images):
+        leq = p.leq
+        for q, iq in zip(pairs, images):
+            if leq(q) != all(map(contains, zip(iq, ip))):
+                mismatches.append(f"order mismatch between {p!r} and {q!r}")
+    names = ("sum", "intersection", "product")
+    c_ops = tuple(map(table, (ring.gen_sum, ring.gen_intersect, ring.gen_product)))
+    for i, (p, ip) in enumerate(zip(pairs, images)):
+        ops = tuple(zip(names, (p.join, p.meet, p.product), c_ops))
+        for q, iq in zip(pairs[: i + 1], images):
+            keys = tuple(zip(ip, iq))
+            for name, d_op, c_op in ops:
+                want = tuple(map(c_op, keys))
+                got = image.get(d_op(q).f.jv)
+                if got is None:
+                    mismatches.append(f"{name} result at {p!r}, {q!r} is not a classified ideal")
+                elif got != want:
+                    mismatches.append(f"{name} mismatch at {p!r}, {q!r}: {got} != {want}")
+    return CrosscheckReport(graph, ring, len(pairs), len(concrete), mismatches)
+
+
 # -- the prime report by scanning every pair ----------------------------------
 
 
@@ -1100,17 +1179,75 @@ def prime_report(pair: ClassifiedIdeal) -> PrimeReport:
     return report
 
 
+# -- the element arithmetic of an explicit algebra ----------------------------
+
+
+def add(alg, x: dict, y: dict) -> dict:
+    out = dict(x)
+    for i, c in y.items():
+        s = alg.ring.add(out.get(i, 0), c)
+        if alg.ring.is_zero(s):
+            out.pop(i, None)
+        else:
+            out[i] = s
+    return out
+
+
+def scale(alg, r, x: dict) -> dict:
+    out = {}
+    for i, c in x.items():
+        s = alg.ring.mul(r, c)
+        if not alg.ring.is_zero(s):
+            out[i] = s
+    return out
+
+
+def multiply(alg, x: dict, y: dict) -> dict:
+    """Bilinear product; basis symbols multiply as per-sink matrix units."""
+    by_left = {}
+    for j, c in y.items():
+        _, cpath, dpath = alg.basis[j]
+        by_left.setdefault(cpath, []).append((dpath, c))
+    out = {}
+    for i, cx in x.items():
+        _, apath, bpath = alg.basis[i]
+        for dpath, cy in by_left.get(bpath, ()):
+            k = alg.paths.index[(apath, dpath)]
+            s = alg.ring.add(out.get(k, 0), alg.ring.mul(cx, cy))
+            if alg.ring.is_zero(s):
+                out.pop(k, None)
+            else:
+                out[k] = s
+    return out
+
+
+def symbol(alg, alpha: Path, beta: Path) -> dict:
+    """The element alpha*beta^rev, expanded onto the sink basis."""
+    paths_from = alg.paths.paths_from
+    w = paths_from[alpha.source][alpha]
+    if w != paths_from[beta.source][beta]:
+        raise OracleError("paths must share their endpoint")
+    out = {}
+    for gamma, s in paths_from[w].items():
+        if not alg.graph.is_sink(s):
+            continue
+        a = Path(alpha.source, alpha.edges + gamma.edges)
+        b = Path(beta.source, beta.edges + gamma.edges)
+        out[alg.paths.index[(a, b)]] = alg.ring.one()
+    return out
+
+
 # -- conveniences only the tests use -------------------------------------------
 
 
 def edge_element(alg, bundle: str, slot: int = 0) -> dict:
     b = next(x for x in alg.graph.bundles if x.name == bundle)
-    return alg.symbol(Path(b.source, ((bundle, slot),)), Path(b.target, ()))
+    return symbol(alg, Path(b.source, ((bundle, slot),)), Path(b.target, ()))
 
 
 def ghost_element(alg, bundle: str, slot: int = 0) -> dict:
     b = next(x for x in alg.graph.bundles if x.name == bundle)
-    return alg.symbol(Path(b.target, ()), Path(b.source, ((bundle, slot),)))
+    return symbol(alg, Path(b.target, ()), Path(b.source, ((bundle, slot),)))
 
 
 def cycle_value(pair: ClassifiedIdeal, c: CycleClass) -> LaurentIdeal:

@@ -13,16 +13,18 @@ from lpalattice import (
     RingIdeal,
     ZZ,
 )
-from lpalattice import ideals
+from lpalattice import concrete, ideals
 from lpalattice.cli import main
 from lpalattice.concrete import (
     MAX_CROSSCHECK_IDEALS,
+    PATH_BASIS_MEMO_SIZE,
     FinitePathAlgebra,
     OracleError,
     Path,
     crosscheck,
     enumerate_concrete_ideals,
     generated_ideal,
+    path_basis,
 )
 from lpalattice.ideals import ClassifiedIdeal
 
@@ -52,27 +54,27 @@ class TestRelations:
         alg = FinitePathAlgebra(helpers.fork(), IntegersMod(6))
         for v in alg.graph.vertices:
             ev = alg.vertex_element(v)
-            assert alg.multiply(ev, ev) == ev
+            assert helpers.multiply(alg, ev, ev) == ev
             for w in alg.graph.vertices:
                 if w != v:
-                    assert alg.multiply(ev, alg.vertex_element(w)) == {}
+                    assert helpers.multiply(alg, ev, alg.vertex_element(w)) == {}
 
     def test_edge_relations(self):
         alg = FinitePathAlgebra(helpers.chain(2), IntegersMod(4))
         e, estar = helpers.edge_element(alg, "e0"), helpers.ghost_element(alg, "e0")
         u, v = alg.vertex_element("v0"), alg.vertex_element("v1")
         # (E1), (E2)
-        assert alg.multiply(u, e) == e == alg.multiply(e, v)
-        assert alg.multiply(v, estar) == estar == alg.multiply(estar, u)
+        assert helpers.multiply(alg, u, e) == e == helpers.multiply(alg, e, v)
+        assert helpers.multiply(alg, v, estar) == estar == helpers.multiply(alg, estar, u)
         # (CK1)
-        assert alg.multiply(estar, e) == v
+        assert helpers.multiply(alg, estar, e) == v
         # (CK2) at the regular vertex u
-        assert alg.multiply(e, estar) == u
+        assert helpers.multiply(alg, e, estar) == u
 
     def test_ck1_distinct_edges_annihilate(self):
         alg = FinitePathAlgebra(helpers.fork(), PrimeField(3))
         a, bstar = helpers.edge_element(alg, "a"), helpers.ghost_element(alg, "b")
-        assert alg.multiply(bstar, a) == {}
+        assert helpers.multiply(alg, bstar, a) == {}
 
     def test_matrix_units_for_the_chain(self):
         alg = FinitePathAlgebra(helpers.chain(2), IntegersMod(4))
@@ -83,7 +85,7 @@ class TestRelations:
         units = {(0, 0): u, (0, 1): e, (1, 0): estar, (1, 1): v}
         for (i, j), x in units.items():
             for (k, l), y in units.items():
-                prod = alg.multiply(x, y)
+                prod = helpers.multiply(alg, x, y)
                 expected = units[(i, l)] if j == k else {}
                 assert prod == expected
 
@@ -91,8 +93,8 @@ class TestRelations:
         alg = FinitePathAlgebra(helpers.chain(2), PrimeField(2))
         singles = [alg.unit(i) for i in range(alg.dim)]
         for x, y, z in itertools.product(singles, repeat=3):
-            left = alg.multiply(alg.multiply(x, y), z)
-            right = alg.multiply(x, alg.multiply(y, z))
+            left = helpers.multiply(alg, helpers.multiply(alg, x, y), z)
+            right = helpers.multiply(alg, x, helpers.multiply(alg, y, z))
             assert left == right
 
     def test_vertex_elements_are_expanded_once(self):
@@ -104,13 +106,13 @@ class TestRelations:
             alg = FinitePathAlgebra(graph, PrimeField(2))
             for v in sorted(graph.vertices):
                 first = alg.vertex_element(v)
-                assert first == alg.symbol(Path(v, ()), Path(v, ()))
+                assert first == helpers.symbol(alg, Path(v, ()), Path(v, ()))
                 assert alg.vertex_element(v) is first
 
     def test_symbol_needs_paths_with_one_endpoint(self):
         alg = FinitePathAlgebra(helpers.fork(), IntegersMod(6))
         with pytest.raises(OracleError, match="^paths must share their endpoint$"):
-            alg.symbol(Path("v", ()), Path("w", ()))
+            helpers.symbol(alg, Path("v", ()), Path("w", ()))
 
     def test_ck2_expansion_through_symbols(self):
         # a regular vertex equals the sum of ee* over its outgoing edges
@@ -119,7 +121,7 @@ class TestRelations:
         total = {}
         for bundle in ("a", "b"):
             e, estar = helpers.edge_element(alg, bundle), helpers.ghost_element(alg, bundle)
-            total = alg.add(total, alg.multiply(e, estar))
+            total = helpers.add(alg, total, helpers.multiply(alg, e, estar))
         assert total == u
 
 
@@ -158,7 +160,7 @@ class TestIdealEnumeration:
             assert self._contains(alg, ideal, x)
             for i in range(alg.dim):
                 for j in range(alg.dim):
-                    sandwich = alg.multiply(alg.unit(i), alg.multiply(x, alg.unit(j)))
+                    sandwich = helpers.multiply(alg, alg.unit(i), helpers.multiply(alg, x, alg.unit(j)))
                     assert self._contains(alg, ideal, sandwich)
 
     @staticmethod
@@ -215,7 +217,7 @@ class TestPerSinkForm:
         for a in ideals:
             for b in ideals:
                 products = [
-                    alg.multiply(x, y)
+                    helpers.multiply(alg, x, y)
                     for x in self._spanning(alg, a)
                     for y in self._spanning(alg, b)
                 ]
@@ -322,6 +324,104 @@ class TestCrosscheck:
         result = CliRunner().invoke(main, ["crosscheck", "--graph", str(gfile), "--ring", "F2"])
         assert result.exit_code == 1
         assert result.output.splitlines()[-1] == "crosscheck FAILED"
+
+
+class TestSharedPathBasis:
+    """The ring-free part of an explicit algebra, built once per graph."""
+
+    RINGS = (PrimeField(2), IntegersMod(4), IntegersMod(6))
+
+    def test_images_read_off_the_sink_blocks(self):
+        # r*v generates (r) in each block where v has an entry, as the
+        # closure of the scaled vertex element does
+        for ring in self.RINGS:
+            for graph in helpers.acyclic_family(4, 5):
+                alg = FinitePathAlgebra(graph, ring)
+                for f in ideals.graded_lattice(graph, ring):
+                    pair = ClassifiedIdeal.graded(f)
+                    want = helpers.element_generator_image(alg, pair)
+                    assert concrete._generator_image(alg, pair) == want, (graph, ring, pair)
+
+    def test_vertex_support_and_blocks(self):
+        for graph in helpers.acyclic_family(4, 5):
+            alg = FinitePathAlgebra(graph, PrimeField(2))
+            for v in graph.vertices:
+                support = alg.paths.support[v]
+                assert support == tuple(helpers.symbol(alg, Path(v, ()), Path(v, ())))
+                blocks = {alg.sinks.index(alg.basis[i][0]) for i in support}
+                assert alg.paths.blocks[v] == tuple(sorted(blocks))
+
+    def test_rings_of_one_graph_share_one_basis(self):
+        graph = helpers.fork()
+        first = FinitePathAlgebra(graph, PrimeField(2))
+        again = FinitePathAlgebra(graph, IntegersMod(6))
+        assert again.paths is first.paths
+        # two paths end at each of the two sinks
+        assert again.basis is first.basis and again.dim == first.dim == 8
+        assert path_basis.cache_info().maxsize == PATH_BASIS_MEMO_SIZE
+
+    def test_budget_is_checked_before_the_basis_is_built(self):
+        # 25 paths end at the sink of the chain, so dim = 625: |R| * dim^2
+        # is 781,250 over F2 and 2,343,750 over Z/6
+        graph = helpers.chain(25)
+        before = path_basis.cache_info()
+        with pytest.raises(OracleError, match="^algebra too large for ideal enumeration$"):
+            FinitePathAlgebra(graph, IntegersMod(6))
+        assert path_basis.cache_info() == before
+        assert FinitePathAlgebra(graph, PrimeField(2)).dim == 625
+        assert path_basis.cache_info().misses == before.misses + 1
+
+
+class TestRowByRowCrosscheck:
+    """The crosscheck that compares a row at a time against the one that
+    compares one pair at a time: the same mismatches in the same order."""
+
+    MUTATIONS = {
+        "passing": {},
+        "meet-is-join": {"meet": "join"},
+        "join-is-meet": {"join": "meet"},
+        "product-is-join": {"product": "join"},
+        "negated-leq": {"leq": "negated"},
+        "off-lattice-join": {"join": "broken"},
+        # one row fails in two operations, so their interleaving shows
+        "join-is-meet-and-product-is-join": {"join": "meet", "product": "join"},
+    }
+
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    def test_same_report_as_the_pairwise_reference(self, monkeypatch, mutation):
+        real = {name: getattr(ClassifiedIdeal, name) for name in ("leq", "join", "meet", "product")}
+        extra = {
+            "negated": lambda a, b: not real["leq"](a, b),
+            # the unit ideal at the top pair, the zero ideal below it
+            "broken": lambda a, b: ideals._pair(a.ctx, (0, 1), ()),
+        }
+        for name, by in self.MUTATIONS[mutation].items():
+            monkeypatch.setattr(ClassifiedIdeal, name, real.get(by) or extra[by])
+        failed = 0
+        for ring in (PrimeField(2), IntegersMod(4), IntegersMod(6)):
+            for graph in helpers.acyclic_family(4, 5)[::8]:
+                rep = crosscheck(graph, ring)
+                ref = helpers.pairwise_crosscheck(graph, ring)
+                assert rep.mismatches == ref.mismatches, (graph, ring)
+                assert (rep.lattice_size, rep.concrete_size) == (ref.lattice_size, ref.concrete_size)
+                failed += not rep.ok
+        assert (failed == 0) == (mutation == "passing")
+
+    @pytest.mark.parametrize("graph, n", [(helpers.isolated(4), 256), (helpers.fork(), 16)])
+    def test_every_pair_reaches_the_library(self, monkeypatch, graph, n):
+        calls = dict.fromkeys(("leq", "join", "meet", "product"), 0)
+        for name in calls:
+            real = getattr(ClassifiedIdeal, name)
+
+            def counted(a, b, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(a, b)
+
+            monkeypatch.setattr(ClassifiedIdeal, name, counted)
+        rep = crosscheck(graph, IntegersMod(6))
+        assert rep.ok and rep.lattice_size == n
+        half = n * (n + 1) // 2
+        assert calls == {"leq": n * n, "join": half, "meet": half, "product": half}
 
 
 class TestToeplitzReference:
