@@ -21,7 +21,6 @@ from .graph import (
     GraphError,
     OMEGA,
     covering_pairs,
-    cycle_vertex_closure,
     cycles,
     exclusive_cycles,
     exit_closure,
@@ -475,29 +474,41 @@ def pairs(g, as_json, out, as_dot):
 @_command(name="cycles")
 def cycles_cmd(g, as_json, out):
     """List the cycles of a graph and their closures."""
+    # a cycle's vertex closure is the hs-closure of its strongly connected
+    # component, and so is the exit closure of a non-exclusive cycle, which
+    # has an exit into that component: only an exclusive cycle has an exit
+    # closure of its own, so each closure is taken, sorted and joined once
     exclusive = set(exclusive_cycles(g))
+    component = {v: comp for comp in g.components for v in comp}
+    shared = {}  # component -> its sorted hs-closure and their joined text
+
+    def listed(vs):
+        vs = sorted(vs)
+        return vs, ",".join(vs)
+
     rows = []
     for c in cycles(g):
-        rows.append(
+        comp = component[c.base]
+        if comp not in shared:
+            shared[comp] = listed(hereditary_saturated_closure(g, comp))
+        rows.append((c, shared[comp], listed(exit_closure(g, c)) if c in exclusive else shared[comp]))
+    if as_json:
+        doc = [
             {
                 "cycle": c.label(),
                 "vertices": sorted(c.vertices()),
                 "exclusive": c in exclusive,
-                "vertex_closure": sorted(cycle_vertex_closure(g, c)),
-                "exit_closure": sorted(exit_closure(g, c)),
+                "vertex_closure": closure[0],
+                "exit_closure": exits[0],
             }
-        )
-    if as_json:
-        _emit({"cycles": rows}, True, out)
+            for c, closure, exits in rows
+        ]
+        _emit({"cycles": doc}, True, out)
     else:
         lines = [
-            "{cycle}  exclusive={exclusive}  closure={{{vc}}}  exits={{{ec}}}".format(
-                cycle=r["cycle"],
-                exclusive="yes" if r["exclusive"] else "no",
-                vc=",".join(r["vertex_closure"]),
-                ec=",".join(r["exit_closure"]),
-            )
-            for r in rows
+            f"{c.label()}  exclusive={'yes' if c in exclusive else 'no'}"
+            f"  closure={{{closure[1]}}}  exits={{{exits[1]}}}"
+            for c, closure, exits in rows
         ]
         _emit("\n".join(lines) if lines else "no cycles", False, out)
 

@@ -13,9 +13,10 @@ ideal membership, a character-by-character scanner for the statements of
 the graph text format, and the cycles of a graph by enumerating every simple
 cycle, with exclusivity tested by closing the exits.  The meet of pairs by
 its set formula, the classification pair of one generator saturated over the
-full table, the JSON document of a classified ideal, and the ideals of an
-explicit algebra seeded at every basis index or at every ring element serve
-as references too, as do the generator image of a classified ideal closed
+full table, the JSON document of a classified ideal, the explicit algebra on
+its basis of matrix units with the ideal that elements generate, and the
+ideals of that algebra seeded at every basis index or at every ring element
+serve as references too, as do the generator image of a classified ideal closed
 from its scaled vertex elements, the crosscheck that compares one pair at a
 time, and the prime report that scans every pair and closes
 its values under pairwise intersection and the directedness test that
@@ -30,6 +31,7 @@ a saturated function from a complete table, and the primality of a ring ideal.
 import functools
 import itertools
 import random
+from dataclasses import dataclass
 
 from lpalattice import groebner
 from lpalattice import (
@@ -58,9 +60,7 @@ from lpalattice.concrete import (
     CrosscheckReport,
     FinitePathAlgebra,
     OracleError,
-    Path,
     enumerate_concrete_ideals,
-    generated_ideal,
 )
 from lpalattice.graph import _lambda_closure, find_cycle
 from lpalattice.ideals import (
@@ -1034,6 +1034,132 @@ def acyclic_family(max_v=4, max_e=5):
     return out
 
 
+def matrix_unit_count(g: Graph) -> int:
+    """The dimension of the explicit algebra of a finite acyclic graph, the
+    sum over the sinks of the squared number of paths ending there, counted
+    without listing the paths."""
+    counts, ending = {}, {}  # v -> {sink: paths from v to it}; sink -> paths ending at it
+    for (v,) in g.components:
+        counts[v] = n = {v: 1} if g.is_sink(v) else {}
+        for b in g.out_bundles(v):
+            for s, k in counts[b.target].items():
+                n[s] = n.get(s, 0) + b.multiplicity * k
+        for s, k in n.items():
+            ending[s] = ending.get(s, 0) + k
+    return sum(k * k for k in ending.values())
+
+
+def random_matrix_unit_graphs(seed: int, count: int, low=0, high=3000) -> list:
+    """count random acyclic graphs of at most 6 vertices, each bundle running
+    from a vertex to a later one with a multiplicity from 1 to 3, whose
+    explicit algebras have more than low and at most high matrix units."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        n = rng.randint(1, 6)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+        g = Graph(
+            [f"v{i}" for i in range(n)],
+            [Bundle(f"b{k}", f"v{i}", f"v{j}", rng.randint(1, 3)) for k, (i, j) in enumerate(edges)],
+        )
+        if low < matrix_unit_count(g) <= high:
+            out.append(g)
+    return out
+
+
+# -- the explicit algebra on its basis of matrix units -------------------------
+
+
+@dataclass(frozen=True)
+class Path:
+    source: str
+    edges: tuple  # ((bundle, slot), ...)
+
+    def __len__(self):
+        return len(self.edges)
+
+
+class MatrixUnitAlgebra(FinitePathAlgebra):
+    """The explicit algebra of a finite acyclic graph on its basis of matrix
+    units, the reference for the block form it extends.
+
+    Elements are sparse dicts basis-index -> nonzero ring element.  The basis
+    consists of the pairs of paths that end at one sink, ordered by sink;
+    the defining relations reduce every symbol to this form (regular
+    vertices are expanded along all outgoing edges).  ``paths_from`` maps
+    every path from each vertex to the vertex it ends at, ``index`` maps a
+    pair of paths to its basis index, and ``support`` holds, for each vertex
+    v, the basis indices of the element v (each entry 1).  Each vertex
+    element is built once, on first use, and shared: callers must not
+    modify it.
+    """
+
+    def __init__(self, graph: Graph, ring):
+        super().__init__(graph, ring)
+        self.paths_from = {}
+        for v in graph.vertices:
+            self._collect_paths(v)
+        sink_paths = {s: [] for s in self.sinks}
+        for paths in self.paths_from.values():
+            for p, end in paths.items():
+                if end in sink_paths:
+                    sink_paths[end].append(p)
+        self.basis = []
+        for s in self.sinks:
+            ends = sorted(sink_paths[s], key=lambda p: (len(p), p.source, p.edges))
+            self.basis.extend((s, a, b) for a in ends for b in ends)
+        self.index = {(a, b): i for i, (s, a, b) in enumerate(self.basis)}
+        self.dim = len(self.basis)
+        self.support = {
+            v: tuple(self.index[p, p] for p, end in paths.items() if end in sink_paths)
+            for v, paths in self.paths_from.items()
+        }
+        self._vertex_elements = {}
+
+    def _collect_paths(self, v):
+        """Every path starting at v, mapped to the vertex it ends at."""
+        if v in self.paths_from:
+            return self.paths_from[v]
+        out = {Path(v, ()): v}
+        for b in self.graph.out_bundles(v):
+            tails = self._collect_paths(b.target)
+            for slot in range(b.multiplicity):
+                for t, end in tails.items():
+                    out[Path(v, ((b.name, slot),) + t.edges)] = end
+        self.paths_from[v] = out
+        return out
+
+    def unit(self, i: int, coeff=1) -> dict:
+        c = self.ring.normalize(coeff)
+        return {i: c} if c else {}
+
+    def vertex_element(self, v: str) -> dict:
+        """The vertex v as an element; the dict is shared and read-only."""
+        out = self._vertex_elements.get(v)
+        if out is None:
+            out = self._vertex_elements[v] = dict.fromkeys(self.support[v], self.ring.one())
+        return out
+
+
+def generated_ideal(alg: MatrixUnitAlgebra, elements) -> tuple:
+    """Closure of some elements under addition and two-sided multiplication.
+
+    Each sink block of the algebra is a full matrix ring M_n(R), whose
+    two-sided ideals are exactly M_n(I) for the ideals I of R: multiplying
+    x on both sides by matrix units isolates its single entries
+    c * unit(a, d) and moves them to any position of their block.  The
+    closure is therefore the tuple of canonical ring-ideal generators of
+    the entries of each block, one per sink in ``alg.sinks`` order, 0
+    meaning the zero ideal.
+    """
+    ring = alg.ring
+    per_sink = {}
+    for x in elements:
+        for i, c in x.items():
+            s, _, _ = alg.basis[i]
+            per_sink[s] = ring.gen_sum(per_sink.get(s, 0), ring.gen_from_elements([c]))
+    return tuple(per_sink.get(s, 0) for s in alg.sinks)
+
+
 def every_index_concrete_ideals(alg):
     """Every two-sided ideal of an explicit algebra, in sorted order, from
     one seed per nonzero ring element and basis index closed under sums."""
@@ -1083,7 +1209,7 @@ def element_generator_image(alg, pair: ClassifiedIdeal) -> tuple:
 def pairwise_crosscheck(graph: Graph, ring) -> CrosscheckReport:
     """The crosscheck with one comparison per pair of ideals, each read from
     tables of the ring's generator arithmetic over its ideals."""
-    alg = FinitePathAlgebra(graph, ring)
+    alg = MatrixUnitAlgebra(graph, ring)
     gens = ring.enumerate_gens()
     count = len(gens) ** len(alg.sinks)
     if count > MAX_CROSSCHECK_IDEALS:
@@ -1212,7 +1338,7 @@ def multiply(alg, x: dict, y: dict) -> dict:
     for i, cx in x.items():
         _, apath, bpath = alg.basis[i]
         for dpath, cy in by_left.get(bpath, ()):
-            k = alg.paths.index[(apath, dpath)]
+            k = alg.index[(apath, dpath)]
             s = alg.ring.add(out.get(k, 0), alg.ring.mul(cx, cy))
             if alg.ring.is_zero(s):
                 out.pop(k, None)
@@ -1223,7 +1349,7 @@ def multiply(alg, x: dict, y: dict) -> dict:
 
 def symbol(alg, alpha: Path, beta: Path) -> dict:
     """The element alpha*beta^rev, expanded onto the sink basis."""
-    paths_from = alg.paths.paths_from
+    paths_from = alg.paths_from
     w = paths_from[alpha.source][alpha]
     if w != paths_from[beta.source][beta]:
         raise OracleError("paths must share their endpoint")
@@ -1233,7 +1359,7 @@ def symbol(alg, alpha: Path, beta: Path) -> dict:
             continue
         a = Path(alpha.source, alpha.edges + gamma.edges)
         b = Path(beta.source, beta.edges + gamma.edges)
-        out[alg.paths.index[(a, b)]] = alg.ring.one()
+        out[alg.index[(a, b)]] = alg.ring.one()
     return out
 
 

@@ -17,18 +17,15 @@ from lpalattice import concrete, ideals
 from lpalattice.cli import main
 from lpalattice.concrete import (
     MAX_CROSSCHECK_IDEALS,
-    PATH_BASIS_MEMO_SIZE,
     FinitePathAlgebra,
     OracleError,
-    Path,
     crosscheck,
     enumerate_concrete_ideals,
-    generated_ideal,
-    path_basis,
 )
 from lpalattice.ideals import ClassifiedIdeal
 
 import helpers
+from helpers import MatrixUnitAlgebra, Path, generated_ideal
 
 
 class TestAlgebraConstruction:
@@ -45,13 +42,13 @@ class TestAlgebraConstruction:
             FinitePathAlgebra(helpers.fork(), ZZ)
 
     def test_two_vertex_chain_is_two_by_two(self):
-        alg = FinitePathAlgebra(helpers.chain(2), IntegersMod(4))
+        alg = MatrixUnitAlgebra(helpers.chain(2), IntegersMod(4))
         assert alg.dim == 4
 
 
 class TestRelations:
     def test_vertex_idempotents(self):
-        alg = FinitePathAlgebra(helpers.fork(), IntegersMod(6))
+        alg = MatrixUnitAlgebra(helpers.fork(), IntegersMod(6))
         for v in alg.graph.vertices:
             ev = alg.vertex_element(v)
             assert helpers.multiply(alg, ev, ev) == ev
@@ -60,7 +57,7 @@ class TestRelations:
                     assert helpers.multiply(alg, ev, alg.vertex_element(w)) == {}
 
     def test_edge_relations(self):
-        alg = FinitePathAlgebra(helpers.chain(2), IntegersMod(4))
+        alg = MatrixUnitAlgebra(helpers.chain(2), IntegersMod(4))
         e, estar = helpers.edge_element(alg, "e0"), helpers.ghost_element(alg, "e0")
         u, v = alg.vertex_element("v0"), alg.vertex_element("v1")
         # (E1), (E2)
@@ -72,12 +69,12 @@ class TestRelations:
         assert helpers.multiply(alg, e, estar) == u
 
     def test_ck1_distinct_edges_annihilate(self):
-        alg = FinitePathAlgebra(helpers.fork(), PrimeField(3))
+        alg = MatrixUnitAlgebra(helpers.fork(), PrimeField(3))
         a, bstar = helpers.edge_element(alg, "a"), helpers.ghost_element(alg, "b")
         assert helpers.multiply(alg, bstar, a) == {}
 
     def test_matrix_units_for_the_chain(self):
-        alg = FinitePathAlgebra(helpers.chain(2), IntegersMod(4))
+        alg = MatrixUnitAlgebra(helpers.chain(2), IntegersMod(4))
         e = helpers.edge_element(alg, "e0")
         estar = helpers.ghost_element(alg, "e0")
         u = alg.vertex_element("v0")
@@ -90,7 +87,7 @@ class TestRelations:
                 assert prod == expected
 
     def test_associativity_exhaustive_small(self):
-        alg = FinitePathAlgebra(helpers.chain(2), PrimeField(2))
+        alg = MatrixUnitAlgebra(helpers.chain(2), PrimeField(2))
         singles = [alg.unit(i) for i in range(alg.dim)]
         for x, y, z in itertools.product(singles, repeat=3):
             left = helpers.multiply(alg, helpers.multiply(alg, x, y), z)
@@ -103,20 +100,20 @@ class TestRelations:
         graphs = helpers.acyclic_family(4, 5)
         assert len(graphs) == 197
         for graph in graphs:
-            alg = FinitePathAlgebra(graph, PrimeField(2))
+            alg = MatrixUnitAlgebra(graph, PrimeField(2))
             for v in sorted(graph.vertices):
                 first = alg.vertex_element(v)
                 assert first == helpers.symbol(alg, Path(v, ()), Path(v, ()))
                 assert alg.vertex_element(v) is first
 
     def test_symbol_needs_paths_with_one_endpoint(self):
-        alg = FinitePathAlgebra(helpers.fork(), IntegersMod(6))
+        alg = MatrixUnitAlgebra(helpers.fork(), IntegersMod(6))
         with pytest.raises(OracleError, match="^paths must share their endpoint$"):
             helpers.symbol(alg, Path("v", ()), Path("w", ()))
 
     def test_ck2_expansion_through_symbols(self):
         # a regular vertex equals the sum of ee* over its outgoing edges
-        alg = FinitePathAlgebra(helpers.fork(), IntegersMod(6))
+        alg = MatrixUnitAlgebra(helpers.fork(), IntegersMod(6))
         u = alg.vertex_element("u")
         total = {}
         for bundle in ("a", "b"):
@@ -149,7 +146,7 @@ class TestIdealEnumeration:
 
     def test_closure_really_is_an_ideal(self):
         rng = random.Random(11)
-        alg = FinitePathAlgebra(helpers.fork(), IntegersMod(6))
+        alg = MatrixUnitAlgebra(helpers.fork(), IntegersMod(6))
         for _ in range(20):
             x = {
                 i: c
@@ -174,7 +171,7 @@ class TestIdealEnumeration:
         for ring in (PrimeField(2), PrimeField(3), IntegersMod(4), IntegersMod(6)):
             for graph in helpers.acyclic_family():
                 try:
-                    alg = FinitePathAlgebra(graph, ring)
+                    alg = MatrixUnitAlgebra(graph, ring)
                 except OracleError:
                     continue
                 assert enumerate_concrete_ideals(alg) == helpers.every_index_concrete_ideals(alg)
@@ -186,7 +183,7 @@ class TestIdealEnumeration:
         rings = (PrimeField(2), PrimeField(3), IntegersMod(4), IntegersMod(6), IntegersMod(12))
         for ring in rings:
             for graph in family:
-                alg = FinitePathAlgebra(graph, ring)
+                alg = MatrixUnitAlgebra(graph, ring)
                 want = helpers.element_seeded_concrete_ideals(alg)
                 assert enumerate_concrete_ideals(alg) == want, (graph, ring)
 
@@ -212,7 +209,7 @@ class TestPerSinkForm:
 
     @pytest.mark.parametrize("graph, ring", CASES)
     def test_product_matches_multiplication(self, graph, ring):
-        alg = FinitePathAlgebra(graph, ring)
+        alg = MatrixUnitAlgebra(graph, ring)
         ideals = enumerate_concrete_ideals(alg)
         for a in ideals:
             for b in ideals:
@@ -225,7 +222,7 @@ class TestPerSinkForm:
 
     @pytest.mark.parametrize("graph, ring", CASES)
     def test_sum_matches_generated_ideal(self, graph, ring):
-        alg = FinitePathAlgebra(graph, ring)
+        alg = MatrixUnitAlgebra(graph, ring)
         ideals = enumerate_concrete_ideals(alg)
         for a in ideals:
             for b in ideals:
@@ -327,7 +324,8 @@ class TestCrosscheck:
 
 
 class TestSharedPathBasis:
-    """The ring-free part of an explicit algebra, built once per graph."""
+    """The sink blocks that the crosscheck reads, against the algebra on its
+    basis of matrix units."""
 
     RINGS = (PrimeField(2), IntegersMod(4), IntegersMod(6))
 
@@ -336,40 +334,30 @@ class TestSharedPathBasis:
         # closure of the scaled vertex element does
         for ring in self.RINGS:
             for graph in helpers.acyclic_family(4, 5):
-                alg = FinitePathAlgebra(graph, ring)
+                alg = MatrixUnitAlgebra(graph, ring)
+                blocks = alg.blocks()
                 for f in ideals.graded_lattice(graph, ring):
                     pair = ClassifiedIdeal.graded(f)
                     want = helpers.element_generator_image(alg, pair)
-                    assert concrete._generator_image(alg, pair) == want, (graph, ring, pair)
+                    assert concrete._generator_image(alg, blocks, pair) == want, (graph, ring, pair)
 
     def test_vertex_support_and_blocks(self):
-        for graph in helpers.acyclic_family(4, 5):
-            alg = FinitePathAlgebra(graph, PrimeField(2))
+        # the family, random graphs with multiplicities up to 3, and random
+        # graphs of 1000 to 3000 matrix units, past |F2| * dim^2 = 2,000,000
+        graphs = (
+            helpers.acyclic_family(4, 5)
+            + helpers.random_matrix_unit_graphs(3, 100)
+            + helpers.random_matrix_unit_graphs(5, 6, low=1000)
+        )
+        for graph in graphs:
+            alg = MatrixUnitAlgebra(graph, PrimeField(2))
+            blocks = alg.blocks()
+            assert sorted(blocks) == sorted(graph.vertices)
             for v in graph.vertices:
-                support = alg.paths.support[v]
+                support = alg.support[v]
                 assert support == tuple(helpers.symbol(alg, Path(v, ()), Path(v, ())))
-                blocks = {alg.sinks.index(alg.basis[i][0]) for i in support}
-                assert alg.paths.blocks[v] == tuple(sorted(blocks))
-
-    def test_rings_of_one_graph_share_one_basis(self):
-        graph = helpers.fork()
-        first = FinitePathAlgebra(graph, PrimeField(2))
-        again = FinitePathAlgebra(graph, IntegersMod(6))
-        assert again.paths is first.paths
-        # two paths end at each of the two sinks
-        assert again.basis is first.basis and again.dim == first.dim == 8
-        assert path_basis.cache_info().maxsize == PATH_BASIS_MEMO_SIZE
-
-    def test_budget_is_checked_before_the_basis_is_built(self):
-        # 25 paths end at the sink of the chain, so dim = 625: |R| * dim^2
-        # is 781,250 over F2 and 2,343,750 over Z/6
-        graph = helpers.chain(25)
-        before = path_basis.cache_info()
-        with pytest.raises(OracleError, match="^algebra too large for ideal enumeration$"):
-            FinitePathAlgebra(graph, IntegersMod(6))
-        assert path_basis.cache_info() == before
-        assert FinitePathAlgebra(graph, PrimeField(2)).dim == 625
-        assert path_basis.cache_info().misses == before.misses + 1
+                sinks = {alg.sinks.index(alg.basis[i][0]) for i in support}
+                assert blocks[v] == tuple(sorted(sinks)), (graph, v)
 
 
 class TestRowByRowCrosscheck:
@@ -398,13 +386,20 @@ class TestRowByRowCrosscheck:
         for name, by in self.MUTATIONS[mutation].items():
             monkeypatch.setattr(ClassifiedIdeal, name, real.get(by) or extra[by])
         failed = 0
-        for ring in (PrimeField(2), IntegersMod(4), IntegersMod(6)):
-            for graph in helpers.acyclic_family(4, 5)[::8]:
-                rep = crosscheck(graph, ring)
-                ref = helpers.pairwise_crosscheck(graph, ring)
-                assert rep.mismatches == ref.mismatches, (graph, ring)
-                assert (rep.lattice_size, rep.concrete_size) == (ref.lattice_size, ref.concrete_size)
-                failed += not rep.ok
+        cases = [
+            (graph, ring)
+            for ring in (PrimeField(2), IntegersMod(4), IntegersMod(6))
+            for graph in helpers.acyclic_family(4, 5)[::8]
+        ]
+        # 625 matrix units, and random graphs of 1000 to 3000
+        cases.append((helpers.chain(25), IntegersMod(6)))
+        cases.extend((graph, PrimeField(2)) for graph in helpers.random_matrix_unit_graphs(25, 3, low=1000))
+        for graph, ring in cases:
+            rep = crosscheck(graph, ring)
+            ref = helpers.pairwise_crosscheck(graph, ring)
+            assert rep.mismatches == ref.mismatches, (graph, ring)
+            assert (rep.lattice_size, rep.concrete_size) == (ref.lattice_size, ref.concrete_size)
+            failed += not rep.ok
         assert (failed == 0) == (mutation == "passing")
 
     @pytest.mark.parametrize("graph, n", [(helpers.isolated(4), 256), (helpers.fork(), 16)])
