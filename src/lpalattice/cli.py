@@ -599,7 +599,7 @@ def enumerate(g, ring, as_json, out, as_dot, graded_only):
     labels = context(g, ring).lattice.star_labels()
     rows = [{label: f"({v})" for label, v in zip(labels, f.vals)} for f in fns]
     if as_dot:
-        # drawing compares every pair of ideals, as crosscheck does
+        # drawing compares every pair of ideals, pointwise on J, as crosscheck does
         if len(fns) > MAX_CROSSCHECK_IDEALS:
             raise GraphError(
                 f"cannot draw: {len(fns)} graded ideals, more than {MAX_CROSSCHECK_IDEALS}"
@@ -607,7 +607,7 @@ def enumerate(g, ring, as_json, out, as_dot, graded_only):
         names = [json.dumps(r, sort_keys=True).replace('"', "'") for r in rows]
 
         def leq(i, j):
-            return all(ring.gen_contains(y, x) for x, y in zip(fns[i].vals, fns[j].vals))
+            return all(ring.gen_contains(y, x) for x, y in zip(fns[i].jv, fns[j].jv))
 
         edges = [(names[i], names[j]) for i, j in covering_pairs(len(fns), leq)]
         _emit(_dot(names, edges), False, out)

@@ -17,7 +17,7 @@ cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import product, repeat
 from operator import and_, attrgetter
 
 from .graph import Graph, is_row_finite
@@ -70,18 +70,9 @@ class FinitePathAlgebra:
 def enumerate_concrete_ideals(alg: FinitePathAlgebra) -> list[tuple]:
     """Every two-sided ideal, in sorted order, each a tuple of canonical
     ring-ideal generators, one per sink in ``alg.sinks`` order (0 for the
-    zero ideal).  Each ideal is a sum of single-generator ideals, the seeds,
-    so the pool is closed by adding one seed at a time to every ideal found
-    so far: O(N * seeds) sums for N ideals.  A seed depends only on the
-    ideal its ring element generates and its sink block, so one seed per
-    nonzero ideal (g) of the ring and per block gives them all."""
-    ring, n = alg.ring, len(alg.sinks)
-    zero = (0,) * n
-    seeds = {zero[:k] + (g,) + zero[k + 1:] for g in ring.enumerate_gens() if g for k in range(n)}
-    pool = {zero}
-    for seed in seeds:
-        pool |= {tuple(map(ring.gen_sum, a, seed)) for a in pool}
-    return sorted(pool)
+    zero ideal).  The ideals of the sum of blocks M_n(R) are the sums of
+    their M_n(I), one ideal I of R per block, so they are every choice."""
+    return list(product(sorted(alg.ring.enumerate_gens()), repeat=len(alg.sinks)))
 
 
 def _generator_image(alg: FinitePathAlgebra, blocks: dict, pair: ClassifiedIdeal) -> tuple:

@@ -23,21 +23,7 @@ class GraphError(ValueError):
     pass
 
 
-class _Omega:
-    """Multiplicity marker for an infinite bundle."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "inf"
-
-
-OMEGA = _Omega()
+OMEGA = math.inf  # the multiplicity of an infinite bundle
 
 MAX_PAIRS = 1 << 16  # admissible pairs a lattice may have, bottom included
 MAX_GRAPH_SIZE = 1 << 13  # vertices plus bundles of a graph whose pair lattice is built
@@ -54,7 +40,7 @@ class Bundle(NamedTuple):
 
     @property
     def is_infinite(self) -> bool:
-        return self.multiplicity is OMEGA
+        return self.multiplicity == OMEGA
 
     @property
     def slots(self) -> int:
@@ -77,7 +63,7 @@ class Graph:
                 raise GraphError(f"unknown vertex id {b.source!r} in bundle {b.name!r}")
             if b.target not in self.vertices:
                 raise GraphError(f"unknown vertex id {b.target!r} in bundle {b.name!r}")
-            if b.multiplicity is not OMEGA and (not isinstance(b.multiplicity, int) or b.multiplicity < 1):
+            if b.multiplicity != OMEGA and (not isinstance(b.multiplicity, int) or b.multiplicity < 1):
                 raise GraphError(f"bad multiplicity {b.multiplicity!r} in bundle {b.name!r}")
         self.bundles = bundles
         self._key = (self.vertices, self.bundles)
@@ -109,41 +95,9 @@ class Graph:
 
     @cached_property
     def components(self) -> tuple:
-        """The strongly connected components, each a tuple of its vertices,
-        in the order in which Tarjan's algorithm (SIAM J. Comput. 1972)
-        closes them: every edge that leaves a component enters an earlier
-        one.  Built once per graph and shared, so callers only read it."""
-        index, low, depth = {}, {}, {}
-        stack, comps = [], []
-        for root in sorted(self.vertices):
-            if root in index:
-                continue
-            index[root] = low[root] = len(index)
-            depth[root] = 0
-            stack.append(root)
-            work = [(root, iter(self.out_targets(root)))]
-            while work:
-                v, targets = work[-1]
-                for w in targets:
-                    if w not in index:
-                        index[w] = low[w] = len(index)
-                        depth[w] = len(stack)
-                        stack.append(w)
-                        work.append((w, iter(self.out_targets(w))))
-                        break
-                    if w in depth and index[w] < low[v]:  # w is still on the stack
-                        low[v] = index[w]
-                else:
-                    work.pop()
-                    if work and low[v] < low[work[-1][0]]:
-                        low[work[-1][0]] = low[v]
-                    if low[v] == index[v]:
-                        comp = tuple(stack[depth[v]:])
-                        del stack[depth[v]:]
-                        for w in comp:
-                            del depth[w]
-                        comps.append(comp)
-        return tuple(comps)
+        """The strongly connected components (see _components).  Built once
+        per graph and shared, so callers only read it."""
+        return _components(self.vertices, self._targets.__getitem__)
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self._key == other._key
@@ -180,13 +134,47 @@ class Graph:
 
     def escape_count(self, v: str, H) -> object:
         """Number of edges from v whose target avoids H (OMEGA if infinite)."""
-        total = 0
-        for b in self._out[v]:
-            if b.target not in H:
-                if b.is_infinite:
-                    return OMEGA
-                total += b.multiplicity
-        return total
+        # a sum with inf would first turn an int past 2^1024 into a float
+        escaping = [b.multiplicity for b in self._out[v] if b.target not in H]
+        return OMEGA if OMEGA in escaping else sum(escaping)
+
+
+def _components(vertices, targets) -> tuple:
+    """The strongly connected components of the graph on vertices whose
+    edges out of v end in targets(v), each a tuple of its vertices, in the
+    order in which Tarjan's algorithm (SIAM J. Comput. 1972) closes them:
+    every edge that leaves a component enters an earlier one."""
+    index, low, depth = {}, {}, {}
+    stack, comps = [], []
+    for root in sorted(vertices):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        depth[root] = 0
+        stack.append(root)
+        work = [(root, iter(targets(root)))]
+        while work:
+            v, out = work[-1]
+            for w in out:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    depth[w] = len(stack)
+                    stack.append(w)
+                    work.append((w, iter(targets(w))))
+                    break
+                if w in depth and index[w] < low[v]:  # w is still on the stack
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = tuple(stack[depth[v]:])
+                    del stack[depth[v]:]
+                    for w in comp:
+                        del depth[w]
+                    comps.append(comp)
+    return tuple(comps)
 
 
 # -- hereditary and saturated machinery ------------------------------------
@@ -242,8 +230,7 @@ def breaking_vertices(g: Graph, H) -> frozenset:
     out = set()
     for v in g.vertices - set(H):
         if g.is_infinite_emitter(v):
-            n = g.escape_count(v, H)
-            if n is not OMEGA and n > 0:
+            if 0 < g.escape_count(v, H) < OMEGA:
                 out.add(v)
     return frozenset(out)
 
@@ -667,31 +654,38 @@ class CycleClass:
 
 
 def _vertex_cycles(g: Graph):
-    """Simple cycles as vertex tuples, least vertex first, in sorted order.  A
-    cycle stays inside one strongly connected component, so the search from
-    each start vertex walks that component only.  It refuses a push made past
-    MAX_CYCLES cycles or (|V| + |bundles|)(MAX_CYCLES + 1) pushes, the order
-    of Johnson's (1975) bound for that many, passed only where paths dead-end."""
+    """Simple cycles as vertex tuples, least vertex first, in sorted order,
+    by the outer loop of Johnson (SIAM J. Comput. 1975): the cycles through
+    the least vertex of a strongly connected component stay inside it, and
+    the others lie in the components of what is left once it is dropped.
+    It refuses a push made past MAX_CYCLES cycles or past
+    (|V| + |bundles|)(MAX_CYCLES + 1) pushes, the order of Johnson's bound
+    for that many, passed only where paths dead-end."""
     results, steps = [], (len(g.vertices) + len(g.bundles)) * (MAX_CYCLES + 1)
-    for comp in map(frozenset, g.components):
-        for start in comp:
-            path, on_path = [start], {start}
-            todo = [iter(comp & g.out_targets(start))]
-            while todo:
-                for w in todo[-1]:
-                    if w == start:
-                        results.append(tuple(path))
-                    elif w > start and w not in on_path:
-                        steps -= 1
-                        if steps < 0 or len(results) > MAX_CYCLES:
-                            raise GraphError(_TOO_MANY_CYCLES)
-                        on_path.add(w)
-                        path.append(w)
-                        todo.append(iter(comp & g.out_targets(w)))
-                        break
-                else:
-                    todo.pop()
-                    on_path.discard(path.pop())
+    comps = list(g.components)
+    while comps:
+        comp = frozenset(comps.pop())
+        start = min(comp)
+        path, on_path = [start], {start}
+        todo = [iter(comp & g.out_targets(start))]
+        while todo:
+            for w in todo[-1]:
+                if w == start:
+                    results.append(tuple(path))
+                elif w not in on_path:
+                    steps -= 1
+                    if steps < 0 or len(results) > MAX_CYCLES:
+                        raise GraphError(_TOO_MANY_CYCLES)
+                    on_path.add(w)
+                    path.append(w)
+                    todo.append(iter(comp & g.out_targets(w)))
+                    break
+            else:
+                todo.pop()
+                on_path.discard(path.pop())
+        rest = comp - {start}
+        if rest:
+            comps += _components(rest, lambda v: rest & g.out_targets(v))
     return sorted(results)
 
 

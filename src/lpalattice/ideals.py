@@ -22,7 +22,6 @@ from .graph import (
     Graph,
     GraphError,
     breaking_vertices,
-    covering_pairs,
     directed_complement,
     exclusive_cycles,
     find_cycle,
@@ -622,17 +621,16 @@ def graded_lattice(graph: Graph, ring: RingSpec) -> list[SaturatedFunction]:
     from the join-irreducibles to the ideals of R, each extended by
     intersection.  The maps are grown one join-irreducible at a time, in
     star order, which puts every one after those below it, so that a value
-    need only lie in the values at its lower covers.  A partial map always
-    extends (by the zero ideal), so no step holds more maps than the end,
-    and more maps than MAX_GRADED_VALUES allows are refused before any
-    table is built.
+    is checked against the values already chosen at the members below it,
+    the bits of its strict down-set mask.  A partial map always extends (by
+    the zero ideal), so no step holds more maps than the end, and more maps
+    than MAX_GRADED_VALUES allows are refused before any table is built.
     """
     ctx = context(graph, ring)
     gens = ring.enumerate_gens()
     ji, below = ctx.ji, ctx.lattice._below
     limit = MAX_GRADED_VALUES // max(1, ctx.size)
-    covers = covering_pairs(len(ji), lambda a, b: below[b] >> a & 1)
-    lower = [[a for a, b in covers if b == k] for k in range(len(ji))]
+    lower = [[a for a in range(k) if below[k] >> a & 1] for k in range(len(ji))]
     maps = [()]
     for k in range(len(ji)):
         maps = [

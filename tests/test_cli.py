@@ -926,6 +926,17 @@ class TestCycleLabelsAndBudgets:
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout == f"{label}  exclusive=yes  closure={{{closure}}}  exits={{}}\n"
 
+    def test_a_ring_of_8000_vertices_answers_at_once(self, tmp_path):
+        # the search starts from the least vertex of each component only, so
+        # the ring costs one walk round it, not one walk from every vertex
+        n = 8000
+        text = "vertices " + ",".join(f"v{i}" for i in range(n)) + ";\n"
+        text += "".join(f"edge e{i}: v{i}->v{(i + 1) % n};\n" for i in range(n))
+        result = _run_cli(["cycles", "--graph", _write(tmp_path, "g.graph", text)])
+        assert (result.returncode, result.stderr) == (0, "")
+        lines = result.stdout.splitlines()
+        assert len(lines) == 1 and "  exclusive=yes  " in lines[0]
+
     def test_a_non_exclusive_cycle_of_k12_is_read_off_its_label(self, tmp_path):
         gfile = _write(tmp_path, "g.graph", _complete_text(12))
         gen = {"kind": "cycle", "p": "x - 3", "c": "e0.0-e11.0"}

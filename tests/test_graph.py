@@ -102,6 +102,24 @@ class TestBreakingVertices:
         assert breaking_vertices(g, fs("a", "b")) == frozenset()
         assert breaking_vertices(g, frozenset()) == frozenset()
 
+    def test_a_float_inf_bundle_reads_as_omega(self):
+        g = Graph(["w", "a", "b"], [Bundle("g", "w", "a", float("inf")), Bundle("h", "w", "b")])
+        assert g == helpers.omega_fork()
+        assert g.bundles[0].is_infinite and not g.bundles[1].is_infinite
+        assert g.escape_count("w", fs()) == g.escape_count("w", fs("b")) == OMEGA
+        assert g.escape_count("w", fs("a")) == 1
+        assert g.escape_count("w", fs("a", "b")) == 0
+        assert breaking_vertices(g, fs("a")) == fs("w")
+        assert breaking_vertices(g, fs("a", "b")) == breaking_vertices(g, fs()) == frozenset()
+
+    def test_a_multiplicity_past_the_floats_beside_an_infinite_bundle(self):
+        big = 10**400
+        g = Graph(["w", "a", "b"], [Bundle("g", "w", "a", OMEGA), Bundle("h", "w", "b", big)])
+        assert g.escape_count("w", fs()) == OMEGA
+        assert g.escape_count("w", fs("a")) == big
+        assert breaking_vertices(g, fs("a")) == fs("w")
+        assert breaking_vertices(g, fs()) == frozenset()
+
     def test_row_finite_graphs_have_none(self):
         rng = random.Random(7)
         for _ in range(25):

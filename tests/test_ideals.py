@@ -418,6 +418,25 @@ class TestGradedLattice:
                     expected += 1
             assert len(graded_lattice(graph, ring)) == expected
 
+    @pytest.mark.parametrize("ring", [IntegersMod(4), IntegersMod(6)], ids=str)
+    def test_a_chain_of_four_loops_lists_every_law_abiding_table(self, ring):
+        # J is a chain of four here, longer than any in the counts above
+        import itertools
+
+        names = ["a", "b", "c", "d"]
+        graph = Graph(
+            names,
+            [Bundle(f"l{v}", v, v) for v in names]
+            + [Bundle(f"e{v}", v, w) for v, w in zip(names, names[1:])],
+        )
+        ctx = context(graph, ring)
+        assert len(ctx.ji) == ctx.size == 4
+        expected = [
+            combo for combo in itertools.product(sorted(ring.enumerate_gens()), repeat=ctx.size)
+            if not helpers.pairwise_law_violations(ctx, combo)
+        ]
+        assert [f.vals for f in graded_lattice(graph, ring)] == expected
+
     def test_basic_sublattice_is_the_pair_lattice(self):
         # functions valued in {0, R} mirror the admissible pairs, whatever R is
         for graph in (helpers.toeplitz(), helpers.fork(), helpers.omega_fork()):
