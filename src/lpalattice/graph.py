@@ -495,6 +495,9 @@ class PairLattice:
         ]
         self.vertex_masks = {v: set_masks[k] for v, k in where.items()}
         self.breaker_masks = {ws[0]: m for (_, _, _, ws), m in zip(ji, ji_masks) if ws}
+        # the generator whose least pair each member of J is: (v, None) for the
+        # least vertex v whose closure it is, (w, H) for the emitter w breaking H
+        self.ji_generators = [(ws[0], h) if ws else (vs[0], None) for _, h, vs, ws in ji]
         self._below = [m & ~(1 << j) for j, m in enumerate(ji_masks)]
         # each member of J brings its own vertices or emitter; a set not in J
         # joins once its mask, which ends in the member added last, is in.

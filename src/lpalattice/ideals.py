@@ -25,7 +25,6 @@ from .graph import (
     directed_complement,
     exclusive_cycles,
     find_cycle,
-    has_condition_k,
     is_row_finite,
     pair_lattice,
     _exit_targets,
@@ -80,27 +79,6 @@ class Context:
         the bits of its down-set mask."""
         m = self.lattice.star_mask(k)
         return tuple([t for t in range(m.bit_length()) if m >> t & 1])
-
-    @cached_property
-    def generator_candidates(self) -> tuple:
-        """(star index, vertex, H) of every generator to_generators may list,
-        in its order: each vertex at its least pair, with H None, then each
-        distinct minimal breaking pair, in star order and by emitter, with
-        its emitter and H."""
-        lat = self.lattice
-        out = [(lat.least_star_index([v]), v, None) for v in sorted(self.graph.vertices)]
-        seen, breakers, vm = set(), sorted(lat.breaker_masks.items()), lat.vertex_masks
-        for i in range(self.size):
-            d = lat.star_mask(i)
-            # w is in S when its breaking mask lies in d and its vertex mask does
-            # not; the least pair breaking it at H holds its targets in H
-            for w, m in breakers:
-                if m & d == m and vm[w] & d != vm[w]:
-                    k = lat.least_star_index([t for t in self.graph.out_targets(w) if vm[t] & d == vm[t]], w)
-                    if k not in seen:
-                        seen.add(k)
-                        out.append((k, w, lat.pair_at(lat.star_mask(k)).H))
-        return tuple(out)
 
     @cached_property
     def writer(self) -> "_PairWriter":
@@ -261,9 +239,9 @@ def _table_to_vals(ctx: Context, table, vals=None) -> list[int]:
 def saturate_function(ctx: Context, table) -> SaturatedFunction:
     """Smallest saturated function dominating a raw (partial) table.
 
-    Unspecified pairs default to the zero ideal; order-reversal and the
-    pairwise supremum law are enforced by a joint fixpoint, which reaches
-    the same function as closing under arbitrary suprema.
+    Unspecified pairs default to the zero ideal.  Each value is pushed down
+    the down-set tree onto the members of J at or below its pair, and every
+    pair is then read off as the intersection of the values on J below it.
     """
     return SaturatedFunction(ctx, _saturate_vals(ctx, _table_to_vals(ctx, table)))
 
@@ -295,10 +273,12 @@ class ClassifiedIdeal:
 
     @staticmethod
     def graded(f: SaturatedFunction) -> "ClassifiedIdeal":
-        """The graded pair determined by a saturated function alone."""
+        """The graded pair determined by a saturated function alone.  Each
+        cycle value is the extension of f at the cycle's closure pair, which
+        lies above its exit-closure pair, so both cycle constraints hold."""
         ring = f.ctx.ring
         g = [LaurentIdeal.extend(RingIdeal(ring, f.at(k))) for k in f.ctx.cycle_closure_idx]
-        return ClassifiedIdeal(f, g)
+        return _pair(f.ctx, f.jv, tuple(g), f)
 
     # -- lattice structure --------------------------------------------------
     # the operations take valid pairs to a valid pair, built unchecked by _pair;
@@ -377,15 +357,12 @@ def _function(ctx: Context, jv: tuple) -> SaturatedFunction:
     return f
 
 
-def _pair(ctx: Context, jv: tuple, g: tuple) -> ClassifiedIdeal:
-    # the pair whose function takes the values jv on J; it must meet both
-    # cycle constraints
-    f = _new(SaturatedFunction)
-    f.ctx = ctx
-    f.jv = jv
+def _pair(ctx: Context, jv: tuple, g: tuple, f: SaturatedFunction | None = None) -> ClassifiedIdeal:
+    # the pair whose function, f if given, takes the values jv on J; it must
+    # meet both cycle constraints
     p = _new(ClassifiedIdeal)
     p.ctx = ctx
-    p.f = f
+    p.f = _function(ctx, jv) if f is None else f
     p.g = g
     return p
 
@@ -397,13 +374,18 @@ def _closed(ctx: Context, jv, g: tuple) -> tuple:
     reverses it too and already holds op's values at every pair above; each
     cycle's contraction is then added at every member of J at or below its
     closure pair."""
-    jv, gen_sum = list(jv), ctx.ring.gen_sum
+    jv = list(jv)
     for gi, below in zip(g, ctx.cycle_ji_below):
-        c = gi.contract().gen
-        if c:
-            for t in below:
-                jv[t] = gen_sum(jv[t], c)
+        _place(ctx, jv, below, gi.contract().gen)
     return tuple(jv)
+
+
+def _place(ctx: Context, jv: list, below, gen) -> None:
+    """Add the ideal gen to jv at the members of J listed in below."""
+    if gen:
+        gen_sum = ctx.ring.gen_sum
+        for t in below:
+            jv[t] = gen_sum(jv[t], gen)
 
 
 def _cycle_violations(ctx: Context, f: SaturatedFunction, g) -> list[str]:
@@ -549,12 +531,6 @@ def from_generators(ctx: Context, atoms) -> ClassifiedIdeal:
     ring, lat = ctx.ring, ctx.lattice
     jv = [0] * len(ctx.ji)
     polys = {}
-
-    def place(below, gen):
-        if gen:
-            for t in below:
-                jv[t] = ring.gen_sum(jv[t], gen)
-
     for atom in atoms:
         if isinstance(atom, CyclePoly):
             i = ctx.cycle_position.get(atom.c.label())
@@ -577,11 +553,11 @@ def from_generators(ctx: Context, atoms) -> ClassifiedIdeal:
             k = lat.least_star_index([t for t in ctx.graph.out_targets(atom.w) if t in atom.H], atom.w)
         else:
             raise ClassificationError(f"unknown generator {atom!r}")
-        place(ctx.ji_below(k), ring.gen_from_elements([atom.r]))
+        _place(ctx, jv, ctx.ji_below(k), ring.gen_from_elements([atom.r]))
     extra = {i: LaurentIdeal.from_polys(ring, ps) for i, ps in polys.items()}
     for i, ip in extra.items():
-        place(ctx.cycle_ji_below[i], ip.contract().gen)
-        place(ctx.cycle_exit_ji_below[i], ip.coefficient_ideal().gen)
+        _place(ctx, jv, ctx.cycle_ji_below[i], ip.contract().gen)
+        _place(ctx, jv, ctx.cycle_exit_ji_below[i], ip.coefficient_ideal().gen)
     f = _function(ctx, tuple(jv))
     g = []
     for i, k in enumerate(ctx.cycle_closure_idx):
@@ -597,11 +573,15 @@ def atom_pair(ctx: Context, atom) -> ClassifiedIdeal:
 
 
 def to_generators(pair: ClassifiedIdeal) -> list:
-    """A generating set for the classified ideal; see from_generators."""
+    """A generating set for the classified ideal: the generator of each
+    member of J with a nonzero value, scaled by it, in J's order, then each
+    cycle value's basis.  from_generators puts each at the members of J at
+    or below its least pair, the member itself, and a saturated function
+    holds its value at a member at every member below, so the values on J
+    come back as they were."""
     ctx, ring = pair.ctx, pair.ctx.ring
     atoms = []
-    for k, w, h in ctx.generator_candidates:
-        val = pair.f.at(k)
+    for (w, h), val in zip(ctx.lattice.ji_generators, pair.f.jv):
         if val != 0:
             r = ring.gen_generator_element(val)
             atoms.append(ScaledVertex(r, w) if h is None else ScaledBreaking(r, w, h))
@@ -689,7 +669,7 @@ def prime_report(pair: ClassifiedIdeal) -> PrimeReport:
         raise ClassificationError(
             "prime analysis is out of the supported scope: the graph is not row-finite"
         )
-    if not has_condition_k(ctx.graph):
+    if ctx.cycles:  # condition (K) holds exactly when no cycle is exclusive
         raise ClassificationError(
             "prime analysis is out of the supported scope: condition (K) fails"
         )

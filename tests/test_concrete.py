@@ -341,6 +341,25 @@ class TestSharedPathBasis:
                     want = helpers.element_generator_image(alg, pair)
                     assert concrete._generator_image(alg, blocks, pair) == want, (graph, ring, pair)
 
+    def test_images_from_every_vertex_match_the_generators(self):
+        # the generators are one per member of J, here the sinks; each vertex
+        # v scaled by the value at its least pair, read by at() on J alone,
+        # generates the same image
+        for ring in (PrimeField(2), PrimeField(3), IntegersMod(4), IntegersMod(6)):
+            for graph in helpers.acyclic_family(4, 5):
+                alg = FinitePathAlgebra(graph, ring)
+                blocks = alg.blocks()
+                ctx = ideals.context(graph, ring)
+                for f in ideals.graded_lattice(graph, ring):
+                    on_j = ideals._function(ctx, f.jv)  # no table built
+                    image = [0] * len(alg.sinks)
+                    for v in graph.vertices:
+                        r = ring.gen_generator_element(on_j.at(ctx.lattice.least_star_index([v])))
+                        for k in blocks[v]:
+                            image[k] = ring.gen_sum(image[k], ring.gen_from_elements([r]))
+                    pair = ClassifiedIdeal.graded(f)
+                    assert concrete._generator_image(alg, blocks, pair) == tuple(image), (graph, ring, pair)
+
     def test_vertex_support_and_blocks(self):
         # the family, random graphs with multiplicities up to 3, and random
         # graphs of 1000 to 3000 matrix units, past |F2| * dim^2 = 2,000,000

@@ -369,6 +369,20 @@ class TestGrading:
                 assert lg.leq(p) and lg.is_graded(), name
                 assert p.is_graded() == (p == lg), name
 
+    @pytest.mark.parametrize("ring", [ZZ, IntegersMod(12), PrimeField(7), QQ], ids=str)
+    def test_graded_pairs_pass_the_validating_constructor(self, ring):
+        # graded builds its pair unchecked; the cycle values it chooses meet
+        # both cycle constraints on random graphs with exclusive cycles
+        rng = random.Random(131)
+        cyclic = 0
+        while cyclic < 150:
+            ctx = context(helpers.random_graph(rng, max_v=6, max_b=6), ring)
+            if ctx.cycles:
+                cyclic += 1
+                p = ClassifiedIdeal.graded(helpers.random_classified(ctx, rng).f)
+                assert ClassifiedIdeal(p.f, p.g) == p, ctx.graph
+                assert revalidated(p) == p, ctx.graph
+
     def test_non_exclusive_cycle_value_is_derived(self):
         ctx = context(helpers.prime_counterexample(), ZZ)
         pair = ClassifiedIdeal.graded(
@@ -545,7 +559,11 @@ class TestGenerators:
             ctx = context(graph, ring)
             for _ in range(6):
                 p = helpers.random_classified(ctx, rng)
-                assert from_generators(ctx, to_generators(p)) == p, name
+                atoms = to_generators(p)
+                assert from_generators(ctx, atoms) == p, name
+                # one vertex or breaking generator per member of J with a nonzero value
+                on_j = [a for a in atoms if isinstance(a, (ScaledVertex, ScaledBreaking))]
+                assert len(on_j) == sum(v != 0 for v in p.f.jv), name
 
     def test_atoms_on_join_irreducibles_match_the_saturated_tables(self):
         # each kind of generator: the values on J equal those of the raw
@@ -651,8 +669,8 @@ class TestGenerators:
         # a breaking vertex, an exclusive cycle with an exit and isolated
         # vertices: building, reading, writing and listing ideals, their
         # generators and their prime report read a pair off its mask only
-        # for a generator candidate or a complement that prime checks, and
-        # a label spelt other than canonically costs one read, never all
+        # for a complement that prime checks, and a label spelt other than
+        # canonically costs one read, never all
         reads = []
         real = PairLattice.pair_at
         monkeypatch.setattr(PairLattice, "pair_at", lambda self, d: reads.append(d) or real(self, d))
@@ -685,7 +703,7 @@ class TestGenerators:
         assert rest and validate_tables(iso, rest, g_table, vals) == pair
         n = len(reads)
         checked = {frozenset(h) for _, h, _ in report.directed_checks}
-        assert n <= len(ctx.generator_candidates) + len(row_finite.generator_candidates) + len(checked) + len(rest)
+        assert n <= len(checked) + len(rest)
 
     def test_generator_validity_errors(self):
         ctx = context(helpers.toeplitz(), ZZ)
