@@ -16,6 +16,7 @@ from functools import lru_cache
 
 from .concrete import MAX_CROSSCHECK_IDEALS, OracleError, crosscheck
 from .graph import (
+    MAX_CYCLE_CLOSURES,
     Bundle,
     Graph,
     GraphError,
@@ -492,6 +493,9 @@ def cycles_cmd(g, as_json, out):
         if comp not in shared:
             shared[comp] = listed(hereditary_saturated_closure(g, comp))
         rows.append((c, shared[comp], listed(exit_closure(g, c)) if c in exclusive else shared[comp]))
+    # a closure holds its cycle's vertices, so this also bounds the labels
+    if sum(len(closure[0]) + len(exits[0]) for _, closure, exits in rows) > MAX_CYCLE_CLOSURES:
+        raise GraphError(f"cannot list the cycles: their closures hold more than {MAX_CYCLE_CLOSURES} vertices")
     if as_json:
         doc = [
             {

@@ -29,6 +29,7 @@ MAX_PAIRS = 1 << 16  # admissible pairs a lattice may have, bottom included
 MAX_GRAPH_SIZE = 1 << 13  # vertices plus bundles of a graph whose pair lattice is built
 _TOO_MANY_PAIRS = f"the admissible-pair lattice has more than {MAX_PAIRS} pairs"
 MAX_CYCLES = 1 << 12  # cycles `cycles` lists
+MAX_CYCLE_CLOSURES = 1 << 20  # closure vertices `cycles` prints, summed over its cycles
 _TOO_MANY_CYCLES = f"cannot list the cycles: more than {MAX_CYCLES} cycles or {MAX_CYCLES + 1} steps per vertex and bundle"
 
 
@@ -528,13 +529,9 @@ class PairLattice:
         for i, k in enumerate(order):
             star_of[k] = i - 1
         # in walk order, each pair's star index, its parent's or None, and the
-        # star index of the join-irreducible added: each pair is its parent
-        # joined with one member of J, and every parent comes before its children
-        self.down_set_tree = (
-            star_of[1:],
-            [star_of[k] if k else None for k in parents[1:]],
-            [self._ji_star[j] for j in added[1:]],
-        )
+        # position in J of the member added: each pair is its parent joined
+        # with one member of J, and every parent comes before its children
+        self.down_set_tree = (star_of[1:], [star_of[k] if k else None for k in parents[1:]], added[1:])
 
     @property
     def pairs(self) -> "_Pairs":

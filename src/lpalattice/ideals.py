@@ -12,7 +12,7 @@ directly on this data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from json.encoder import encode_basestring_ascii as _quote
 from operator import add, le, mul
 
@@ -69,10 +69,10 @@ class Context:
         exits = [_exit_targets(graph, c) for c in self.cycles]
         self.cycle_exit_idx = [lat.least_star_index(t) if t else None for t in exits]
         self.ji = lat.star_join_irreducibles()
+        # the position in ji of each closure pair, which is in J: the last bit of its mask
+        self.cycle_ji = [lat.star_mask(k).bit_length() - 1 for k in self.cycle_closure_idx]
         self.cycle_ji_below = tuple(map(self.ji_below, self.cycle_closure_idx))
-        self.cycle_exit_ji_below = tuple(
-            () if k is None else self.ji_below(k) for k in self.cycle_exit_idx
-        )
+        self.cycle_exit_ji_below = tuple(() if k is None else self.ji_below(k) for k in self.cycle_exit_idx)
 
     def ji_below(self, k: int) -> tuple[int, ...]:
         """Positions in ji of the join-irreducibles at or below star pair k:
@@ -99,39 +99,39 @@ def _gen_memo(ring: RingSpec) -> tuple:
     return memo(ring.gen_sum), memo(ring.gen_intersect), memo(ring.gen_product), memo(ring.gen_contains)
 
 
-def _intersect_below(ctx: Context, on_ji) -> tuple[int, ...]:
+def _intersect_below(ctx: Context, jv) -> tuple[int, ...]:
     """The table whose value at each pair is the intersection of the values
-    on_ji[q] (indexed by star index) at the join-irreducibles q below it.
+    jv[t] at the members t of J below it, jv indexed by position in J.
 
     Walks the down-set tree, so each pair costs one intersection: its
     parent's value met with the value at the one join-irreducible more."""
     meet = ctx.gen_intersect
     out = [0] * ctx.size
-    for i, parent, q in zip(*ctx.lattice.down_set_tree):
-        out[i] = on_ji[q] if parent is None else meet(out[parent], on_ji[q])
+    for i, parent, t in zip(*ctx.lattice.down_set_tree):
+        out[i] = jv[t] if parent is None else meet(out[parent], jv[t])
     return tuple(out)
 
 
-def _saturate_vals(ctx: Context, vals: list[int]) -> tuple[int, ...]:
-    """Smallest saturated table dominating the given raw values.
+def _saturate(ctx: Context, vals: list[int]) -> tuple[int, ...]:
+    """The values on J of the smallest saturated table dominating raw vals.
 
     Since the pair lattice is distributive, a saturated function is the
     intersection of its values at the join-irreducibles below each pair, so
-    the closure is: push values down onto the join-irreducibles, then read
-    every pair off as an intersection.  The pairs above a join-irreducible
-    q are the subtrees of the down-set tree rooted where q is added, so the
-    push is one sum per pair up the tree, children before parents.
+    the closure pushes the values down onto J: each member gets the sum of
+    the values at the pairs above it.  The pairs above a member t are the
+    subtrees of the down-set tree rooted where t is added, so the push is
+    one sum per pair up the tree, children before parents.
     """
     ring = ctx.ring
     up = list(vals)  # the sum of the values over the subtree of each pair
-    down = [0] * len(vals)  # the sum of the values above each join-irreducible
-    for i, parent, q in zip(*map(reversed, ctx.lattice.down_set_tree)):
+    down = [0] * len(ctx.ji)  # the sum of the values above each member of J
+    for i, parent, t in zip(*map(reversed, ctx.lattice.down_set_tree)):
         v = up[i]
         if v:
-            down[q] = ring.gen_sum(down[q], v)
+            down[t] = ring.gen_sum(down[t], v)
             if parent is not None:
                 up[parent] = ring.gen_sum(up[parent], v)
-    return _intersect_below(ctx, down)
+    return tuple(down)
 
 
 def _law_violations(ctx: Context, vals) -> list[str]:
@@ -140,7 +140,7 @@ def _law_violations(ctx: Context, vals) -> list[str]:
     A table obeys the law exactly when its value at every pair is the
     intersection of its values at the join-irreducibles below that pair.
     """
-    want = _intersect_below(ctx, vals)
+    want = _intersect_below(ctx, [vals[q] for q in ctx.ji])
     if want == tuple(vals):
         return []
     return [
@@ -171,29 +171,13 @@ class SaturatedFunction:
 
     @cached_property
     def vals(self) -> tuple[int, ...]:
-        on_ji = [0] * self.ctx.size
-        for q, v in zip(self.ctx.ji, self.jv):
-            on_ji[q] = v
-        return _intersect_below(self.ctx, on_ji)
-
-    def at(self, k: int) -> int:
-        """The value at star pair k: read from the table once it is built,
-        else the intersection of jv over the pair's down-set in J."""
-        vals = self.__dict__.get("vals")
-        if vals is not None:
-            return vals[k]
-        jv, meet = self.jv, self.ctx.ring.gen_intersect
-        below = iter(self.ctx.ji_below(k))
-        v = jv[next(below)]
-        for t in below:
-            v = meet(v, jv[t])
-        return v
+        return _intersect_below(self.ctx, self.jv)
 
     def value(self, pair: AdmissiblePair) -> RingIdeal:
         k = self.ctx.lattice.star_index(pair)
         if k < 0:
             raise ClassificationError("the bottom pair carries no value")
-        return RingIdeal(self.ctx.ring, self.at(k))
+        return RingIdeal(self.ctx.ring, self.vals[k])
 
     def __eq__(self, other):
         if not isinstance(other, SaturatedFunction) or self.jv != other.jv:
@@ -240,10 +224,10 @@ def saturate_function(ctx: Context, table) -> SaturatedFunction:
     """Smallest saturated function dominating a raw (partial) table.
 
     Unspecified pairs default to the zero ideal.  Each value is pushed down
-    the down-set tree onto the members of J at or below its pair, and every
-    pair is then read off as the intersection of the values on J below it.
+    the down-set tree onto the members of J at or below its pair, and those
+    values on J carry the function.
     """
-    return SaturatedFunction(ctx, _saturate_vals(ctx, _table_to_vals(ctx, table)))
+    return _function(ctx, _saturate(ctx, _table_to_vals(ctx, table)))
 
 
 class ClassifiedIdeal:
@@ -277,7 +261,7 @@ class ClassifiedIdeal:
         cycle value is the extension of f at the cycle's closure pair, which
         lies above its exit-closure pair, so both cycle constraints hold."""
         ring = f.ctx.ring
-        g = [LaurentIdeal.extend(RingIdeal(ring, f.at(k))) for k in f.ctx.cycle_closure_idx]
+        g = [LaurentIdeal.extend(RingIdeal(ring, f.jv[t])) for t in f.ctx.cycle_ji]
         return _pair(f.ctx, f.jv, tuple(g), f)
 
     # -- lattice structure --------------------------------------------------
@@ -399,17 +383,17 @@ def _cycle_violations(ctx: Context, f: SaturatedFunction, g) -> list[str]:
         if not isinstance(gi, LaurentIdeal) or gi.ring != ring:
             out.append(f"value at cycle {c.label()} is not an ideal of {ring}[x,x^-1]")
             continue
-        want = f.at(ctx.cycle_closure_idx[i])
+        want = f.jv[ctx.cycle_ji[i]]
         got = gi.contract().gen
         if got != want:
             out.append(
                 f"cycle {c.label()}: contraction is ({got}) but the vertex-closure "
                 f"value is ({want})"
             )
-        k = ctx.cycle_exit_idx[i]
-        if k is not None:
+        below = ctx.cycle_exit_ji_below[i]  # empty without an exit
+        if below:
             coeff = gi.coefficient_ideal().gen
-            have = f.at(k)
+            have = reduce(ctx.gen_intersect, [f.jv[t] for t in below])
             if not ring.gen_contains(have, coeff):
                 out.append(
                     f"cycle {c.label()}: coefficient ideal ({coeff}) escapes the "
@@ -538,8 +522,10 @@ def from_generators(ctx: Context, atoms) -> ClassifiedIdeal:
                 polys.setdefault(i, []).append(atom.p)
                 continue
             # non-exclusive cycles carry no free data: p(c) generates the same
-            # ideal as its coefficients placed on the cycle's vertices
-            atom = ScaledVertex(RingIdeal.of(ring, *atom.p.coefficients()).generator_element(), atom.c.base)
+            # ideal as its coefficient ideal placed on the cycle's vertices
+            k = lat.least_star_index([atom.c.base])
+            _place(ctx, jv, ctx.ji_below(k), ring.gen_from_elements(atom.p.coefficients()))
+            continue
         if isinstance(atom, ScaledVertex):
             if atom.v not in ctx.graph.vertices:
                 raise GraphError(f"unknown vertex id {atom.v!r}")
@@ -558,10 +544,9 @@ def from_generators(ctx: Context, atoms) -> ClassifiedIdeal:
     for i, ip in extra.items():
         _place(ctx, jv, ctx.cycle_ji_below[i], ip.contract().gen)
         _place(ctx, jv, ctx.cycle_exit_ji_below[i], ip.coefficient_ideal().gen)
-    f = _function(ctx, tuple(jv))
     g = []
-    for i, k in enumerate(ctx.cycle_closure_idx):
-        base = LaurentIdeal.extend(RingIdeal(ring, f.at(k)))
+    for i, t in enumerate(ctx.cycle_ji):
+        base = LaurentIdeal.extend(RingIdeal(ring, jv[t]))
         g.append(extra[i] + base if i in extra else base)
     g = tuple(g)
     return _pair(ctx, _closed(ctx, jv, g), g)

@@ -70,7 +70,8 @@ from lpalattice.ideals import (
     SaturatedFunction,
     ScaledBreaking,
     ScaledVertex,
-    _saturate_vals,
+    _intersect_below,
+    _saturate,
     _table_to_vals,
     graded_lattice,
     to_generators,
@@ -855,7 +856,7 @@ def random_classified(ctx, rng: random.Random) -> ClassifiedIdeal:
         for i in range(len(ctx.cycles))
         if rng.random() < 0.6
     }
-    vals = _saturate_vals(ctx, raw)
+    vals = _intersect_below(ctx, _saturate(ctx, raw))
     while True:
         g = []
         for i in range(len(ctx.cycles)):
@@ -883,7 +884,7 @@ def random_classified(ctx, rng: random.Random) -> ClassifiedIdeal:
                 changed = True
         if not changed:
             break
-        vals = _saturate_vals(ctx, grown)
+        vals = _intersect_below(ctx, _saturate(ctx, grown))
     return ClassifiedIdeal(SaturatedFunction(ctx, vals), tuple(g))
 
 
@@ -926,7 +927,7 @@ def saturated_atom_pair(ctx, atom) -> ClassifiedIdeal:
         if k is not None:
             raw[k] = ring.gen_sum(raw[k], ip.coefficient_ideal().gen)
         extra[i] = ip
-    f = SaturatedFunction(ctx, _saturate_vals(ctx, raw))
+    f = SaturatedFunction(ctx, _intersect_below(ctx, _saturate(ctx, raw)))
     g = []
     for i in range(len(ctx.cycles)):
         base = LaurentIdeal.extend(RingIdeal(ring, f.vals[ctx.cycle_closure_idx[i]]))
@@ -987,7 +988,7 @@ def _reference_saturated(a, b, op, g):
     for i, gi in enumerate(g):
         k = ctx.cycle_closure_idx[i]
         raw[k] = ring.gen_sum(raw[k], gi.contract().gen)
-    return _saturate_vals(ctx, raw), tuple(g)
+    return _intersect_below(ctx, _saturate(ctx, raw)), tuple(g)
 
 
 def reference_leq(a: ClassifiedIdeal, b: ClassifiedIdeal) -> bool:

@@ -28,7 +28,7 @@ from lpalattice import (
 )
 from lpalattice.cli import main
 from lpalattice.concrete import crosscheck
-from lpalattice.ideals import _saturate_vals
+from lpalattice.ideals import _intersect_below, _saturate
 
 import helpers
 
@@ -168,7 +168,7 @@ def test_criterion_06_saturation_formula_equivalence():
                     tuple(rng.choice(gens) for _ in range(n)) for _ in range(800)
                 )
             for raw in tables:
-                assert _saturate_vals(ctx, list(raw)) == helpers.subset_formula_saturation(ctx, raw)
+                assert _intersect_below(ctx, _saturate(ctx, list(raw))) == helpers.subset_formula_saturation(ctx, raw)
                 checked += 1
     _report(6, f"pairwise fixpoint equals the subset formula on {checked} tables", started)
 

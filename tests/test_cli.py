@@ -12,6 +12,7 @@ from click.testing import CliRunner
 import lpalattice
 from lpalattice import OMEGA, Bundle, Graph
 from lpalattice.cli import ParseFailure, _statements, main, parse_graph
+from lpalattice.graph import MAX_CYCLE_CLOSURES
 
 import helpers
 from helpers import format_graph
@@ -954,6 +955,37 @@ class TestCycleLabelsAndBudgets:
         )
 
 
+class TestCycleClosureBudget:
+    """`cycles` prints each cycle's vertex and exit closures, so the listed
+    closures are summed before any text is built: K7 feeding a 3000-vertex
+    chain has 2365 cycles whose closures each hold 3007 vertices, past
+    MAX_CYCLE_CLOSURES, and K7 alone is listed."""
+
+    @staticmethod
+    def _k7_feeding_a_chain(n):
+        text = _complete_text(7).replace(";\n", "," + ",".join(f"c{i}" for i in range(n)) + ";\n", 1)
+        return text + "edge f: v0->c0;\n" + "".join(f"edge g{i}: c{i}->c{i + 1};\n" for i in range(n - 1))
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_k7_feeding_a_chain_is_one_domain_line(self, tmp_path, flags):
+        gfile = _write(tmp_path, "g.graph", self._k7_feeding_a_chain(3000))
+        result = _run_cli(["cycles", *flags, "--graph", gfile])
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == (
+            "error:domain: cannot list the cycles: their closures hold more than "
+            f"{MAX_CYCLE_CLOSURES} vertices\n"
+        )
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_k7_alone_is_listed(self, tmp_path, flags):
+        result = _run_cli(["cycles", *flags, "--graph", _write(tmp_path, "g.graph", _complete_text(7))])
+        assert (result.returncode, result.stderr) == (0, "")
+        if flags:
+            assert len(json.loads(result.stdout)["cycles"]) == 2365
+        else:
+            assert len(result.stdout.splitlines()) == 2365
+
+
 def _limit_memory():
     """Limit the address space of the process to 1 GB."""
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -1227,7 +1259,7 @@ class TestInputMemos:
             parse_graph(f"vertices v{i};")
         for i in range(cli.PAIR_MEMO_SIZE + 3):
             pair = pair_memo(ctx, json.dumps({"f": {"{v}": f"({i})", "{u,v}": f"({i})"}, "g": {"e.0": f"<{i}>"}}))
-            assert pair.f.at(0) == i
+            assert pair.f.vals[0] == i
         assert parse_graph_memo.cache_info().currsize <= parse_graph_memo.cache_info().maxsize
         assert pair_memo.cache_info().currsize <= pair_memo.cache_info().maxsize
         assert (parse_graph_memo.cache_info().maxsize, pair_memo.cache_info().maxsize) == (

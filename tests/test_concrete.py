@@ -246,7 +246,7 @@ class TestCrosscheck:
         # 3 * 256 * 257 / 2 operations; only the tables that are read out
         # (one per enumerated ideal) are built over every pair
         calls = []
-        for name in ("_intersect_below", "_saturate_vals"):
+        for name in ("_intersect_below", "_saturate"):
             real = getattr(ideals, name)
             monkeypatch.setattr(
                 ideals, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args)
@@ -343,8 +343,8 @@ class TestSharedPathBasis:
 
     def test_images_from_every_vertex_match_the_generators(self):
         # the generators are one per member of J, here the sinks; each vertex
-        # v scaled by the value at its least pair, read by at() on J alone,
-        # generates the same image
+        # v scaled by the value at its least pair, read off the table built
+        # from J alone, generates the same image
         for ring in (PrimeField(2), PrimeField(3), IntegersMod(4), IntegersMod(6)):
             for graph in helpers.acyclic_family(4, 5):
                 alg = FinitePathAlgebra(graph, ring)
@@ -354,7 +354,7 @@ class TestSharedPathBasis:
                     on_j = ideals._function(ctx, f.jv)  # no table built
                     image = [0] * len(alg.sinks)
                     for v in graph.vertices:
-                        r = ring.gen_generator_element(on_j.at(ctx.lattice.least_star_index([v])))
+                        r = ring.gen_generator_element(on_j.vals[ctx.lattice.least_star_index([v])])
                         for k in blocks[v]:
                             image[k] = ring.gen_sum(image[k], ring.gen_from_elements([r]))
                     pair = ClassifiedIdeal.graded(f)

@@ -254,22 +254,22 @@ class TestPairLattice:
             assert list(lat.star_labels()) == [p.label() for p in helpers.star_pairs(lat)], g
 
     def test_down_set_tree_joins_one_join_irreducible_to_an_earlier_pair(self):
-        # every entry is its parent joined with one member of J, each pair
-        # appears once, and parents come first in walk order though not
-        # always in star order
+        # every entry is its parent joined with one member of J, named by its
+        # position in J, each pair appears once, and parents come first in
+        # walk order though not always in star order
         rng = random.Random(37)
         graphs = [helpers.two_breakers(), helpers.uneven_breakers()]
         graphs += [helpers.random_graph(rng, max_v=6, max_b=8) for _ in range(120)]
         for g in graphs:
             lat = pair_lattice(g)
             star = helpers.star_pairs(lat)
-            ji = set(lat.star_join_irreducibles())
+            ji = lat.star_join_irreducibles()
             seen = set()
-            for i, parent, q in zip(*lat.down_set_tree):
-                assert q in ji and i not in seen, g
+            for i, parent, t in zip(*lat.down_set_tree):
+                assert 0 <= t < len(ji) and i not in seen, g
                 base = AdmissiblePair(fs(), fs()) if parent is None else star[parent]
                 assert parent is None or parent in seen, g
-                assert helpers.closure_sup(g, [base, star[q]]) == star[i] != base, g
+                assert helpers.closure_sup(g, [base, star[ji[t]]]) == star[i] != base, g
                 seen.add(i)
             assert seen == set(range(len(star))), g
 

@@ -43,7 +43,7 @@ from lpalattice import (
 )
 from lpalattice import ideals
 from lpalattice.cli import load_ideal_tables
-from lpalattice.ideals import MAX_PRIME_WORK, _law_violations, _saturate_vals, atom_pair, pair_json
+from lpalattice.ideals import MAX_PRIME_WORK, _intersect_below, _law_violations, _saturate, atom_pair, pair_json
 
 import helpers
 
@@ -112,7 +112,23 @@ class TestSaturateFunction:
             pool = list(ring.enumerate_gens()) if ring.is_finite else [0, 1, 2, 3, 4, 6, 12]
             for _ in range(80):
                 raw = [rng.choice(pool) for _ in range(ctx.size)]
-                assert _saturate_vals(ctx, raw) == helpers.saturate_sweep(ctx, raw)
+                assert _intersect_below(ctx, _saturate(ctx, raw)) == helpers.saturate_sweep(ctx, raw)
+
+    def test_builds_no_table_and_matches_sweep(self):
+        # the function is carried by its values on J; its table, read on
+        # demand, is the sweep saturation of the raw table
+        rng = random.Random(73)
+        graphs = [graph for _, graph, _ in helpers.law_suite_graphs()]
+        graphs += [helpers.random_graph(rng, max_v=6, max_b=8) for _ in range(40)]
+        for graph in graphs:
+            for ring in (ZZ, IntegersMod(12), PrimeField(7), QQ):
+                ctx = context(graph, ring)
+                pool = list(ring.enumerate_gens()) if ring.is_finite else [0, 1, 2, 3, 4, 6, 12]
+                for _ in range(3):
+                    raw = [ring.gen_normalize(rng.choice(pool)) if rng.random() < 0.4 else 0 for _ in range(ctx.size)]
+                    f = saturate_function(ctx, dict(zip(ctx.lattice.star_labels(), raw)))
+                    assert "vals" not in f.__dict__, (graph, ring)
+                    assert f.vals == helpers.saturate_sweep(ctx, raw), (graph, ring, raw)
 
     def test_matches_subset_formula(self):
         rng = random.Random(67)
@@ -122,7 +138,7 @@ class TestSaturateFunction:
                 pool = list(ring.enumerate_gens())
                 for _ in range(40):
                     raw = [rng.choice(pool) for _ in range(ctx.size)]
-                    assert _saturate_vals(ctx, raw) == helpers.subset_formula_saturation(ctx, raw)
+                    assert _intersect_below(ctx, _saturate(ctx, raw)) == helpers.subset_formula_saturation(ctx, raw)
 
     def test_cycle_closure_values_survive_saturation(self):
         # saturating an order-reversing table never changes the value at the
@@ -139,7 +155,7 @@ class TestSaturateFunction:
                     for j in range(len(rev)):
                         if helpers.pair_leq(star[i], star[j]):
                             rev[i] = ZZ.gen_sum(rev[i], raw[j])
-                sat = _saturate_vals(ctx, rev)
+                sat = _intersect_below(ctx, _saturate(ctx, rev))
                 for c in cycles(graph):
                     from lpalattice import cycle_vertex_closure
 
@@ -159,7 +175,7 @@ class TestLawCheck:
             seen = {True: 0, False: 0}
             for _ in range(60):
                 raw = tuple(ring.gen_normalize(rng.choice(pool)) for _ in range(ctx.size))
-                for vals in (raw, _saturate_vals(ctx, raw)):
+                for vals in (raw, _intersect_below(ctx, _saturate(ctx, raw))):
                     valid = not helpers.pairwise_law_violations(ctx, vals)
                     assert (not _law_violations(ctx, vals)) == valid, (name, vals)
                     seen[valid] += 1
@@ -617,6 +633,16 @@ class TestGenerators:
                 assert from_generators(ctx, []) == ClassifiedIdeal.bottom(ctx), graph
         assert cyclic >= 150
 
+    def test_each_cycle_names_its_closure_pair_by_position_in_j(self):
+        rng = random.Random(127)
+        checked = 0
+        for _ in range(300):
+            ctx = context(helpers.random_graph(rng, max_v=6, max_b=6), ZZ)
+            for i, t in enumerate(ctx.cycle_ji):
+                assert ctx.ji[t] == ctx.cycle_closure_idx[i], ctx.graph
+                checked += 1
+        assert checked > 30
+
     def test_cycle_generators_cost_linear_time(self):
         # a 200-vertex chain with a loop at every vertex and x - 2 on every
         # loop; joining one atom at a time took seconds.  The coefficient
@@ -653,7 +679,7 @@ class TestGenerators:
             CyclePoly(parse_poly(ZZ, "x - 2"), ctx.cycles[0]),
         ]
         calls = []
-        for name in ("_intersect_below", "_saturate_vals"):
+        for name in ("_intersect_below", "_saturate"):
             real = getattr(ideals, name)
             monkeypatch.setattr(
                 ideals, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args)
