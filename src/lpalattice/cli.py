@@ -69,7 +69,7 @@ _VERTICES_RE = re.compile(r"vertices\s+([A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)"
 _EDGE_RE = re.compile(r"edge\s+([A-Za-z0-9_]+)\s*:\s*([A-Za-z0-9_]+)\s*->\s*([A-Za-z0-9_]+)")
 # int() converts at most 4300 digits; a longer number is a statement that does not parse
 _BUNDLE_RE = re.compile(
-    r"bundle\s+([A-Za-z0-9_]+)\s*:\s*([A-Za-z0-9_]+)\s*->\s*([A-Za-z0-9_]+)\s*\*\s*(\d{1,4300}|inf)"
+    r"bundle\s+([A-Za-z0-9_]+)\s*:\s*([A-Za-z0-9_]+)\s*->\s*([A-Za-z0-9_]+)\s*\*\s*([0-9]{1,4300}|inf)"
 )
 
 
@@ -174,7 +174,7 @@ def load_ideal_tables(ctx, text: str):
         gen = gens.get(literal) if isinstance(literal, str) else _must_map(doc)
         if gen is None:  # each distinct literal is parsed once
             # int() converts at most 4300 digits; a longer literal is a bad one
-            m = re.fullmatch(r"\((-?\d{1,4300})\)", literal.strip())
+            m = re.fullmatch(r"\((-?[0-9]{1,4300})\)", literal.strip())
             if not m:
                 _must_map(doc)
                 raise ParseFailure(f"bad ring ideal literal {literal.strip()!r}; expected like (2)")

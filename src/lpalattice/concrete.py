@@ -16,9 +16,9 @@ cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product, repeat
 from operator import and_, attrgetter
+from typing import NamedTuple
 
 from .graph import Graph, is_row_finite
 from .ideals import (
@@ -97,8 +97,7 @@ def _rows(entry, gens, columns) -> list:
     return [{a: list(map(t, column)) for a, t in zip(gens, tables)} for column in columns]
 
 
-@dataclass
-class CrosscheckReport:
+class CrosscheckReport(NamedTuple):
     graph: Graph
     ring: RingSpec
     lattice_size: int

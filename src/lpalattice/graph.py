@@ -13,7 +13,6 @@ import itertools
 import math
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import NamedTuple
@@ -630,8 +629,7 @@ def pair_lattice(g: Graph) -> PairLattice:
 # -- cycles -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CycleClass:
+class CycleClass(NamedTuple):
     """A closed simple path up to rotation.
 
     Steps are (vertex, bundle, slot) triples in canonical rotation (the

@@ -11,10 +11,10 @@ directly on this data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from json.encoder import encode_basestring_ascii as _quote
 from operator import add, le, mul
+from typing import NamedTuple
 
 from .graph import (
     AdmissiblePair,
@@ -475,16 +475,14 @@ def pair_json(pair: ClassifiedIdeal) -> str:
 # -- generators --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScaledVertex:
+class ScaledVertex(NamedTuple):
     """Generator r*v for a ring element r and vertex v."""
 
     r: object
     v: str
 
 
-@dataclass(frozen=True)
-class ScaledBreaking:
+class ScaledBreaking(NamedTuple):
     """Generator r*w^H for a breaking vertex w of the hereditary set H."""
 
     r: object
@@ -492,8 +490,7 @@ class ScaledBreaking:
     H: frozenset
 
 
-@dataclass(frozen=True)
-class CyclePoly:
+class CyclePoly(NamedTuple):
     """Generator p(c) for a Laurent polynomial p and a cycle c."""
 
     p: LaurentPoly
@@ -614,12 +611,17 @@ def graded_lattice(graph: Graph, ring: RingSpec) -> list[SaturatedFunction]:
 # -- necessary conditions for primeness ---------------------------------------
 
 
-@dataclass
 class PrimeReport:
-    value_failures: list = field(default_factory=list)
-    directed_checks: list = field(default_factory=list)  # (gen, complement, ok)
-    proper: bool = True
-    passes: bool = True
+    def __init__(self, value_failures=None, directed_checks=None, proper=True, passes=True):
+        self.value_failures = [] if value_failures is None else value_failures
+        self.directed_checks = [] if directed_checks is None else directed_checks  # (gen, complement, ok)
+        self.proper, self.passes = proper, passes
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self):
+        return f"PrimeReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     @property
     def verdict(self) -> str:

@@ -11,19 +11,30 @@ engine is reused on the lift to Z[x] with the modulus adjoined.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import groebner
 from .rings import RingError, RingIdeal, RingSpec
 
 
-@dataclass(frozen=True)
 class LaurentPoly:
     """A Laurent polynomial, stored as sorted (exponent, coefficient) terms."""
 
-    ring: RingSpec
-    terms: tuple  # ((exp, coeff), ...), exps strictly increasing, coeffs nonzero
+    __slots__ = ("ring", "terms")  # terms: ((exp, coeff), ...), exps strictly increasing, coeffs nonzero
+
+    def __init__(self, ring: RingSpec, terms: tuple):
+        self.ring, self.terms = ring, terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.ring == other.ring and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.ring, self.terms))
+
+    def __repr__(self):
+        return f"LaurentPoly(ring={self.ring!r}, terms={self.terms!r})"
 
     @staticmethod
     def from_terms(ring: RingSpec, items) -> "LaurentPoly":
@@ -112,7 +123,7 @@ class LaurentPoly:
 MAX_EXPONENT_SPAN = 1 << 10  # highest less lowest exponent of a parsed polynomial
 
 # int() converts at most 4300 digits, so a longer exponent is a bad term
-_TERM_RE = re.compile(r"(?:(?P<c>\d+(?:/\d+)?)\*?)?(?P<x>x(?:\^(?P<e>-?\d{1,4300}))?)?")
+_TERM_RE = re.compile(r"(?:(?P<c>[0-9]+(?:/[0-9]+)?)\*?)?(?P<x>x(?:\^(?P<e>-?[0-9]{1,4300}))?)?")
 
 
 def parse_poly(ring: RingSpec, text: str) -> LaurentPoly:
@@ -239,7 +250,6 @@ def _member(ring, d: tuple, basis: tuple) -> bool:
 PARSE_MEMO_SIZE = 1 << 12  # ideal literals that LaurentIdeal.parse remembers
 
 
-@dataclass(frozen=True)
 class LaurentIdeal:
     """An ideal of R[x, x^-1] in canonical basis form.
 
@@ -249,8 +259,21 @@ class LaurentIdeal:
     a strong basis over Z or Z/n read it as well.
     """
 
-    ring: RingSpec
-    basis: tuple
+    __slots__ = ("ring", "basis")
+
+    def __init__(self, ring: RingSpec, basis: tuple):
+        self.ring, self.basis = ring, basis
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.ring == other.ring and self.basis == other.basis
+
+    def __hash__(self):
+        return hash((self.ring, self.basis))
+
+    def __repr__(self):
+        return f"LaurentIdeal(ring={self.ring!r}, basis={self.basis!r})"
 
     # -- construction ----------------------------------------------------
     @staticmethod

@@ -10,7 +10,6 @@ condition, which all four rings satisfy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -41,6 +40,15 @@ def is_prime_int(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _decimal(text: str) -> int:
+    """The int an optional '-' and ASCII digits spell; int() alone would
+    also read '+', '_', inner spaces and other scripts' digits."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal numeral: {text!r}")
+    return int(text)
 
 
 def _divides(a: int, b: int) -> bool:
@@ -107,8 +115,8 @@ class RingSpec:
         try:
             if "/" in text and isinstance(self, RationalField):
                 num, den = text.split("/")
-                return self.normalize(Fraction(int(num), int(den)))
-            return self.normalize(int(text))
+                return self.normalize(Fraction(_decimal(num), _decimal(den)))
+            return self.normalize(_decimal(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise RingError(f"bad element {text!r} for {self}") from exc
 
@@ -218,16 +226,22 @@ class RationalField(RingSpec):
         return Fraction(g)
 
 
-@dataclass(frozen=True, repr=False)
 class IntegersMod(IntegerRing):
     """The ring Z/n for n >= 2; ideals are the divisor ideals (d) with d | n."""
 
-    n: int
+    __slots__ = ("n",)
     is_finite = True
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise RingError(f"modulus must be >= 2, got {self.n}")
+    def __init__(self, n: int):
+        if n < 2:
+            raise RingError(f"modulus must be >= 2, got {n}")
+        self.n = n
+
+    def __eq__(self, other):
+        return self.n == other.n if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash((self.n,))
 
     @property
     def name(self):
@@ -251,9 +265,10 @@ class PrimeField(IntegersMod):
 
     is_field = True
 
-    def __post_init__(self):
-        if not is_prime_int(self.n):
-            raise RingError(f"{self.n} is not prime")
+    def __init__(self, n: int):
+        if not is_prime_int(n):
+            raise RingError(f"{n} is not prime")
+        self.n = n
 
     @property
     def name(self):
@@ -288,22 +303,31 @@ def ring_constructor(spec: str):
     for prefix, cls in (("Z/", IntegersMod), ("F", PrimeField)):
         if spec.startswith(prefix):
             try:
-                arg = int(spec[len(prefix):])
+                arg = _decimal(spec[len(prefix):])
             except ValueError as exc:
                 raise RingError(f"bad ring spec {spec!r}") from exc
             return lambda: cls(arg)
     raise RingError(f"unknown ring spec {spec!r}")
 
 
-@dataclass(frozen=True)
 class RingIdeal:
     """An ideal of a supported ring, in canonical generator form."""
 
-    ring: RingSpec
-    gen: int
+    __slots__ = ("ring", "gen")
 
-    def __post_init__(self):
-        object.__setattr__(self, "gen", self.ring.gen_normalize(self.gen))
+    def __init__(self, ring: RingSpec, gen: int):
+        self.ring, self.gen = ring, ring.gen_normalize(gen)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.ring == other.ring and self.gen == other.gen
+
+    def __hash__(self):
+        return hash((self.ring, self.gen))
+
+    def __repr__(self):
+        return f"RingIdeal(ring={self.ring!r}, gen={self.gen!r})"
 
     @staticmethod
     def of(ring: RingSpec, *elements) -> "RingIdeal":

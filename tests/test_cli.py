@@ -1266,3 +1266,74 @@ class TestInputMemos:
             cli.GRAPH_MEMO_SIZE,
             cli.PAIR_MEMO_SIZE,
         )
+
+
+class TestAsciiNumerals:
+    """Every numeral the command line reads is ASCII digits, after a '-'
+    where the grammar has one.  int() and the regex class \\d alone also
+    read '_', '+', inner spaces and other scripts' digits, and so ran such
+    an input as another; each is now the one line its file gives for a bad
+    numeral."""
+
+    @pytest.mark.parametrize("spec", ["Z/1_2", "Z/ 12", "Z/+12", "F٣"])
+    def test_a_ring_spec(self, runner, tmp_path, spec):
+        gfile = _write(tmp_path, "g.graph", TOEPLITZ_TEXT)
+        result = runner.invoke(main, ["enumerate", "--graded", "--graph", gfile, "--ring", spec])
+        assert result.exit_code == 2
+        assert result.output == f"error:parse: bad ring spec {spec!r}\n"
+
+    def test_a_bundle_multiplicity(self, runner, tmp_path):
+        gfile = _write(tmp_path, "g.graph", "vertices u,v;\nbundle f: u->v * ٣;\n")
+        result = runner.invoke(main, ["pairs", "--graph", gfile])
+        assert result.exit_code == 2
+        assert result.output == "error:parse: line 2, col 1: cannot parse statement 'bundle f: u->v * ٣'\n"
+
+    def test_a_ring_ideal_literal(self, runner, tmp_path):
+        gfile = _write(tmp_path, "g.graph", TOEPLITZ_TEXT)
+        pair = _write(tmp_path, "p.json", json.dumps({"f": {"{v}": "(٦)"}, "g": {"e.0": "<>"}}))
+        result = runner.invoke(main, ["graded", "--graph", gfile, "--ring", "Z", pair])
+        assert result.exit_code == 2
+        assert result.output == "error:parse: bad ring ideal literal '(٦)'; expected like (2)\n"
+
+    @pytest.mark.parametrize("r", ["1_2", "+12", "1 2", "١٢"])
+    def test_a_generator_coefficient(self, runner, tmp_path, r):
+        gfile = _write(tmp_path, "g.graph", TOEPLITZ_TEXT)
+        gens = _write(tmp_path, "g.json", json.dumps([{"kind": "vertex", "r": r, "v": "v"}]))
+        result = runner.invoke(main, ["from-generators", "--graph", gfile, "--ring", "Z", gens])
+        assert result.exit_code == 1
+        assert result.output == f"error:domain: bad element {r!r} for Z\n"
+
+    @pytest.mark.parametrize("p, term", [("٣x - 1", "٣x"), ("x^٣ - 1", "x^٣")])
+    def test_a_polynomial_term(self, runner, tmp_path, p, term):
+        gfile = _write(tmp_path, "g.graph", TOEPLITZ_TEXT)
+        gens = _write(tmp_path, "g.json", json.dumps([{"kind": "cycle", "p": p, "c": "e.0"}]))
+        result = runner.invoke(main, ["from-generators", "--graph", gfile, "--ring", "Z", gens])
+        assert result.exit_code == 1
+        assert result.output == f"error:domain: bad polynomial term {term!r} in {p!r}\n"
+
+    def test_minus_signs_and_leading_zeros_read_as_before(self, runner, tmp_path):
+        def run(graph_text, ring, r, literal):
+            gfile = _write(tmp_path, "g.graph", graph_text)
+            gens = _write(tmp_path, "g.json", json.dumps([{"kind": "vertex", "r": r, "v": "v"}]))
+            made = runner.invoke(main, ["from-generators", "--graph", gfile, "--ring", ring, gens])
+            pair = _write(tmp_path, "p.json", json.dumps({**json.loads(made.output), "f": {"{u,v}": literal}}))
+            read = runner.invoke(main, ["lattice-op", "--graph", gfile, "--ring", ring, "join", pair, pair])
+            return made.exit_code, read.exit_code, made.output, read.output
+
+        want = run("vertices u,v; bundle f: u->v * 3;", "Z/12", "8", "(8)")
+        assert want[:2] == (0, 0)
+        assert run("vertices u,v; bundle f: u->v * 03;", "Z/012", "-04", "(-04)") == want
+
+
+class TestImportContract:
+    def test_the_command_line_loads_no_dataclasses_or_inspect(self):
+        # modules loaded before the import do not count, so what site loads
+        # on a given machine does not either
+        code = (
+            "import sys; before = set(sys.modules); import lpalattice.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules) - before))"
+        )
+        src = os.path.dirname(os.path.dirname(lpalattice.__file__))
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10)
+        assert (result.returncode, result.stderr, result.stdout) == (0, "", "[]\n")

@@ -9,6 +9,7 @@ from lpalattice import (
     ZZ,
     AdmissiblePair,
     Bundle,
+    CycleClass,
     Graph,
     GraphError,
     breaking_vertices,
@@ -409,6 +410,16 @@ class TestCycles:
         g = helpers.toeplitz()
         assert [c.label() for c in cycles(g)] == ["e.0"]
         assert [c.label() for c in exclusive_cycles(g)] == ["e.0"]
+
+    def test_a_cycle_class_is_a_record_of_its_steps(self):
+        # the contract the frozen dataclass gave: equal steps, equal cycles
+        # and hashes, the hash of the field tuple, and the generated repr
+        steps = (("u", "e", 0),)
+        c = cycles(helpers.toeplitz())[0]
+        assert c == CycleClass(steps) and c is not CycleClass(steps)
+        assert hash(c) == hash(CycleClass(steps)) == hash((steps,))
+        assert c != CycleClass((("u", "e", 1),))
+        assert repr(c) == "CycleClass(steps=(('u', 'e', 0),))"
 
     def test_double_loop_not_exclusive(self):
         g = helpers.prime_counterexample()

@@ -43,7 +43,8 @@ from lpalattice import (
 )
 from lpalattice import ideals
 from lpalattice.cli import load_ideal_tables
-from lpalattice.ideals import MAX_PRIME_WORK, _intersect_below, _law_violations, _saturate, atom_pair, pair_json
+from lpalattice.concrete import CrosscheckReport, crosscheck
+from lpalattice.ideals import MAX_PRIME_WORK, PrimeReport, _intersect_below, _law_violations, _saturate, atom_pair, pair_json
 
 import helpers
 
@@ -798,6 +799,34 @@ class TestFieldTripleClassification:
                         )
 
 
+class TestGeneratorRecords:
+    """The contract the frozen dataclasses gave the generators: equal
+    fields, equal objects and hashes, the hash of the field tuple, and the
+    generated repr."""
+
+    def test_equal_fields_give_equal_objects_and_hashes(self):
+        c = cycles(helpers.toeplitz())[0]
+        p = parse_poly(ZZ, "x - 3")
+        for make, fields in [
+            (ScaledVertex, (2, "a")),
+            (ScaledBreaking, (3, "w", frozenset({"a", "b"}))),
+            (CyclePoly, (p, c)),
+        ]:
+            x, y = make(*fields), make(*fields)
+            assert x == y and x is not y
+            assert hash(x) == hash(y) == hash(fields)
+        assert ScaledVertex(2, "a") != ScaledVertex(2, "b")
+        assert CyclePoly(p, c) != CyclePoly(parse_poly(IntegersMod(12), "x - 3"), c)
+
+    def test_repr(self):
+        c = cycles(helpers.toeplitz())[0]
+        assert repr(ScaledVertex(r=2, v="a")) == "ScaledVertex(r=2, v='a')"
+        assert repr(ScaledBreaking(3, "w", frozenset({"a"}))) == "ScaledBreaking(r=3, w='w', H=frozenset({'a'}))"
+        assert repr(CyclePoly(parse_poly(ZZ, "x - 3"), c)) == (
+            "CyclePoly(p=LaurentPoly(ring=Z, terms=((0, -3), (1, 1))), c=CycleClass(steps=(('u', 'e', 0),)))"
+        )
+
+
 class TestPrimeReport:
     def test_counterexample_passes_necessary_conditions(self):
         ctx = context(helpers.prime_counterexample(), ZZ)
@@ -827,6 +856,24 @@ class TestPrimeReport:
         report = prime_report(pair)
         assert not report.passes
         assert any(not ok for _, _, ok in report.directed_checks)
+
+    def test_reports_compare_by_their_fields(self):
+        ctx = context(helpers.prime_counterexample(), ZZ)
+        pair = ClassifiedIdeal.graded(
+            saturate_function(ctx, {"{w}": RingIdeal(ZZ, 4), "{v,w}": RingIdeal(ZZ, 0)})
+        )
+        report = prime_report(pair)
+        assert report == prime_report(pair) and report is not prime_report(pair)
+        assert report != PrimeReport() and PrimeReport() == PrimeReport()
+        assert PrimeReport(proper=False) != PrimeReport()
+        assert repr(PrimeReport()) == (
+            "PrimeReport(value_failures=[], directed_checks=[], proper=True, passes=True)"
+        )
+        for g, ring in [(helpers.single_vertex(), PrimeField(2)), (helpers.fork(), IntegersMod(4))]:
+            r = crosscheck(g, ring)
+            assert r == crosscheck(g, ring) and r is not crosscheck(g, ring)
+            assert r == CrosscheckReport(r.graph, r.ring, r.lattice_size, r.concrete_size, list(r.mismatches))
+            assert r != CrosscheckReport(r.graph, r.ring, r.lattice_size, r.concrete_size, ["x"])
 
     def test_matches_the_pairwise_reference(self):
         # the supremum of each value read off J and directedness read off

@@ -54,6 +54,39 @@ class TestLaurentPoly:
         assert (p - p).is_zero
         assert p.shift(-1) == parse_poly(ZZ, "1 + x^-1")
 
+    def test_numerals_are_ascii_decimals(self):
+        # the regex class \d also matches other scripts' digits
+        for text in ("\u0663x - 1", "x^\u0663", "x^-\u0663", "1/\u0663x"):
+            with pytest.raises(RingError, match="bad polynomial term"):
+                parse_poly(QQ, text)
+        assert parse_poly(ZZ, "-03x^-02 + 007").terms == ((-2, -3), (0, 7))
+
+
+class TestValueClasses:
+    """The contract the frozen dataclasses gave: equality by class and
+    fields, the hash of the field tuple, and the generated repr."""
+
+    def test_equal_fields_give_equal_objects_and_hashes(self):
+        z12 = IntegersMod(12)
+        p = parse_poly(z12, "3x^-2 + 1")
+        assert p == LaurentPoly(z12, ((-2, 3), (0, 1))) and hash(p) == hash((z12, ((-2, 3), (0, 1))))
+        ideal = LaurentIdeal.parse(z12, "<4, 2x + 2>")
+        assert ideal == LaurentIdeal(z12, ((2, 2), (4,)))
+        assert hash(ideal) == hash((z12, ((2, 2), (4,))))
+
+    def test_other_classes_and_rings_compare_unequal(self):
+        z12 = IntegersMod(12)
+        assert LaurentPoly(z12, ((0, 1),)) != LaurentPoly(ZZ, ((0, 1),))
+        assert LaurentIdeal(z12, ((1,),)) != LaurentIdeal(ZZ, ((1,),))
+        assert LaurentIdeal(z12, ((0, 1),)) != LaurentPoly(z12, ((0, 1),))
+        assert LaurentPoly(z12, ((0, 1),)) != (z12, ((0, 1),))
+
+    def test_repr(self):
+        z12 = IntegersMod(12)
+        assert repr(parse_poly(z12, "3x^-2 + 1")) == "LaurentPoly(ring=Z/12, terms=((-2, 3), (0, 1)))"
+        assert repr(LaurentIdeal.parse(z12, "<4, 2x + 2>")) == "LaurentIdeal(ring=Z/12, basis=((2, 2), (4,)))"
+        assert repr(LaurentIdeal.zero(QQ)) == "LaurentIdeal(ring=Q, basis=())"
+
 
 class TestFieldIdeals:
     def test_coprime_sum_is_unit(self):

@@ -259,3 +259,51 @@ def test_rings_with_one_modulus_stay_apart():
     assert len({id(c) for c in contexts}) == 3
     assert [c.ring for c in contexts] == rings
     assert context(helpers.single_vertex(), PrimeField(5)) is contexts[0]
+
+
+def test_ring_specs_and_elements_are_ascii_decimals():
+    # int() alone also reads '_', '+', inner spaces and other scripts' digits
+    for spec in ("Z/1_2", "Z/ 12", "Z/+12", "F\u0663", "Z/", "F"):
+        with pytest.raises(RingError, match="bad ring spec"):
+            parse_ring(spec)
+    for text in ("1_2", "+12", "1 2", "\u0661\u0662", "-", "1/2_0", "1/+2"):
+        with pytest.raises(RingError, match="bad element"):
+            QQ.parse_element(text)
+    # a leading '-' and leading zeros read as they did
+    assert parse_ring("Z/012") == IntegersMod(12) and parse_ring("F07") == PrimeField(7)
+    with pytest.raises(RingError, match="modulus must be >= 2, got -5"):
+        parse_ring("Z/-5")
+    assert ZZ.parse_element(" -012 ") == -12 and QQ.parse_element("-1/-02") == Fraction(1, 2)
+
+
+class TestValueClasses:
+    """The contract the frozen dataclasses gave: equality by class and
+    fields, the hash of the field tuple, and the generated repr."""
+
+    def test_equal_fields_give_equal_objects_and_hashes(self):
+        for x, y, fields in [
+            (IntegersMod(12), IntegersMod(12), (12,)),
+            (PrimeField(7), PrimeField(7), (7,)),
+            (RingIdeal(IntegersMod(12), 6), RingIdeal(IntegersMod(12), 6), (IntegersMod(12), 6)),
+            (RingIdeal(ZZ, 0), RingIdeal(ZZ, 0), (ZZ, 0)),
+        ]:
+            assert x == y and x is not y
+            assert hash(x) == hash(y) == hash(fields)
+
+    def test_other_classes_and_fields_compare_unequal(self):
+        assert IntegersMod(7) != PrimeField(7) and PrimeField(7) != IntegersMod(7)
+        assert IntegersMod(12) != IntegersMod(6) and IntegersMod(12) != ZZ
+        assert RingIdeal(ZZ, 6) != RingIdeal(IntegersMod(12), 6)
+        assert RingIdeal(ZZ, 6) != (ZZ, 6)
+
+    def test_the_generator_is_normalised_and_moduli_are_checked(self):
+        assert RingIdeal(IntegersMod(12), 18).gen == 6
+        assert RingIdeal(IntegersMod(12), 12).gen == 0 and RingIdeal(ZZ, -4).gen == 4
+        for make in (lambda: IntegersMod(1), lambda: PrimeField(4), lambda: PrimeField(1)):
+            with pytest.raises(RingError):
+                make()
+
+    def test_repr(self):
+        assert repr(IntegersMod(12)) == "Z/12" and repr(PrimeField(7)) == "F7"
+        assert repr(RingIdeal(IntegersMod(12), 18)) == "RingIdeal(ring=Z/12, gen=6)"
+        assert repr(RingIdeal(QQ, 5)) == "RingIdeal(ring=Q, gen=1)"
