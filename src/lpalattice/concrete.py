@@ -143,8 +143,8 @@ def crosscheck(graph: Graph, ring: RingSpec) -> CrosscheckReport:
     mismatches = []
     blocks = alg.blocks()
     images = [_generator_image(alg, blocks, p) for p in pairs]
-    # acyclic graphs carry no cycle data, so each pair is fixed by f.jv
-    jv = attrgetter("f.jv")
+    # acyclic graphs carry no cycle data, so each pair is fixed by jv
+    jv = attrgetter("jv")
     image = dict(zip(map(jv, pairs), images))
     forms = set(images)
     if len(forms) != len(pairs):

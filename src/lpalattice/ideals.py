@@ -231,17 +231,23 @@ def saturate_function(ctx: Context, table) -> SaturatedFunction:
 
 
 class ClassifiedIdeal:
-    """A classification pair: a saturated function plus exclusive-cycle data."""
+    """A classification pair: a saturated function, carried by its values jv
+    on J and built on first read as f, plus exclusive-cycle data g."""
 
     def __init__(self, f: SaturatedFunction, g):
         ctx = f.ctx
         g = tuple(g)
-        problems = _cycle_violations(ctx, f, g)
+        problems = _cycle_violations(ctx, f.jv, g)
         if problems:
             raise ClassificationError("; ".join(problems))
         self.ctx = ctx
         self.f = f
+        self.jv = f.jv
         self.g = g
+
+    @cached_property
+    def f(self) -> SaturatedFunction:
+        return _function(self.ctx, self.jv)
 
     # -- constructors -----------------------------------------------------
     # a constant function and the matching constant cycle values meet both
@@ -271,7 +277,7 @@ class ClassifiedIdeal:
         ctx = self.ctx
         if ctx is not other.ctx:
             raise ClassificationError("mismatched graph/ring context")
-        return all(map(ctx.gen_contains, other.f.jv, self.f.jv)) and (
+        return all(map(ctx.gen_contains, other.jv, self.jv)) and (
             not ctx.cycles or all(map(le, self.g, other.g))
         )
 
@@ -281,7 +287,7 @@ class ClassifiedIdeal:
         ctx = self.ctx
         if ctx is not other.ctx:
             raise ClassificationError("mismatched graph/ring context")
-        jv = tuple(map(ctx.gen_intersect, self.f.jv, other.f.jv))
+        jv = tuple(map(ctx.gen_intersect, self.jv, other.jv))
         g = tuple(map(LaurentIdeal.intersect, self.g, other.g)) if ctx.cycles else ()
         return _pair(ctx, jv, g)
 
@@ -289,7 +295,7 @@ class ClassifiedIdeal:
         ctx = self.ctx
         if ctx is not other.ctx:
             raise ClassificationError("mismatched graph/ring context")
-        jv = tuple(map(ctx.gen_sum, self.f.jv, other.f.jv))
+        jv = tuple(map(ctx.gen_sum, self.jv, other.jv))
         if not ctx.cycles:
             return _pair(ctx, jv, ())
         g = tuple(map(add, self.g, other.g))
@@ -299,7 +305,7 @@ class ClassifiedIdeal:
         ctx = self.ctx
         if ctx is not other.ctx:
             raise ClassificationError("mismatched graph/ring context")
-        jv = tuple(map(ctx.gen_product, self.f.jv, other.f.jv))
+        jv = tuple(map(ctx.gen_product, self.jv, other.jv))
         if not ctx.cycles:
             return _pair(ctx, jv, ())
         g = tuple(map(mul, self.g, other.g))
@@ -314,16 +320,16 @@ class ClassifiedIdeal:
         return ClassifiedIdeal.graded(self.f)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ClassifiedIdeal)
-            and self.f == other.f
-            and self.g == other.g
-        )
+        if not isinstance(other, ClassifiedIdeal) or self.jv != other.jv:
+            return False
+        a, b = self.ctx, other.ctx
+        return (a is b or (a.graph == b.graph and a.ring == b.ring)) and self.g == other.g
 
     def __hash__(self):
         h = getattr(self, "_hash", None)
         if h is None:
-            h = hash((self.f, self.g))
+            # hash((f, g)), since f hashes as (graph, ring, jv)
+            h = hash(((self.ctx.graph, self.ctx.ring, self.jv), self.g))
             self._hash = h
         return h
 
@@ -342,12 +348,14 @@ def _function(ctx: Context, jv: tuple) -> SaturatedFunction:
 
 
 def _pair(ctx: Context, jv: tuple, g: tuple, f: SaturatedFunction | None = None) -> ClassifiedIdeal:
-    # the pair whose function, f if given, takes the values jv on J; it must
-    # meet both cycle constraints
+    # the pair taking the values jv on J, with its function f if given; it
+    # must meet both cycle constraints
     p = _new(ClassifiedIdeal)
     p.ctx = ctx
-    p.f = _function(ctx, jv) if f is None else f
+    p.jv = jv
     p.g = g
+    if f is not None:
+        p.f = f
     return p
 
 
@@ -372,7 +380,7 @@ def _place(ctx: Context, jv: list, below, gen) -> None:
             jv[t] = gen_sum(jv[t], gen)
 
 
-def _cycle_violations(ctx: Context, f: SaturatedFunction, g) -> list[str]:
+def _cycle_violations(ctx: Context, jv, g) -> list[str]:
     ring = ctx.ring
     out = []
     if len(g) != len(ctx.cycles):
@@ -383,7 +391,7 @@ def _cycle_violations(ctx: Context, f: SaturatedFunction, g) -> list[str]:
         if not isinstance(gi, LaurentIdeal) or gi.ring != ring:
             out.append(f"value at cycle {c.label()} is not an ideal of {ring}[x,x^-1]")
             continue
-        want = f.jv[ctx.cycle_ji[i]]
+        want = jv[ctx.cycle_ji[i]]
         got = gi.contract().gen
         if got != want:
             out.append(
@@ -393,7 +401,7 @@ def _cycle_violations(ctx: Context, f: SaturatedFunction, g) -> list[str]:
         below = ctx.cycle_exit_ji_below[i]  # empty without an exit
         if below:
             coeff = gi.coefficient_ideal().gen
-            have = reduce(ctx.gen_intersect, [f.jv[t] for t in below])
+            have = reduce(ctx.gen_intersect, [jv[t] for t in below])
             if not ring.gen_contains(have, coeff):
                 out.append(
                     f"cycle {c.label()}: coefficient ideal ({coeff}) escapes the "
@@ -427,7 +435,7 @@ def validate_tables(ctx: Context, f_table, g_table, vals=None) -> "ClassifiedIde
         return problems
     pair = _pair(ctx, tuple([vals[q] for q in ctx.ji]), tuple(g))
     pair.f.vals = vals
-    return _cycle_violations(ctx, pair.f, pair.g) or pair
+    return _cycle_violations(ctx, pair.jv, pair.g) or pair
 
 
 # -- output ------------------------------------------------------------------
@@ -563,7 +571,7 @@ def to_generators(pair: ClassifiedIdeal) -> list:
     come back as they were."""
     ctx, ring = pair.ctx, pair.ctx.ring
     atoms = []
-    for (w, h), val in zip(ctx.lattice.ji_generators, pair.f.jv):
+    for (w, h), val in zip(ctx.lattice.ji_generators, pair.jv):
         if val != 0:
             r = ring.gen_generator_element(val)
             atoms.append(ScaledVertex(r, w) if h is None else ScaledBreaking(r, w, h))
@@ -679,14 +687,14 @@ def prime_report(pair: ClassifiedIdeal) -> PrimeReport:
     # with gen in f(q)
     checked = {}
     for gen in probes:
-        d = sum([1 << t for t, v in enumerate(pair.f.jv) if ring.gen_contains(v, gen)])
+        d = sum([1 << t for t, v in enumerate(pair.jv) if ring.gen_contains(v, gen)])
         if d not in checked:
             h = ctx.lattice.pair_at(d).H
             checked[d] = (g.vertices - h, directed_complement(g, h))
         report.directed_checks.append((gen, *checked[d]))
     # a prime ideal is proper, and the pair holding the unit ideal on all of
     # J is the whole algebra
-    report.proper = any(v != 1 for v in pair.f.jv)
+    report.proper = any(v != 1 for v in pair.jv)
     report.passes = report.proper and not report.value_failures and all(
         ok for _, _, ok in report.directed_checks
     )

@@ -124,11 +124,14 @@ MAX_EXPONENT_SPAN = 1 << 10  # highest less lowest exponent of a parsed polynomi
 
 # int() converts at most 4300 digits, so a longer exponent is a bad term
 _TERM_RE = re.compile(r"(?:(?P<c>[0-9]+(?:/[0-9]+)?)\*?)?(?P<x>x(?:\^(?P<e>-?[0-9]{1,4300}))?)?")
+# a whole run of spaces, unless it sits between two digits or next to the / of
+# a fraction: such a run is kept, and the term it sits in is a bad one
+_SPACES_RE = re.compile(r" (?:(?<![ /0-9] ) *(?![ /])|(?<![ /] ) *(?![ /0-9]))")
 
 
 def parse_poly(ring: RingSpec, text: str) -> LaurentPoly:
     """Parse terms like ``3x^-2 + 1 - x`` or ``2*x^3``."""
-    s = text.replace(" ", "")
+    s = _SPACES_RE.sub("", text)
     if not s:
         raise RingError("empty polynomial")
     chunks = []

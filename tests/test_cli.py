@@ -1311,6 +1311,20 @@ class TestAsciiNumerals:
         assert result.exit_code == 1
         assert result.output == f"error:domain: bad polynomial term {term!r} in {p!r}\n"
 
+    def test_a_spaced_numeral_in_a_generators_file(self, runner, tmp_path):
+        gfile = _write(tmp_path, "g.graph", TOEPLITZ_TEXT)
+        gens = _write(tmp_path, "g.json", json.dumps([{"kind": "cycle", "p": "1 2x", "c": "e.0"}]))
+        result = runner.invoke(main, ["from-generators", "--graph", gfile, "--ring", "Z", gens])
+        assert result.exit_code == 1
+        assert result.output == "error:domain: bad polynomial term '1 2x' in '1 2x'\n"
+
+    def test_a_spaced_numeral_in_a_pair_file(self, runner, tmp_path):
+        gfile = _write(tmp_path, "g.graph", TOEPLITZ_TEXT)
+        pair = _write(tmp_path, "p.json", json.dumps({"f": {}, "g": {"e.0": "<x^1 0>"}}))
+        result = runner.invoke(main, ["graded", "--graph", gfile, "--ring", "Z", pair])
+        assert result.exit_code == 2
+        assert result.output == "error:parse: bad polynomial term 'x^1 0' in 'x^1 0'\n"
+
     def test_minus_signs_and_leading_zeros_read_as_before(self, runner, tmp_path):
         def run(graph_text, ring, r, literal):
             gfile = _write(tmp_path, "g.graph", graph_text)

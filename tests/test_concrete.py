@@ -323,6 +323,23 @@ class TestCrosscheck:
         assert result.output.splitlines()[-1] == "crosscheck FAILED"
 
 
+class TestCrosscheckBuildsNoFunctions:
+    def test_order_tests_and_operations_build_no_saturated_function(self, monkeypatch):
+        # graded_lattice builds one function per ideal, 256 on four isolated
+        # vertices over Z/6; the 65,536 order tests and 98,688 operations
+        # after it read and build the values on J alone
+        real, built = ideals._function, []
+
+        def counted(ctx, jv):
+            built.append(jv)
+            return real(ctx, jv)
+
+        monkeypatch.setattr(ideals, "_function", counted)
+        rep = crosscheck(helpers.isolated(4), IntegersMod(6))
+        assert rep.ok and rep.lattice_size == 256
+        assert len(built) <= 256
+
+
 class TestSharedPathBasis:
     """The sink blocks that the crosscheck reads, against the algebra on its
     basis of matrix units."""

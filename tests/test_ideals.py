@@ -347,6 +347,34 @@ class TestLatticeOps:
         assert z12.f.jv == bottom.f.jv
         assert z12.f != bottom.f and z12 != bottom
 
+    @pytest.mark.parametrize("ring", [ZZ, IntegersMod(12), PrimeField(7), QQ], ids=str)
+    def test_equality_and_hash_are_those_of_function_and_cycle_values(self, ring):
+        # pairs with exclusive cycles, from the operations and from the
+        # validating constructor, each also rebuilt in a second context of an
+        # equal graph and ring: a pair hashes as (f, g) and equals another
+        # exactly when both parts do, and its f is built once
+        rng = random.Random(151)
+        cyclic = 0
+        while cyclic < 30:
+            graph = helpers.random_graph(rng, max_v=6, max_b=6)
+            ctx = context(graph, ring)
+            if not ctx.cycles:
+                continue
+            cyclic += 1
+            other = Context(graph, ring)
+            a, b, c = (helpers.random_classified(ctx, rng) for _ in range(3))
+            made = [a, b, a.join(b), a.meet(c), b.product(c), c.largest_graded(), ClassifiedIdeal.bottom(ctx)]
+            made += [ClassifiedIdeal(SaturatedFunction(other, p.f.vals), p.g) for p in made[2:]]
+            made.append(ClassifiedIdeal.top(other))
+            for p in made:
+                h = hash(p)  # before anything reads f
+                f = p.f
+                assert p.f is f and h == hash((f, p.g)), graph
+                assert f.jv == SaturatedFunction(p.ctx, f.vals).jv, graph
+            for p in made:
+                for q in made:
+                    assert (p == q) == (p.f == q.f and p.g == q.g), graph
+
     def test_memoised_generator_arithmetic_matches_the_ring(self):
         # the bounded caches a context carries answer as the ring's methods, on
         # every pair of generators of the finite rings and of sampled ones

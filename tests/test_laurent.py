@@ -61,6 +61,20 @@ class TestLaurentPoly:
                 parse_poly(QQ, text)
         assert parse_poly(ZZ, "-03x^-02 + 007").terms == ((-2, -3), (0, 7))
 
+    @pytest.mark.parametrize("text", ["1 2x", "x^1 0", "x^-1 2", "3  4 + x", "1 /2x", "1/ 2x", "x + 1 / 2"])
+    def test_a_space_inside_a_numeral_is_a_bad_term(self, text):
+        # the space is not dropped, so "1 2x" does not read as 12x
+        with pytest.raises(RingError, match="^bad polynomial term "):
+            parse_poly(QQ, text)
+
+    def test_spaces_between_terms_signs_and_factors_still_read(self):
+        assert parse_poly(ZZ, " x + 2 ") == parse_poly(ZZ, "x+2")
+        assert parse_poly(ZZ, "3 x") == parse_poly(ZZ, "2 * x + x") == parse_poly(ZZ, "3x")
+        assert parse_poly(ZZ, " - 3 x^-2 +  1").terms == ((-2, -3), (0, 1))
+        assert parse_poly(QQ, "1/2 x").terms == ((1, Fraction(1, 2)),)
+        with pytest.raises(RingError, match="^empty polynomial$"):
+            parse_poly(ZZ, "   ")
+
 
 class TestValueClasses:
     """The contract the frozen dataclasses gave: equality by class and
